@@ -29,12 +29,14 @@ as intents for the caller to apply, and messages as emission tuples:
 
 Wire convention: an update message's ``depth`` already includes the weight of
 the group it is riding, i.e. the receiver reads its own exact path cost from
-the requester.
+the requester. Depths, weights and the threshold are exact: an integral one is
+an ``int``, any other a ``Fraction``, and their mixed sums and comparisons stay
+exact.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import NodeId
@@ -80,21 +82,19 @@ class BpdConfig:
 @dataclass(frozen=True)
 class DiscoverMsg:
     origin: NodeId
-    depth: Fraction
+    depth: int | Fraction
     grp: GroupId  # group this copy was sent on
-    weight: Fraction  # that group's weight
+    weight: int | Fraction  # that group's weight
     epoch: int
-    order: int = 0  # carried for wire compatibility; unused
 
 
 @dataclass(frozen=True)
 class UpdateMsg:
     requester: NodeId
     target: NodeId
-    depth: Fraction  # exact path cost from requester to the receiving node
+    depth: int | Fraction  # exact path cost from requester to the receiving node
     grp: GroupId  # "" until stamped
     origin_send_grp: GroupId
-    visited: frozenset[NodeId]
     epoch: int
 
 
@@ -127,7 +127,7 @@ class GrpAns:
 
 @dataclass(frozen=True)
 class PathEntry:
-    depth: Fraction
+    depth: int | Fraction
     via_group: GroupId
 
 
@@ -189,7 +189,7 @@ class BpdNode:
         self.roster_view = tuple(sorted(alive))
         res = HandlerResult()
         for g in assignment.recv_groups(self.nid):
-            msg = DiscoverMsg(self.nid, Fraction(0), g.gid, g.weight, epoch)
+            msg = DiscoverMsg(self.nid, 0, g.gid, g.weight, epoch)
             res.emissions.append(("group", g.gid, msg))
         return res
 
@@ -208,13 +208,13 @@ class BpdNode:
             return res
         self.path[msg.origin] = PathEntry(depth, delivered_on.gid)
         for g in assignment.recv_groups(self.nid):
-            fwd = DiscoverMsg(msg.origin, depth, g.gid, g.weight, msg.epoch, msg.order)
+            fwd = DiscoverMsg(msg.origin, depth, g.gid, g.weight, msg.epoch)
             res.emissions.append(("group", g.gid, fwd))
         return res
 
     # --- stage 2: update -----------------------------------------------------
 
-    def update_targets(self, thresh: Fraction) -> list[NodeId]:
+    def update_targets(self, thresh: int | Fraction) -> list[NodeId]:
         """Peers (from the roster seen at discovery) beyond thresh or unknown."""
         out = []
         for peer in self.roster_view:
@@ -226,7 +226,7 @@ class BpdNode:
         return out
 
     def start_update(
-        self, targets: list[NodeId], assignment: GroupAssignment, thresh: Fraction
+        self, targets: list[NodeId], assignment: GroupAssignment, thresh: int | Fraction
     ) -> HandlerResult:
         res = HandlerResult()
         send_groups = assignment.send_groups(self.nid)
@@ -234,9 +234,7 @@ class BpdNode:
             for g in send_groups:
                 depth = g.weight
                 grp = g.gid if depth <= thresh else ""
-                msg = UpdateMsg(
-                    self.nid, target, depth, grp, g.gid, frozenset({self.nid}), self.epoch
-                )
+                msg = UpdateMsg(self.nid, target, depth, grp, g.gid, self.epoch)
                 res.emissions.append(("group", g.gid, msg))
         return res
 
@@ -246,7 +244,7 @@ class BpdNode:
         delivered_on: Group,
         assignment: GroupAssignment,
         alive: set[NodeId],
-        thresh: Fraction,
+        thresh: int | Fraction,
     ) -> HandlerResult:
         res = HandlerResult()
         if msg.epoch != self.epoch:
@@ -263,17 +261,18 @@ class BpdNode:
                         JoinIntent(self.nid, msg.grp, RECEIVER, f"update:{msg.requester}")
                     )
             return res
-        if self.nid in msg.visited:
+        # each node forwards a (requester, target) pair once per epoch, and the
+        # requester already sent it, so a repeat is dropped
+        if self.nid == msg.requester:
             return res
         key = (msg.requester, msg.target)
         if key in self._forwarded:
             return res
         self._forwarded.add(key)
-        visited = msg.visited | {self.nid}
         for g in assignment.send_groups(self.nid):
             depth = msg.depth + g.weight
             grp = g.gid if depth <= thresh else msg.grp
-            fwd = replace(msg, depth=depth, grp=grp, visited=visited)
+            fwd = UpdateMsg(msg.requester, msg.target, depth, grp, msg.origin_send_grp, msg.epoch)
             res.emissions.append(("group", g.gid, fwd))
         return res
 
@@ -286,14 +285,11 @@ class BpdNode:
             return False
         if self.nid in grp.receivers:
             return False
+        mine = assignment.recv_groups(self.nid)
         for s in sorted(grp.senders):
             if s == self.nid or s not in alive:
                 continue
-            covered = any(
-                s in g2.senders and self.nid in g2.receivers and g2.weight <= grp.weight
-                for g2 in assignment.groups.values()
-            )
-            if not covered:
+            if not any(s in g2.senders and g2.weight <= grp.weight for g2 in mine):
                 return True
         return False
 

@@ -352,7 +352,7 @@ def cmd_bpd_trace(args) -> int:
 
     connected = is_strongly_connected(eff)
     bounded = connected and all(
-        cost <= thresh for costs in all_pairs_costs(eff).values() for cost in costs.values()
+        cost <= thresh for costs in dists.values() for cost in costs.values()
     )
     print(f"connected: {'yes' if connected else 'no'}")
     print(f"bounded: {'yes' if bounded else 'no'}")

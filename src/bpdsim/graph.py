@@ -1,8 +1,10 @@
 """Directed weighted graphs with exact rational edge weights.
 
-Weights are `fractions.Fraction` throughout so path costs compare exactly;
-protocol distance tables and the Dijkstra reference below must agree to the
-bit, not to a float tolerance.
+Weights are exact rationals so path costs compare exactly; protocol distance
+tables and the Dijkstra reference below must agree to the bit, not to a float
+tolerance. Graph edges hold `fractions.Fraction`; the protocol holds an
+integral weight or threshold as an `int` (see `int_if_integral`), which is
+just as exact, and mixed `int`/`Fraction` sums and comparisons stay exact.
 """
 from __future__ import annotations
 
@@ -57,6 +59,15 @@ class DirectedGraph:
         if not self.edges:
             return Fraction(0)
         return max(self.edges.values())
+
+
+def int_if_integral(q: int | Fraction) -> int | Fraction:
+    """q as an `int` when it is integral, else unchanged.
+
+    Integer adds and compares are much cheaper than `Fraction` ones and equal
+    them exactly, including hashes, so the result can stand in for q anywhere.
+    """
+    return q.numerator if q.denominator == 1 else q
 
 
 def dijkstra(graph: DirectedGraph, src: NodeId) -> dict[NodeId, Fraction]:

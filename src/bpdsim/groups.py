@@ -6,13 +6,17 @@ receivers. A peer may later join further groups in either role (repair and
 path-shortening both work by adding memberships, never removing them), so a
 group can end up with several senders. The projection back to a digraph is
 `effective_graph`: one edge per (alive sender, alive receiver) pair.
+
+Group weights are exact: an `int` when integral, a `fractions.Fraction`
+otherwise (see `graph.int_if_integral`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
-from .graph import DirectedGraph, NodeId
+from .graph import DirectedGraph, NodeId, int_if_integral
 
 GroupId = str
 
@@ -44,7 +48,7 @@ class MembershipEvent:
 @dataclass
 class Group:
     gid: GroupId
-    weight: Fraction
+    weight: int | Fraction
     senders: set[NodeId] = field(default_factory=set)
     receivers: set[NodeId] = field(default_factory=set)
 
@@ -59,24 +63,22 @@ class Group:
 
 @dataclass
 class GroupAssignment:
+    """All groups by id, plus a per-node index of the groups each node sends
+    and receives on, in gid order.
+
+    `form_groups`, `join_group` and `leave_all` are the only code that
+    changes memberships; each keeps the index in step with the member sets.
+    """
+
     groups: dict[GroupId, Group] = field(default_factory=dict)
+    _sends: dict[NodeId, tuple[Group, ...]] = field(default_factory=dict, init=False, repr=False)
+    _recvs: dict[NodeId, tuple[Group, ...]] = field(default_factory=dict, init=False, repr=False)
 
-    def send_groups(self, node: NodeId) -> list[Group]:
-        return [g for _, g in sorted(self.groups.items()) if node in g.senders]
+    def send_groups(self, node: NodeId) -> tuple[Group, ...]:
+        return self._sends.get(node, ())
 
-    def recv_groups(self, node: NodeId) -> list[Group]:
-        return [g for _, g in sorted(self.groups.items()) if node in g.receivers]
-
-    def groups_of(self, node: NodeId) -> list[Group]:
-        return [g for _, g in sorted(self.groups.items()) if node in g.members]
-
-    def copy(self) -> "GroupAssignment":
-        return GroupAssignment(
-            {
-                gid: Group(g.gid, g.weight, set(g.senders), set(g.receivers))
-                for gid, g in self.groups.items()
-            }
-        )
+    def recv_groups(self, node: NodeId) -> tuple[Group, ...]:
+        return self._recvs.get(node, ())
 
     def membership_snapshot(self) -> dict[GroupId, tuple[frozenset, frozenset]]:
         return {
@@ -89,19 +91,29 @@ def form_groups(graph: DirectedGraph) -> GroupAssignment:
     """One group per (source, out-link weight class).
 
     A source with a single weight class gets group ``g.<src>``; with several,
-    ``g.<src>.<i>`` numbered in ascending weight order.
+    ``g.<src>.<i>`` numbered in ascending weight order. This is the one place
+    group weights are made, so it is where integral ones become `int`.
     """
+    by_src: dict[NodeId, dict[Fraction, set[NodeId]]] = {}
+    for (src, dst), w in graph.edges.items():
+        by_src.setdefault(src, {}).setdefault(w, set()).add(dst)
     assignment = GroupAssignment()
+    groups = assignment.groups
     for src in graph.nodes:
-        by_weight: dict[Fraction, list[NodeId]] = {}
-        for dst, w in graph.out_edges(src):
-            by_weight.setdefault(w, []).append(dst)
-        if not by_weight:
-            continue
-        classes = sorted(by_weight.items())
+        classes = sorted(by_src.get(src, {}).items())
         for i, (w, dsts) in enumerate(classes):
             gid = f"g.{src}" if len(classes) == 1 else f"g.{src}.{i}"
-            assignment.groups[gid] = Group(gid, w, {src}, set(dsts))
+            groups[gid] = Group(gid, int_if_integral(w), {src}, dsts)
+    sends: dict[NodeId, list[Group]] = {}
+    recvs: dict[NodeId, list[Group]] = {}
+    for gid in sorted(groups):
+        g = groups[gid]
+        for n in g.senders:
+            sends.setdefault(n, []).append(g)
+        for n in g.receivers:
+            recvs.setdefault(n, []).append(g)
+    assignment._sends = {n: tuple(gs) for n, gs in sends.items()}
+    assignment._recvs = {n: tuple(gs) for n, gs in recvs.items()}
     return assignment
 
 
@@ -152,23 +164,30 @@ def join_group(
     if alive is not None and node not in alive:
         raise InvalidNodeError(f"{node!r} is not alive")
     grp = assignment.groups[gid]
-    target = grp.senders if role == SENDER else grp.receivers
-    if node in target:
+    if role == SENDER:
+        members, index = grp.senders, assignment._sends
+    else:
+        members, index = grp.receivers, assignment._recvs
+    if node in members:
         return None
-    target.add(node)
+    members.add(node)
+    index[node] = tuple(sorted(index.get(node, ()) + (grp,), key=attrgetter("gid")))
     return MembershipEvent("MemberJoined", gid, node, role, round)
 
 
 def leave_all(assignment: GroupAssignment, node: NodeId) -> list[tuple[GroupId, str]]:
-    """Strip a peer from every group, returning what was removed (for rejoin)."""
-    removed: list[tuple[GroupId, str]] = []
-    for gid, g in sorted(assignment.groups.items()):
-        if node in g.senders:
-            g.senders.discard(node)
-            removed.append((gid, SENDER))
-        if node in g.receivers:
-            g.receivers.discard(node)
-            removed.append((gid, RECEIVER))
+    """Strip a peer from every group, returning what was removed (for rejoin).
+
+    The list is in gid order, the sender role before the receiver role.
+    """
+    sends = assignment._sends.pop(node, ())
+    recvs = assignment._recvs.pop(node, ())
+    for g in sends:
+        g.senders.discard(node)
+    for g in recvs:
+        g.receivers.discard(node)
+    removed = [(g.gid, SENDER) for g in sends] + [(g.gid, RECEIVER) for g in recvs]
+    removed.sort(key=lambda entry: (entry[0], entry[1] != SENDER))
     return removed
 
 

@@ -35,7 +35,7 @@ from .bpd import (
     JoinReq,
     UpdateMsg,
 )
-from .graph import DirectedGraph, NodeId, hop_counts, is_strongly_connected
+from .graph import DirectedGraph, NodeId, hop_counts, int_if_integral, is_strongly_connected
 from .groups import (
     GroupAssignment,
     MembershipEvent,
@@ -151,14 +151,28 @@ class World:
         self.trace_fn = trace_fn
 
         self.assignment: GroupAssignment = form_groups(graph)
+        self.bpd_cfg = bpd_cfg
+        # converted once: every update delivery compares against it, and it is
+        # an int when integral, like the group weights it is compared with
+        self.thresh = None if bpd_cfg is None else int_if_integral(Fraction(bpd_cfg.thresh))
         if isinstance(strategy, Bpd):
             if bpd_cfg is None:
                 raise ValueError("bpd strategy needs a BpdConfig")
-            if Fraction(bpd_cfg.thresh) < graph.max_weight():
+            if self.thresh < graph.max_weight():
                 raise ValueError(
                     f"thresh {bpd_cfg.thresh} below max edge weight {graph.max_weight()}"
                 )
-        self.bpd_cfg = bpd_cfg
+        # control message type -> delivery handler; the handlers look up the
+        # node's on_* method on each call, so a method replaced on BpdNode (as
+        # bench/tracer.py does) is the one that runs
+        self._handlers = {
+            DiscoverMsg: self._on_discover,
+            UpdateMsg: self._on_update,
+            JoinReq: self._on_join_req,
+            JoinRep: self._on_join_rep,
+            GrpQry: self._on_grp_qry,
+            GrpAns: self._on_grp_ans,
+        }
 
         self.alive: set[NodeId] = set(self.roster)
         self.detected_alive: set[NodeId] = set(self.roster)
@@ -295,7 +309,8 @@ class World:
                         metrics.record_receipt(hist, origin, self.round)
                         lag = self.round - stamp
                         self._hops[lag] = self._hops.get(lag, 0) + 1
-            self._trace(f"deliver app {msg.src} {msg.dst}")
+            if self.trace_fn is not None:
+                self._trace(f"deliver app {msg.src} {msg.dst}")
 
     def _detect(self) -> None:
         due = sorted(
@@ -362,12 +377,11 @@ class World:
                 self._dispatch(dst, gid, msg)
             if self.phase == DISCOVERING:
                 self.phase = UPDATING
-                thresh = Fraction(self.bpd_cfg.thresh)
                 for n in sorted(self.alive):
                     node = self.nodes[n]
-                    targets = node.update_targets(thresh)
+                    targets = node.update_targets(self.thresh)
                     if targets:
-                        res = node.start_update(targets, self.assignment, thresh)
+                        res = node.start_update(targets, self.assignment, self.thresh)
                         self._apply_result(n, res)
                 continue
             if self.phase == UPDATING:
@@ -380,36 +394,42 @@ class World:
             break
 
     def _dispatch(self, dst: NodeId, gid: str | None, msg) -> None:
-        node = self.nodes[dst]
-        if isinstance(msg, DiscoverMsg):
-            grp = self.assignment.groups.get(gid)
-            if grp is None:
-                return
-            res = node.on_discover(msg, grp, self.assignment)
-        elif isinstance(msg, UpdateMsg):
-            grp = self.assignment.groups.get(gid)
-            if grp is None:
-                return
-            res = node.on_update(
-                msg, grp, self.assignment, self.detected_alive, Fraction(self.bpd_cfg.thresh)
-            )
-        elif isinstance(msg, JoinReq):
-            res = node.on_join_req(msg, self.assignment, self.detected_alive)
-        elif isinstance(msg, JoinRep):
-            res = node.on_join_rep(msg, self.assignment, self.detected_alive)
-        elif isinstance(msg, GrpQry):
-            res = node.on_grp_qry(msg, self.assignment)
-        elif isinstance(msg, GrpAns):
-            res = node.on_grp_ans(
-                msg,
-                self.assignment,
-                self.detected_alive,
-                self.round,
-                self.bpd_cfg.reply_timeout_rounds,
-            )
-        else:
+        handler = self._handlers.get(type(msg))
+        if handler is None:
             raise TypeError(f"unknown control message {msg!r}")
-        self._apply_result(dst, res)
+        res = handler(self.nodes[dst], gid, msg)
+        if res is not None and (res.emissions or res.joins):
+            self._apply_result(dst, res)
+
+    def _on_discover(self, node: BpdNode, gid: str, msg: DiscoverMsg) -> HandlerResult | None:
+        grp = self.assignment.groups.get(gid)
+        if grp is None:
+            return None
+        return node.on_discover(msg, grp, self.assignment)
+
+    def _on_update(self, node: BpdNode, gid: str, msg: UpdateMsg) -> HandlerResult | None:
+        grp = self.assignment.groups.get(gid)
+        if grp is None:
+            return None
+        return node.on_update(msg, grp, self.assignment, self.detected_alive, self.thresh)
+
+    def _on_join_req(self, node: BpdNode, _gid: None, msg: JoinReq) -> HandlerResult:
+        return node.on_join_req(msg, self.assignment, self.detected_alive)
+
+    def _on_join_rep(self, node: BpdNode, _gid: None, msg: JoinRep) -> HandlerResult:
+        return node.on_join_rep(msg, self.assignment, self.detected_alive)
+
+    def _on_grp_qry(self, node: BpdNode, _gid: None, msg: GrpQry) -> HandlerResult:
+        return node.on_grp_qry(msg, self.assignment)
+
+    def _on_grp_ans(self, node: BpdNode, _gid: None, msg: GrpAns) -> HandlerResult:
+        return node.on_grp_ans(
+            msg,
+            self.assignment,
+            self.detected_alive,
+            self.round,
+            self.bpd_cfg.reply_timeout_rounds,
+        )
 
     def _apply_result(self, emitter: NodeId, res: HandlerResult) -> None:
         for emission in res.emissions:
@@ -435,7 +455,8 @@ class World:
             )
             if ev:
                 self.events.append(ev)
-                self._trace(f"join {intent.gid} {intent.node} {intent.role} {intent.reason}")
+                if self.trace_fn is not None:
+                    self._trace(f"join {intent.gid} {intent.node} {intent.role} {intent.reason}")
                 if intent.reason.startswith("repair:"):
                     self.repair_delays.append(self.round - self.last_crash_round)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpdsim.bpd import BpdConfig, BpdNode, DiscoverMsg, default_threshold
+from bpdsim.bpd import BpdConfig, BpdNode, DiscoverMsg, UpdateMsg, default_threshold
 from bpdsim.graph import all_pairs_costs, dijkstra, is_strongly_connected
 from bpdsim.simnet import SimConfig, World
 from bpdsim.workloads import Bpd
@@ -177,6 +177,31 @@ def test_cycle_property_bound_and_exact_tables(seed):
     eff = w.alive_effective_graph()
     costs = all_pairs_costs(eff)
     assert all(c <= th for row in costs.values() for c in row.values())
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_cycle_property_mixed_int_and_fraction_weights(seed):
+    n = 4 + seed % 6
+    g = random_sc_digraph(n, seed, weights=(Fraction(1, 2), 1, Fraction(3, 2)))
+    # half the examples take a non-integral bound
+    th = default_threshold(n) - Fraction(seed % 2, 2)
+    w = cycle_world(g, thresh=th)
+    tables = stage1_tables(w)
+    assert tables == dijkstra_tables(g)
+    assert not any(isinstance(d, float) for row in tables.values() for d in row.values())
+    costs = all_pairs_costs(w.alive_effective_graph())
+    assert all(c <= th for row in costs.values() for c in row.values())
+
+
+def test_update_back_at_its_requester_is_dropped():
+    g = make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    w = cycle_world(g, thresh=2)
+    node = w.nodes["a"]
+    g_d = w.assignment.groups["g.d"]  # a receives on g.d
+    msg = UpdateMsg("a", "c", 4, "g.b", "g.a", w.epoch)
+    res = node.on_update(msg, g_d, w.assignment, set(g.nodes), w.thresh)
+    assert res.emissions == [] and res.joins == []
 
 
 def test_overlay_only_adds_edges(base10):

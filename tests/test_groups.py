@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpdsim.groups import (
     EmptyGroupError,
@@ -15,7 +17,7 @@ from bpdsim.groups import (
     leader_group,
     leave_all,
 )
-from conftest import make_graph
+from conftest import make_graph, random_sc_digraph
 
 
 def ring4():
@@ -50,7 +52,36 @@ def test_group_lookups_sorted():
     asg = form_groups(ring4())
     assert [g.gid for g in asg.send_groups("a")] == ["g.a"]
     assert [g.gid for g in asg.recv_groups("a")] == ["g.d"]
-    assert [g.gid for g in asg.groups_of("a")] == ["g.a", "g.d"]
+
+
+# one step: ("join", node index, group index, role) or ("leave", node index)
+_roles = st.sampled_from([SENDER, RECEIVER])
+_steps = st.one_of(
+    st.tuples(st.just("join"), st.integers(0, 99), st.integers(0, 999), _roles),
+    st.tuples(st.just("leave"), st.integers(0, 99)),
+)
+
+
+@given(st.integers(3, 12), st.integers(0, 10_000), st.lists(_steps, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_lookups_match_a_scan_after_membership_changes(n, seed, steps):
+    asg = form_groups(random_sc_digraph(n, seed))
+    nodes, gids = sorted(f"n{i}" for i in range(n)), sorted(asg.groups)
+
+    def check():
+        for node in nodes:
+            scan = sorted(asg.groups.items())
+            assert asg.send_groups(node) == tuple(g for _, g in scan if node in g.senders)
+            assert asg.recv_groups(node) == tuple(g for _, g in scan if node in g.receivers)
+
+    check()
+    for step in steps:
+        node = nodes[step[1] % n]
+        if step[0] == "join":
+            join_group(asg, node, gids[step[2] % len(gids)], step[3])
+        else:
+            leave_all(asg, node)
+        check()
 
 
 def test_effective_graph_roundtrips_formation():
@@ -118,13 +149,6 @@ def test_leave_all_and_restore():
     for gid, role in stash:
         join_group(asg, "b", gid, role)
     assert asg.membership_snapshot() == before
-
-
-def test_copy_is_independent():
-    asg = form_groups(ring4())
-    cp = asg.copy()
-    join_group(cp, "c", "g.a", RECEIVER)
-    assert "c" not in asg.groups["g.a"].receivers
 
 
 def test_elect_leader_smallest_alive():
