@@ -8,7 +8,10 @@ Three subcommands:
 
 Exit codes: 0 on success, 1 for any input problem (bad file, bad scenario,
 unconnectable topology), 2 when a run finishes but a runtime property was
-violated (the overlay lost strong connectivity or exceeded its path bound).
+violated (the overlay lost strong connectivity or exceeded its path bound),
+and 2 when a `run` or `bpd-trace` is stopped because one round's control
+cascade ran past the simulator's delivery cap; that prints one `error:` line
+naming the cap and writes no CSVs.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from . import metrics
 from .bpd import BpdConfig, default_threshold
 from .graph import all_pairs_costs, is_strongly_connected
 from .groups import form_groups
-from .simnet import FaultError, FaultEvent, SimConfig, UnknownNodeError, World
+from .simnet import CascadeError, FaultError, FaultEvent, SimConfig, UnknownNodeError, World
 from .toplink import (
     EmptyTopologyError,
     NotConnectableError,
@@ -295,6 +298,9 @@ def cmd_run(args) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except CascadeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -329,6 +335,9 @@ def cmd_bpd_trace(args) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except CascadeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
     print(f"peers={graph.n_nodes} edges={graph.n_edges} thresh={thresh}")
     for n in sorted(world.nodes):

@@ -52,9 +52,6 @@ class DirectedGraph:
     def out_degree(self, u: NodeId) -> int:
         return sum(1 for (a, _v) in self.edges if a == u)
 
-    def in_degree(self, v: NodeId) -> int:
-        return sum(1 for (_u, b) in self.edges if b == v)
-
     def max_weight(self) -> Fraction:
         if not self.edges:
             return Fraction(0)
@@ -131,9 +128,3 @@ def is_strongly_connected(graph: DirectedGraph) -> bool:
         return False
     reverse = DirectedGraph(graph.nodes, {(v, u): w for (u, v), w in graph.edges.items()})
     return len(hop_counts(reverse, first)) == graph.n_nodes
-
-
-def subgraph(graph: DirectedGraph, keep: set[NodeId]) -> DirectedGraph:
-    nodes = tuple(n for n in graph.nodes if n in keep)
-    edges = {(u, v): w for (u, v), w in graph.edges.items() if u in keep and v in keep}
-    return DirectedGraph(nodes, edges)

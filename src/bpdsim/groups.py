@@ -28,10 +28,6 @@ class UnknownGroupError(KeyError):
     pass
 
 
-class InvalidNodeError(ValueError):
-    pass
-
-
 class EmptyGroupError(ValueError):
     pass
 
@@ -79,12 +75,6 @@ class GroupAssignment:
 
     def recv_groups(self, node: NodeId) -> tuple[Group, ...]:
         return self._recvs.get(node, ())
-
-    def membership_snapshot(self) -> dict[GroupId, tuple[frozenset, frozenset]]:
-        return {
-            gid: (frozenset(g.senders), frozenset(g.receivers))
-            for gid, g in self.groups.items()
-        }
 
 
 def form_groups(graph: DirectedGraph) -> GroupAssignment:
@@ -153,7 +143,6 @@ def join_group(
     gid: GroupId,
     role: str,
     *,
-    alive: set[NodeId] | None = None,
     round: int = 0,
 ) -> MembershipEvent | None:
     """Add a membership; idempotent (re-join returns None, emits nothing)."""
@@ -161,8 +150,6 @@ def join_group(
         raise UnknownGroupError(gid)
     if role not in (SENDER, RECEIVER):
         raise ValueError(f"bad role {role!r}")
-    if alive is not None and node not in alive:
-        raise InvalidNodeError(f"{node!r} is not alive")
     grp = assignment.groups[gid]
     if role == SENDER:
         members, index = grp.senders, assignment._sends

@@ -45,17 +45,6 @@ def dissemination_efficiency(
     return (1 + len(fresh)) / roster_size
 
 
-def mean_de(
-    histories: dict[NodeId, dict[NodeId, int]], alive: set[NodeId], roster_size: int
-) -> float:
-    """Average DE over the alive nodes (1.0 for an empty network)."""
-    if not alive:
-        return 1.0
-    return sum(
-        dissemination_efficiency(histories[n], alive, n, roster_size) for n in sorted(alive)
-    ) / len(alive)
-
-
 def deviation_pct(values: dict[NodeId, float], optimum: float) -> float:
     """Mean |x - optimum| as a percentage of |optimum|."""
     if optimum == 0:

@@ -9,6 +9,16 @@ simulator cascades control deliveries to quiescence inside the round.
 Everything is driven from sorted orders and seeded generators, so a run is a
 pure function of its configuration.
 
+Freshness for dissemination efficiency travels with the application data.
+Each node holds a stamp vector indexed by position in the sorted roster: the
+latest round whose information from that origin it has, -1 for never. A
+sender stamps its own slot with the round and attaches one tuple snapshot of
+its vector to all of that round's messages. On delivery each destination
+merges every snapshot it received with one element-wise max, and records a
+receipt once for each origin whose stamp rose. The max does not depend on
+arrival order, so the merged vectors, and with them the DE figures, are the
+same as folding the messages in one at a time.
+
 Crashed peers neither send nor receive. Messages addressed to one are still
 counted as sent and then dropped, because the senders cannot know better
 until the missed-heartbeat detector fires: a crash in round r is detected in
@@ -20,8 +30,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 
 from . import metrics
 from .bpd import (
@@ -61,6 +73,10 @@ class FaultError(ValueError):
 
 class UnreachableError(RuntimeError):
     pass
+
+
+class CascadeError(RuntimeError):
+    """One drain of control traffic ran past `_CASCADE_CAP` deliveries."""
 
 
 @dataclass(frozen=True)
@@ -120,15 +136,6 @@ class RoundStats:
     min_de: float
     max_x: float
     min_x: float
-    hops_histogram: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
-class _AppMsg:
-    src: NodeId
-    dst: NodeId
-    x: float
-    stamps: dict[NodeId, int]
 
 
 class World:
@@ -183,7 +190,11 @@ class World:
         self.nodes: dict[NodeId, BpdNode] = {n: BpdNode(n) for n in self.roster}
         self.x: dict[NodeId, float] = init_values(self.roster, cfg.seed)
         self.x0 = dict(self.x)
-        self.stamps: dict[NodeId, dict[NodeId, int]] = {n: {n: 0} for n in self.roster}
+        # roster position of each node: the index into every stamp vector
+        self.pos: dict[NodeId, int] = {n: i for i, n in enumerate(self.roster)}
+        self.stamps: dict[NodeId, list[int]] = {n: [-1] * len(self.roster) for n in self.roster}
+        for n, i in self.pos.items():
+            self.stamps[n][i] = 0
         self.de_hist: dict[NodeId, dict[NodeId, int]] = {n: {} for n in self.roster}
         self.gossip_rng = random.Random(f"{cfg.seed}:gossip")
 
@@ -191,7 +202,8 @@ class World:
         self.epoch = 0
         self.phase = IDLE
         self._ctrl: deque = deque()
-        self._app_inflight: list[_AppMsg] = []
+        # (src, dst, x, stamp snapshot) per message sent last round
+        self._app_inflight: list[tuple[NodeId, NodeId, float, tuple[int, ...]]] = []
         self.stats: list[RoundStats] = []
         self.x_trace: list[dict[NodeId, float]] = []
         self.de_trace: list[dict[NodeId, float]] = []
@@ -204,7 +216,6 @@ class World:
         self._app_sent = 0
         self._ctrl_sent = 0
         self._bytes = 0
-        self._hops: dict[int, int] = {}
 
     # --- public driving --------------------------------------------------
 
@@ -215,7 +226,6 @@ class World:
     def step_round(self) -> RoundStats:
         self.round += 1
         self._app_sent = self._ctrl_sent = self._bytes = 0
-        self._hops = {}
         consensus_in: dict[NodeId, dict[NodeId, float]] = {n: {} for n in self.roster}
 
         for ev in self.faults:
@@ -296,21 +306,28 @@ class World:
 
     def _deliver_app(self, consensus_in) -> None:
         inflight, self._app_inflight = self._app_inflight, []
-        for msg in inflight:
-            if msg.dst not in self.alive:
+        alive = self.alive
+        tracing = self.trace_fn is not None
+        # consensus_in is filled in message order: the float sums of
+        # consensus_step follow its insertion order
+        snapshots: dict[NodeId, list[tuple[int, ...]]] = {}
+        for src, dst, x, snapshot in inflight:
+            if dst not in alive:
                 continue
-            consensus_in[msg.dst][msg.src] = msg.x
-            mine = self.stamps[msg.dst]
-            hist = self.de_hist[msg.dst]
-            for origin, stamp in msg.stamps.items():
-                if stamp > mine.get(origin, -1):
-                    mine[origin] = stamp
-                    if origin != msg.dst:
-                        metrics.record_receipt(hist, origin, self.round)
-                        lag = self.round - stamp
-                        self._hops[lag] = self._hops.get(lag, 0) + 1
-            if self.trace_fn is not None:
-                self._trace(f"deliver app {msg.src} {msg.dst}")
+            consensus_in[dst][src] = x
+            snapshots.setdefault(dst, []).append(snapshot)
+            if tracing:
+                self._trace(f"deliver app {src} {dst}")
+        roster, positions = self.roster, range(len(self.roster))
+        record, rnd = metrics.record_receipt, self.round
+        for dst, got in snapshots.items():
+            mine = self.stamps[dst]
+            merged = self.stamps[dst] = list(map(max, mine, *got))
+            hist = self.de_hist[dst]
+            own = self.pos[dst]
+            for i in compress(positions, map(ne, merged, mine)):
+                if i != own:
+                    record(hist, roster[i], rnd)
 
     def _detect(self) -> None:
         due = sorted(
@@ -370,7 +387,9 @@ class World:
             while self._ctrl:
                 guard += 1
                 if guard > _CASCADE_CAP:
-                    raise RuntimeError("control cascade did not quiesce")
+                    raise CascadeError(
+                        f"control cascade did not quiesce within {_CASCADE_CAP} deliveries"
+                    )
                 dst, gid, msg = self._ctrl.popleft()
                 if dst not in self.alive:
                     continue
@@ -478,14 +497,14 @@ class World:
 
     def _send_app(self) -> None:
         for n in sorted(self.alive):
-            self.stamps[n][n] = self.round
+            mine = self.stamps[n]
+            mine[self.pos[n]] = self.round
             dsts = strategy_emit(self.strategy, n, self)
             if not dsts:
                 continue
-            snapshot = dict(self.stamps[n])
+            snapshot = tuple(mine)
             xval = self.x[n]
-            for dst in dsts:
-                self._app_inflight.append(_AppMsg(n, dst, xval, snapshot))
+            self._app_inflight.extend((n, dst, xval, snapshot) for dst in dsts)
             self._app_sent += len(dsts)
             self._bytes += len(dsts) * self.cfg.payload_bytes
 
@@ -506,7 +525,6 @@ class World:
             min_de=min(des.values()) if des else 1.0,
             max_x=max(xs.values()) if xs else 0.0,
             min_x=min(xs.values()) if xs else 0.0,
-            hops_histogram=dict(sorted(self._hops.items())),
         )
         self.stats.append(row)
         self.x_trace.append(xs)

@@ -1,10 +1,17 @@
+import hashlib
+import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from bpdsim import cli
+from bpdsim import cli, simnet
 
 DATA = Path(__file__).parent / "data" / "toplink"
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
+# sha256 of each bundled scenario's CSVs and trace.file output; no test rewrites
+# them, so any change to those bytes fails here until the file is regenerated
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_digests.json").read_text())
 
 BASE10_TL = (Path(__file__).parents[1] / "scenarios" / "base10.tl").read_text()
 
@@ -137,6 +144,27 @@ def test_run_trace_file(tmp_path, capsys):
     assert "round=" in trace and "join" in trace
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_scenario_matches_golden_digests(name, tmp_path, capsys):
+    shutil.copy(SCENARIOS / "base10.tl", tmp_path / "base10.tl")
+    text = (SCENARIOS / f"{name}.scn").read_text()
+    golden = GOLDEN[name]
+    for traced in (False, True):
+        scn = tmp_path / f"{name}-{traced}.scn"
+        scn.write_text(text + "trace.file = trace.log\n" if traced else text)
+        out_dir = tmp_path / f"out-{traced}"
+        code, _, err = run_cli(["run", str(scn), "--out", str(out_dir)], capsys)
+        assert code == 0, err
+        got = {csv_name: _sha256(out_dir / csv_name) for csv_name in golden["csv"]}
+        assert got == golden["csv"], f"traced={traced}"
+        if traced:
+            assert _sha256(out_dir / "trace.log") == golden["trace.file"]
+
+
 def test_run_unconnectable_overlay_exits_2(tmp_path, capsys):
     tl = "topology custom;\nnodes { a, b, c, d };\nlinks { a -> b; b -> a; c -> d; d -> c; }\n"
     scn = write_scenario(
@@ -150,6 +178,17 @@ def test_run_unconnectable_overlay_exits_2(tmp_path, capsys):
     # partial measurements still land on disk
     assert (tmp_path / "out" / "rounds.csv").exists()
     assert (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_run_cascade_over_cap_exits_2_cleanly(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simnet, "_CASCADE_CAP", 10)
+    shutil.copy(SCENARIOS / "base10.tl", tmp_path / "base10.tl")
+    shutil.copy(SCENARIOS / "bpd_crash.scn", tmp_path / "bpd_crash.scn")
+    code, _, err = run_cli(["run", str(tmp_path / "bpd_crash.scn")], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error:") and "within 10 deliveries" in err
+    assert len(err.splitlines()) == 1
 
 
 # --- bpd-trace -----------------------------------------------------------------

@@ -10,7 +10,6 @@ from bpdsim.graph import (
     dijkstra,
     hop_counts,
     is_strongly_connected,
-    subgraph,
 )
 from conftest import brute_force_costs, make_graph, random_sc_digraph
 
@@ -33,7 +32,7 @@ def test_validation_rejects_nonpositive_weight():
 def test_nodes_sorted_and_degrees():
     g = make_graph([("b", "a"), ("c", "a"), ("a", "b")])
     assert g.nodes == ("a", "b", "c")
-    assert g.out_degree("a") == 1 and g.in_degree("a") == 2
+    assert g.out_degree("a") == 1
     assert [v for v, _ in g.in_edges("a")] == ["b", "c"]
 
 
@@ -85,15 +84,6 @@ def test_strong_connectivity():
     line = make_graph([("a", "b"), ("b", "c")])
     assert not is_strongly_connected(line)
     assert is_strongly_connected(make_graph([("a", "b"), ("b", "a")]))
-
-
-def test_subgraph_drops_incident_edges(base10):
-    keep = set(base10.nodes) - {"c"}
-    sub = subgraph(base10, keep)
-    assert "c" not in sub.nodes
-    assert all("c" not in e for e in sub.edges)
-    # survivors split: pair cannot reach triple without c
-    assert not is_strongly_connected(sub)
 
 
 def test_max_weight(base10):

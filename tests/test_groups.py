@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from bpdsim.groups import (
     EmptyGroupError,
-    InvalidNodeError,
     RECEIVER,
     SENDER,
     UnknownGroupError,
@@ -134,21 +133,15 @@ def test_join_unknown_group():
         join_group(asg, "a", "g.zz", SENDER)
 
 
-def test_join_dead_node_rejected():
-    asg = form_groups(ring4())
-    with pytest.raises(InvalidNodeError):
-        join_group(asg, "d", "g.a", SENDER, alive={"a", "b", "c"})
-
-
 def test_leave_all_and_restore():
     asg = form_groups(ring4())
-    before = asg.membership_snapshot()
+    before = {gid: (set(g.senders), set(g.receivers)) for gid, g in asg.groups.items()}
     stash = leave_all(asg, "b")
     assert sorted(stash) == [("g.a", RECEIVER), ("g.b", SENDER)]
     assert "b" not in asg.groups["g.a"].receivers
     for gid, role in stash:
         join_group(asg, "b", gid, role)
-    assert asg.membership_snapshot() == before
+    assert {gid: (set(g.senders), set(g.receivers)) for gid, g in asg.groups.items()} == before
 
 
 def test_elect_leader_smallest_alive():

@@ -8,7 +8,6 @@ from bpdsim.metrics import (
     deviation_pct,
     dissemination_efficiency,
     iterations_to_band,
-    mean_de,
     purge,
     record_receipt,
 )
@@ -38,23 +37,6 @@ def test_de_self_only():
 
 def test_de_singleton_roster():
     assert dissemination_efficiency({}, {"a"}, "a", 1) == 1.0
-
-
-def test_mean_de_partition_fixture():
-    # {a,b} isolated from {d,e,f}, c down: mean over 5 alive nodes
-    alive = ROSTER6 - {"c"}
-    hists = {
-        "a": {"b": 9},
-        "b": {"a": 9},
-        "d": {"e": 9, "f": 9},
-        "e": {"d": 9, "f": 9},
-        "f": {"d": 9, "e": 9},
-    }
-    assert mean_de(hists, alive, 6) == pytest.approx(13 / 30)
-
-
-def test_mean_de_empty_network():
-    assert mean_de({}, set(), 6) == 1.0
 
 
 def test_purge_window_boundary():

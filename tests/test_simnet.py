@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpdsim.bpd import BpdConfig
+from bpdsim.graph import hop_counts
 from bpdsim.simnet import (
     FaultError,
     FaultEvent,
@@ -11,7 +14,7 @@ from bpdsim.simnet import (
     validate_schedule,
 )
 from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified
-from conftest import BASE10_EDGES, make_graph
+from conftest import BASE10_EDGES, make_graph, random_sc_digraph
 
 
 def mesh_world(rounds=10, seed=0, faults=None, strategy=None, **cfg):
@@ -203,8 +206,36 @@ def test_de_steady_state_full_health():
     assert w.stats[-1].min_de == 1.0
 
 
-def test_hops_histogram_all_to_all():
+def test_direct_mesh_delivers_at_one_round_lag():
+    # direct mesh: from round 2 on, every node holds every other origin's
+    # stamp from the round before, received this round
     w = mesh_world(rounds=5)
-    w.run()
-    # direct mesh: every fresh receipt is one round old
-    assert set(w.stats[-1].hops_histogram) == {1}
+    w.step_round()
+    for r in range(2, 6):
+        w.step_round()
+        for d in w.roster:
+            others = [o for o in w.roster if o != d]
+            assert [w.stamps[d][w.pos[o]] for o in others] == [r - 1] * len(others)
+            assert w.de_hist[d] == {o: r for o in others}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    seed=st.integers(min_value=0, max_value=10_000),
+    direct=st.booleans(),
+    rounds=st.integers(min_value=1, max_value=12),
+)
+def test_stamps_follow_hop_distance(n, seed, direct, rounds):
+    # information moves one hop per round: after round r, d holds o's stamp
+    # r - hops(o -> d) once that is at least 1, and the receipt is from round r
+    g = random_sc_digraph(n, seed)
+    w = World(g, AllToAll() if direct else Unmodified(), SimConfig(n_rounds=rounds, seed=seed))
+    hops = {o: {d: 1 for d in g.nodes} if direct else hop_counts(g, o) for o in g.nodes}
+    for r in range(1, rounds + 1):
+        w.step_round()
+        for d in g.nodes:
+            want = {o: r - hops[o][d] for o in g.nodes if o != d and r - hops[o][d] >= 1}
+            got = {o: s for o in g.nodes if o != d and (s := w.stamps[d][w.pos[o]]) != -1}
+            assert got == want
+            assert w.de_hist[d] == {o: r for o in want}
