@@ -71,10 +71,13 @@ class BpdConfig:
     reply_timeout_rounds: int = 5
 
     def __post_init__(self):
-        if self.thresh <= 0:
-            raise ValueError("thresh must be positive")
-        if self.repair_period_rounds < 1 or self.reply_timeout_rounds < 1:
-            raise ValueError("periods must be >= 1")
+        for name, ok, rule in (
+            ("thresh", self.thresh > 0, "> 0"),
+            ("repair_period_rounds", self.repair_period_rounds >= 1, ">= 1"),
+            ("reply_timeout_rounds", self.reply_timeout_rounds >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 # --- wire messages -----------------------------------------------------------

@@ -21,6 +21,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import metrics
 from .bpd import BpdConfig, default_threshold
@@ -49,25 +50,38 @@ class ScenarioError(ValueError):
 
 _FAULT_KEY_RE = re.compile(r"^faults\.([0-9]+)$")
 
-_SCN_KEYS = {
-    "topology",
-    "strategy",
-    "gossip.fanout",
-    "thresh",
-    "rounds",
-    "seed",
-    "eps",
-    "payload.bytes",
-    "control.bytes",
-    "round.ms",
-    "detection.rounds",
-    "de.window.rounds",
-    "repair.period.rounds",
-    "reply.timeout.rounds",
-    "hop.delay.ms",
-    "output.dir",
-    "trace.file",
+
+class _Key(NamedTuple):
+    convert: Callable[[str], object]
+    target: str  # "sim": SimConfig, "bpd": BpdConfig, "gossip": Gossip, "cli": this module
+    field: str
+    default: object = None  # only where no dataclass field holds one
+
+
+# Every scenario key but the faults.N family. An absent key takes its row's
+# default, or else its dataclass field's; a callable default is a function of
+# the peer count.
+_KEYS = {
+    "topology": _Key(str, "cli", "topology"),
+    "strategy": _Key(str, "cli", "strategy", "bpd"),
+    "gossip.fanout": _Key(int, "gossip", "fanout"),
+    "thresh": _Key(Fraction, "bpd", "thresh", default_threshold),
+    "rounds": _Key(int, "sim", "n_rounds", 300),
+    "seed": _Key(int, "sim", "seed"),
+    "eps": _Key(float, "sim", "eps"),
+    "payload.bytes": _Key(int, "sim", "payload_bytes"),
+    "control.bytes": _Key(int, "sim", "control_bytes"),
+    "round.ms": _Key(float, "sim", "round_period_ms"),
+    "detection.rounds": _Key(int, "sim", "detection_rounds"),
+    "de.window.rounds": _Key(int, "sim", "de_window_rounds"),
+    "repair.period.rounds": _Key(int, "bpd", "repair_period_rounds"),
+    "reply.timeout.rounds": _Key(int, "bpd", "reply_timeout_rounds"),
+    "hop.delay.ms": _Key(float, "sim", "per_hop_delay_ms"),
+    "output.dir": _Key(str, "cli", "output.dir", "out"),
+    "trace.file": _Key(str, "cli", "trace.file"),
 }
+
+_EXPECTED = {int: "an integer", float: "a number", Fraction: "a rational"}
 
 
 def parse_scenario(path: Path) -> dict[str, str]:
@@ -83,39 +97,12 @@ def parse_scenario(path: Path) -> dict[str, str]:
             raise ScenarioError(f"line {lineno}: expected key = value")
         if key in data:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _SCN_KEYS and not _FAULT_KEY_RE.match(key):
+        if key not in _KEYS and not _FAULT_KEY_RE.match(key):
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         data[key] = value
     if "topology" not in data:
         raise ScenarioError("missing required key 'topology'")
     return data
-
-
-def _get_int(data: dict, key: str, default: int) -> int:
-    if key not in data:
-        return default
-    try:
-        return int(data[key])
-    except ValueError:
-        raise ScenarioError(f"{key}: expected an integer, got {data[key]!r}") from None
-
-
-def _get_float(data: dict, key: str, default: float) -> float:
-    if key not in data:
-        return default
-    try:
-        return float(data[key])
-    except ValueError:
-        raise ScenarioError(f"{key}: expected a number, got {data[key]!r}") from None
-
-
-def _get_frac(data: dict, key: str, default) -> Fraction:
-    if key not in data:
-        return Fraction(default)
-    try:
-        return Fraction(data[key])
-    except (ValueError, ZeroDivisionError):
-        raise ScenarioError(f"{key}: expected a rational, got {data[key]!r}") from None
 
 
 def _parse_faults(data: dict) -> list[FaultEvent]:
@@ -141,34 +128,25 @@ def _parse_faults(data: dict) -> list[FaultEvent]:
 
 
 def build_world(data: dict[str, str], base_dir: Path, trace_fn=None) -> World:
-    topo_path = base_dir / data["topology"]
-    spec = parse_toplink_file(topo_path)
-    seed = _get_int(data, "seed", 0)
-    graph = build_graph(spec, seed=seed)
-
-    strategy = parse_strategy(
-        data.get("strategy", "bpd"), fanout=_get_int(data, "gossip.fanout", 3)
-    )
+    conf: dict[str, dict] = {"cli": {}, "sim": {}, "bpd": {}, "gossip": {}}
+    for key, (convert, target, field, default) in _KEYS.items():
+        if key in data:
+            try:
+                conf[target][field] = convert(data[key])
+            except (ValueError, ZeroDivisionError):
+                raise ScenarioError(
+                    f"{key}: expected {_EXPECTED[convert]}, got {data[key]!r}"
+                ) from None
+        elif default is not None:
+            conf[target][field] = default
+    cfg = SimConfig(**conf["sim"])
+    graph = build_graph(parse_toplink_file(base_dir / conf["cli"]["topology"]), seed=cfg.seed)
+    strategy = parse_strategy(conf["cli"]["strategy"], **conf["gossip"])
     bpd_cfg = None
     if isinstance(strategy, Bpd):
-        bpd_cfg = BpdConfig(
-            thresh=_get_frac(data, "thresh", default_threshold(graph.n_nodes)),
-            repair_period_rounds=_get_int(data, "repair.period.rounds", 200),
-            reply_timeout_rounds=_get_int(data, "reply.timeout.rounds", 5),
-        )
-    cfg = SimConfig(
-        n_rounds=_get_int(data, "rounds", 300),
-        seed=seed,
-        round_period_ms=_get_float(data, "round.ms", 10.0),
-        payload_bytes=_get_int(data, "payload.bytes", 64),
-        control_bytes=_get_int(data, "control.bytes", 32),
-        detection_rounds=_get_int(data, "detection.rounds", 1),
-        de_window_rounds=(
-            _get_int(data, "de.window.rounds", 0) or None
-        ),
-        per_hop_delay_ms=_get_float(data, "hop.delay.ms", 0.6),
-        eps=_get_float(data, "eps", 0.5),
-    )
+        if callable(conf["bpd"]["thresh"]):
+            conf["bpd"]["thresh"] = conf["bpd"]["thresh"](graph.n_nodes)
+        bpd_cfg = BpdConfig(**conf["bpd"])
     faults = _parse_faults(data)
     return World(graph, strategy, cfg, bpd_cfg=bpd_cfg, faults=faults, trace_fn=trace_fn)
 
@@ -276,7 +254,9 @@ def cmd_run(args) -> int:
         print(f"error: {scn_path}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    out_dir = Path(args.out) if args.out else scn_path.parent / data.get("output.dir", "out")
+    out_dir = scn_path.parent / data.get("output.dir", _KEYS["output.dir"].default)
+    if args.out:
+        out_dir = Path(args.out)
     trace_fh = None
     trace_fn = None
     if "trace.file" in data:

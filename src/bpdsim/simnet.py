@@ -28,6 +28,7 @@ handlers run.
 """
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -56,11 +57,9 @@ from .groups import (
     join_group,
     leave_all,
 )
-from .workloads import Bpd, Strategy, consensus_step, init_values, strategy_emit
+from .workloads import DEFAULT_EPS, Bpd, Strategy, consensus_step, init_values, strategy_emit
 
 _CASCADE_CAP = 2_000_000
-
-IDLE, DISCOVERING, UPDATING = "idle", "discovering", "updating"
 
 
 class UnknownNodeError(KeyError):
@@ -89,13 +88,26 @@ class SimConfig:
     detection_rounds: int = 1
     de_window_rounds: int | None = None  # default: 2 * roster size
     per_hop_delay_ms: float = 0.6
-    eps: float = 0.5
+    eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        if self.n_rounds < 0 or self.detection_rounds < 1:
-            raise ValueError("bad round counts")
-        if self.round_period_ms <= 0 or self.payload_bytes < 0:
-            raise ValueError("bad period or payload")
+        for name, ok, rule in (
+            ("n_rounds", self.n_rounds >= 0, ">= 0"),
+            ("round_period_ms", 0 < self.round_period_ms < math.inf, "finite and > 0"),
+            ("payload_bytes", self.payload_bytes >= 0, ">= 0"),
+            ("control_bytes", self.control_bytes >= 0, ">= 0"),
+            ("detection_rounds", self.detection_rounds >= 1, ">= 1"),
+            (
+                "de_window_rounds",
+                self.de_window_rounds is None or self.de_window_rounds >= 1,
+                ">= 1",
+            ),
+            ("per_hop_delay_ms", 0 <= self.per_hop_delay_ms < math.inf, "finite and >= 0"),
+            # each averaging step stays a convex combination
+            ("eps", 0 < self.eps <= 1, "in (0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +212,6 @@ class World:
 
         self.round = 0
         self.epoch = 0
-        self.phase = IDLE
         self._ctrl: deque = deque()
         # (src, dst, x, stamp snapshot) per message sent last round
         self._app_inflight: list[tuple[NodeId, NodeId, float, tuple[int, ...]]] = []
@@ -236,7 +247,8 @@ class World:
         self._detect()
         if isinstance(self.strategy, Bpd) and (self.round - 1) % self.bpd_cfg.repair_period_rounds == 0:
             self._start_cycle()
-        self._drain_control()
+        else:
+            self._drain_control()
         self._poll_timeouts()
 
         for n in sorted(self.alive):
@@ -279,7 +291,6 @@ class World:
     def run_repair_cycle(self) -> GroupAssignment:
         """Force one full discovery + update cycle to quiescence right now."""
         self._start_cycle()
-        self._drain_control()
         self._poll_timeouts()
         return self.assignment
 
@@ -367,8 +378,23 @@ class World:
                 self._apply_result(m, res)
 
     def _start_cycle(self) -> None:
+        """Run one discover -> update -> verify cycle; traffic queued before it (this
+        round's repair requests) drains with discovery, under one `_CASCADE_CAP` count."""
+        delivered = self._discover()
+        for n in sorted(self.alive):
+            node = self.nodes[n]
+            targets = node.update_targets(self.thresh)
+            if targets:
+                self._apply_result(n, node.start_update(targets, self.assignment, self.thresh))
+        self._drain_control(delivered)
+        eff = effective_graph(self.assignment, set(self.detected_alive))
+        if not is_strongly_connected(eff):
+            self.not_connected_rounds.append(self.round)
+        self._trace(f"cycle-complete epoch {self.epoch}")
+
+    def _discover(self) -> int:
+        """Discovery stage of a new epoch; returns the deliveries it made."""
         self.epoch += 1
-        self.phase = DISCOVERING
         for n in sorted(self.alive):
             res = self.nodes[n].start_discovery(self.epoch, self.assignment, self.detected_alive)
             self._apply_result(n, res)
@@ -380,45 +406,23 @@ class World:
                 self.bpd_cfg.reply_timeout_rounds,
             )
             self._apply_result(n, res)
+        return self._drain_control()
 
-    def _drain_control(self) -> None:
-        guard = 0
-        while True:
-            while self._ctrl:
-                guard += 1
-                if guard > _CASCADE_CAP:
-                    raise CascadeError(
-                        f"control cascade did not quiesce within {_CASCADE_CAP} deliveries"
-                    )
-                dst, gid, msg = self._ctrl.popleft()
-                if dst not in self.alive:
-                    continue
-                self._dispatch(dst, gid, msg)
-            if self.phase == DISCOVERING:
-                self.phase = UPDATING
-                for n in sorted(self.alive):
-                    node = self.nodes[n]
-                    targets = node.update_targets(self.thresh)
-                    if targets:
-                        res = node.start_update(targets, self.assignment, self.thresh)
-                        self._apply_result(n, res)
-                continue
-            if self.phase == UPDATING:
-                self.phase = IDLE
-                eff = effective_graph(self.assignment, set(self.detected_alive))
-                if not is_strongly_connected(eff):
-                    self.not_connected_rounds.append(self.round)
-                self._trace(f"cycle-complete epoch {self.epoch}")
-                continue
-            break
-
-    def _dispatch(self, dst: NodeId, gid: str | None, msg) -> None:
-        handler = self._handlers.get(type(msg))
-        if handler is None:
-            raise TypeError(f"unknown control message {msg!r}")
-        res = handler(self.nodes[dst], gid, msg)
-        if res is not None and (res.emissions or res.joins):
-            self._apply_result(dst, res)
+    def _drain_control(self, delivered: int = 0) -> int:
+        """Deliver queued control traffic; `delivered` carries the cascade's count."""
+        ctrl, alive, nodes, handlers = self._ctrl, self.alive, self.nodes, self._handlers
+        while ctrl:
+            delivered += 1
+            if delivered > _CASCADE_CAP:
+                raise CascadeError(
+                    f"control cascade did not quiesce within {_CASCADE_CAP} deliveries"
+                )
+            dst, gid, msg = ctrl.popleft()
+            if dst in alive:
+                res = handlers[type(msg)](nodes[dst], gid, msg)
+                if res is not None and (res.emissions or res.joins):
+                    self._apply_result(dst, res)
+        return delivered
 
     def _on_discover(self, node: BpdNode, gid: str, msg: DiscoverMsg) -> HandlerResult | None:
         grp = self.assignment.groups.get(gid)

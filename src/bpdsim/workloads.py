@@ -31,6 +31,10 @@ class Gossip:
     fanout: int = 3
     name: str = "gossip"
 
+    def __post_init__(self):
+        if self.fanout < 0:
+            raise ValueError(f"fanout must be >= 0, got {self.fanout}")
+
 
 @dataclass(frozen=True)
 class Unmodified:
@@ -48,11 +52,12 @@ _NAMES = {"all-to-all": AllToAll, "alltoall": AllToAll, "gossip": Gossip,
           "unmodified": Unmodified, "bpd": Bpd}
 
 
-def parse_strategy(name: str, fanout: int = 3) -> Strategy:
+def parse_strategy(name: str, **gossip) -> Strategy:
+    """The named strategy; keyword arguments go to Gossip, other strategies ignore them."""
     cls = _NAMES.get(name.strip().lower())
     if cls is None:
         raise ValueError(f"unknown strategy {name!r}")
-    return Gossip(fanout) if cls is Gossip else cls()
+    return cls(**gossip) if cls is Gossip else cls()
 
 
 def init_values(roster: list[NodeId], seed: int) -> dict[NodeId, float]:

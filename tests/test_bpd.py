@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpdsim import simnet
 from bpdsim.bpd import BpdConfig, BpdNode, DiscoverMsg, UpdateMsg, default_threshold
 from bpdsim.graph import all_pairs_costs, dijkstra, is_strongly_connected
 from bpdsim.simnet import SimConfig, World
@@ -104,12 +105,34 @@ def test_update_targets_on_six_ring():
         [("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n3", "n4"), ("n4", "n5"), ("n5", "n0")]
     )
     w = World(g, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=3))
-    w._start_cycle()
-    # drain only the discovery flood, then ask for targets directly
-    while w._ctrl:
-        dst, gid, msg = w._ctrl.popleft()
-        w._dispatch(dst, gid, msg)
+    # run only the discovery stage, then ask for targets directly
+    w._discover()
     assert w.nodes["n0"].update_targets(Fraction(3)) == ["n4", "n5"]
+
+
+def test_cycle_stages_share_one_cascade_count(base10, monkeypatch):
+    def world():
+        return World(base10, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=3))
+
+    delivered = []
+
+    def counted(handler):
+        def deliver(*args):
+            delivered.append(args)
+            return handler(*args)
+
+        return deliver
+
+    discovery = world()._discover()
+    w = world()
+    w._handlers = {kind: counted(handler) for kind, handler in w._handlers.items()}
+    w.run_repair_cycle()
+    total = len(delivered)  # no peer is down, so every delivery reaches a handler
+    # each stage alone stays under the cap; only one shared count passes it
+    assert discovery < total - 1 and total - discovery < total - 1
+    monkeypatch.setattr(simnet, "_CASCADE_CAP", total - 1)
+    with pytest.raises(simnet.CascadeError):
+        world().run_repair_cycle()
 
 
 def test_bound_holds_on_base10(base10):

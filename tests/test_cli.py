@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -6,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from bpdsim import cli, simnet
+from bpdsim.bpd import BpdConfig, default_threshold
+from bpdsim.simnet import SimConfig
+from bpdsim.workloads import Gossip
 
 DATA = Path(__file__).parent / "data" / "toplink"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -14,6 +18,7 @@ SCENARIOS = Path(__file__).parents[1] / "scenarios"
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_digests.json").read_text())
 
 BASE10_TL = (Path(__file__).parents[1] / "scenarios" / "base10.tl").read_text()
+README = Path(__file__).parents[1] / "README.md"
 
 SCN_BPD = """\
 # overlay run with one crash
@@ -102,6 +107,79 @@ def test_scenario_bad_thresh(tmp_path, capsys):
     scn = write_scenario(tmp_path, "topology = net.tl\nstrategy = bpd\nthresh = wide\n")
     code, _, err = run_cli(["run", str(scn)], capsys)
     assert code == 1 and "thresh" in err
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("control.bytes = -5", "control_bytes"),
+        ("payload.bytes = -1", "payload_bytes"),
+        ("de.window.rounds = -3", "de_window_rounds"),
+        ("de.window.rounds = 0", "de_window_rounds"),
+        ("round.ms = nan", "round_period_ms"),
+        ("round.ms = inf", "round_period_ms"),
+        ("round.ms = 0", "round_period_ms"),
+        ("eps = nan", "eps"),
+        ("eps = -1", "eps"),
+        ("hop.delay.ms = -1", "per_hop_delay_ms"),
+        ("rounds = -1", "n_rounds"),
+        ("detection.rounds = 0", "detection_rounds"),
+        ("thresh = 0", "thresh"),
+        ("repair.period.rounds = 0", "repair_period_rounds"),
+        ("reply.timeout.rounds = 0", "reply_timeout_rounds"),
+        ("strategy = gossip\ngossip.fanout = -2", "fanout"),
+    ],
+)
+def test_scenario_value_out_of_range(line, field, tmp_path, capsys):
+    scn = write_scenario(tmp_path, f"topology = net.tl\n{line}\n")
+    code, out, err = run_cli(["run", str(scn)], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_of_only_a_topology_takes_every_default(tmp_path):
+    scn = write_scenario(tmp_path, "topology = net.tl\n")
+    world = cli.build_world(cli.parse_scenario(scn), tmp_path)
+    assert world.cfg == SimConfig(n_rounds=300)
+    assert world.bpd_cfg == BpdConfig(thresh=default_threshold(len(world.roster)))
+
+
+def _readme_defaults() -> dict[str, str]:
+    """Key -> default cell of the README's scenario table."""
+    lines = README.read_text().split("| key | default | meaning |", 1)[1].splitlines()
+    rows = {}
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip() for cell in line.split("|")[1:3])
+        rows[key.strip("`")] = default
+    return rows
+
+
+def _code_default(key: str):
+    row = cli._KEYS[key]
+    if row.default is not None or row.target == "cli":
+        return row.default
+    cls = {"sim": SimConfig, "bpd": BpdConfig, "gossip": Gossip}[row.target]
+    return {f.name: f.default for f in dataclasses.fields(cls)}[row.field]
+
+
+def test_readme_scenario_table_matches_key_table():
+    readme = _readme_defaults()
+    assert set(readme) == set(cli._KEYS) | {"faults.N"}
+    for key, cell in readme.items():
+        code = None if key == "faults.N" else _code_default(key)
+        if cell.startswith("`"):  # a literal string
+            assert cell.strip("`") == code, key
+            continue
+        try:
+            number = float(cell)
+        except ValueError:  # prose, such as "required" or "2N"
+            assert code is None or callable(code), key
+        else:
+            assert number == code and isinstance(code, (int, float)), key
 
 
 # --- run ---------------------------------------------------------------------
