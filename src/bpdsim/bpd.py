@@ -22,10 +22,15 @@ last sender first confirm the loss with a group query (GrpQry/GrpAns), then
 run the same join flow in the receiver role. Memberships are only ever
 added.
 
-Handlers mutate only their own node's state; membership changes are returned
-as intents for the caller to apply, and messages as emission tuples:
-``("group", gid, msg)`` broadcasts to the other alive members of a group,
-``("multi", (dst, ...), msg)`` targets an explicit peer list.
+Each node is bound to the world that drives it and reads the shared state
+from there: the group assignment, the set of peers not yet detected as down,
+the current round and epoch, the threshold and the reply timeout. A node
+writes only its own state. Every handler takes the message and the group it
+arrived on (None for a point-to-point repair message) and returns a
+`HandlerResult`: membership changes come back as intents for the world to
+apply, and messages as emission tuples: ``("group", gid, msg)`` broadcasts
+to the other alive members of a group, ``("multi", (dst, ...), msg)``
+targets an explicit peer list.
 
 Wire convention: an update message's ``depth`` already includes the weight of
 the group it is riding, i.e. the receiver reads its own exact path cost from
@@ -38,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .graph import NodeId
 from .groups import (
@@ -48,6 +54,9 @@ from .groups import (
     GroupId,
     leader_group,
 )
+
+if TYPE_CHECKING:
+    from .simnet import World
 
 SEND_KIND = "send_grp"
 RECV_KIND = "recv_grp"
@@ -86,8 +95,6 @@ class BpdConfig:
 class DiscoverMsg:
     origin: NodeId
     depth: int | Fraction
-    grp: GroupId  # group this copy was sent on
-    weight: int | Fraction  # that group's weight
     epoch: int
 
 
@@ -97,7 +104,6 @@ class UpdateMsg:
     target: NodeId
     depth: int | Fraction  # exact path cost from requester to the receiving node
     grp: GroupId  # "" until stamped
-    origin_send_grp: GroupId
     epoch: int
 
 
@@ -136,72 +142,73 @@ class PathEntry:
 
 @dataclass(frozen=True)
 class JoinIntent:
-    node: NodeId
+    """The emitting node asks to join gid in role."""
+
     gid: GroupId
     role: str
     reason: str
 
 
 @dataclass
-class _PendingJoin:
-    grp_type: str
+class _Pending:
+    """An open request: the peers asked, their replies so far, and the round
+    at which it is settled on whatever has arrived."""
+
     expected: frozenset[NodeId]
-    reps: dict[NodeId, JoinRep]
+    replies: dict[NodeId, JoinRep | GrpAns]
     deadline: int
 
-
-@dataclass
-class _PendingQuery:
-    gid: GroupId
-    expected: frozenset[NodeId]
-    answers: dict[NodeId, GrpAns]
-    deadline: int
+    def complete(self) -> bool:
+        return self.replies.keys() >= self.expected
 
 
 @dataclass
 class HandlerResult:
     emissions: list[tuple] = field(default_factory=list)
     joins: list[JoinIntent] = field(default_factory=list)
-    retry: bool = False
 
 
 class BpdNode:
-    """Protocol state for one peer."""
+    """Protocol state for one peer, bound to the world that delivers to it.
 
-    def __init__(self, nid: NodeId):
+    The node reads the world's assignment, detected-alive set, round, epoch,
+    threshold and reply timeout, and never writes them.
+    """
+
+    def __init__(self, nid: NodeId, world: World):
         self.nid = nid
+        self.world = world
         self.epoch = -1
         self.path: dict[NodeId, PathEntry] = {}
         self.roster_view: tuple[NodeId, ...] = ()
         self._joined_for: set[NodeId] = set()  # requesters already served this epoch
         self._forwarded: set[tuple[NodeId, NodeId]] = set()
-        self.pending_join: dict[str, _PendingJoin] = {}
-        self.pending_query: dict[GroupId, _PendingQuery] = {}
+        self.pending_join: dict[str, _Pending] = {}  # by request kind
+        self.pending_query: dict[GroupId, _Pending] = {}  # by queried group
         self.retry_kinds: set[str] = set()
 
     # --- stage 1: discovery --------------------------------------------------
 
-    def start_discovery(
-        self, epoch: int, assignment: GroupAssignment, alive: set[NodeId]
-    ) -> HandlerResult:
+    def start_discovery(self) -> HandlerResult:
         """New epoch: drop the old table and announce on every receive group."""
-        self.epoch = epoch
+        world = self.world
+        self.epoch = world.epoch
         self.path = {}
         self._joined_for = set()
         self._forwarded = set()
-        self.roster_view = tuple(sorted(alive))
+        self.roster_view = tuple(sorted(world.detected_alive))
         res = HandlerResult()
-        for g in assignment.recv_groups(self.nid):
-            msg = DiscoverMsg(self.nid, 0, g.gid, g.weight, epoch)
+        msg = DiscoverMsg(self.nid, 0, self.epoch)
+        for g in world.assignment.recv_groups(self.nid):
             res.emissions.append(("group", g.gid, msg))
         return res
 
-    def on_discover(
-        self, msg: DiscoverMsg, delivered_on: Group, assignment: GroupAssignment
-    ) -> HandlerResult:
+    def on_discover(self, msg: DiscoverMsg, gid: GroupId) -> HandlerResult:
         res = HandlerResult()
         if msg.epoch != self.epoch or msg.origin == self.nid:
             return res
+        assignment = self.world.assignment
+        delivered_on = assignment.groups[gid]
         if self.nid not in delivered_on.senders:
             # sibling receiver overhears the announcement; not an edge for us
             return res
@@ -209,16 +216,17 @@ class BpdNode:
         cur = self.path.get(msg.origin)
         if cur is not None and cur.depth <= depth:
             return res
-        self.path[msg.origin] = PathEntry(depth, delivered_on.gid)
+        self.path[msg.origin] = PathEntry(depth, gid)
+        fwd = DiscoverMsg(msg.origin, depth, msg.epoch)
         for g in assignment.recv_groups(self.nid):
-            fwd = DiscoverMsg(msg.origin, depth, g.gid, g.weight, msg.epoch)
             res.emissions.append(("group", g.gid, fwd))
         return res
 
     # --- stage 2: update -----------------------------------------------------
 
-    def update_targets(self, thresh: int | Fraction) -> list[NodeId]:
+    def update_targets(self) -> list[NodeId]:
         """Peers (from the roster seen at discovery) beyond thresh or unknown."""
+        thresh = self.world.thresh
         out = []
         for peer in self.roster_view:
             if peer == self.nid:
@@ -228,41 +236,32 @@ class BpdNode:
                 out.append(peer)
         return out
 
-    def start_update(
-        self, targets: list[NodeId], assignment: GroupAssignment, thresh: int | Fraction
-    ) -> HandlerResult:
+    def start_update(self, targets: list[NodeId]) -> HandlerResult:
         res = HandlerResult()
-        send_groups = assignment.send_groups(self.nid)
+        send_groups = self.world.assignment.send_groups(self.nid)
+        thresh = self.world.thresh
         for target in targets:
             for g in send_groups:
                 depth = g.weight
                 grp = g.gid if depth <= thresh else ""
-                msg = UpdateMsg(self.nid, target, depth, grp, g.gid, self.epoch)
+                msg = UpdateMsg(self.nid, target, depth, grp, self.epoch)
                 res.emissions.append(("group", g.gid, msg))
         return res
 
-    def on_update(
-        self,
-        msg: UpdateMsg,
-        delivered_on: Group,
-        assignment: GroupAssignment,
-        alive: set[NodeId],
-        thresh: int | Fraction,
-    ) -> HandlerResult:
+    def on_update(self, msg: UpdateMsg, gid: GroupId) -> HandlerResult:
         res = HandlerResult()
         if msg.epoch != self.epoch:
             return res
-        if self.nid not in delivered_on.receivers:
+        world = self.world
+        if self.nid not in world.assignment.groups[gid].receivers:
             # co-senders hear the broadcast too, but only group receivers sit
             # at the far end of an edge; accepting here would shortcut depth
             return res
         if self.nid == msg.target:
             if msg.grp and msg.requester not in self._joined_for:
                 self._joined_for.add(msg.requester)
-                if self._stamped_edge_missing(msg.grp, assignment, alive):
-                    res.joins.append(
-                        JoinIntent(self.nid, msg.grp, RECEIVER, f"update:{msg.requester}")
-                    )
+                if self._stamped_edge_missing(msg.grp):
+                    res.joins.append(JoinIntent(msg.grp, RECEIVER, f"update:{msg.requester}"))
             return res
         # each node forwards a (requester, target) pair once per epoch, and the
         # requester already sent it, so a repeat is dropped
@@ -272,20 +271,18 @@ class BpdNode:
         if key in self._forwarded:
             return res
         self._forwarded.add(key)
-        for g in assignment.send_groups(self.nid):
+        thresh = world.thresh
+        for g in world.assignment.send_groups(self.nid):
             depth = msg.depth + g.weight
             grp = g.gid if depth <= thresh else msg.grp
-            fwd = UpdateMsg(msg.requester, msg.target, depth, grp, msg.origin_send_grp, msg.epoch)
+            fwd = UpdateMsg(msg.requester, msg.target, depth, grp, msg.epoch)
             res.emissions.append(("group", g.gid, fwd))
         return res
 
-    def _stamped_edge_missing(
-        self, gid: GroupId, assignment: GroupAssignment, alive: set[NodeId]
-    ) -> bool:
+    def _stamped_edge_missing(self, gid: GroupId) -> bool:
         """False when every alive sender of gid already reaches us as cheaply."""
-        grp = assignment.groups.get(gid)
-        if grp is None:
-            return False
+        assignment, alive = self.world.assignment, self.world.detected_alive
+        grp = assignment.groups[gid]
         if self.nid in grp.receivers:
             return False
         mine = assignment.recv_groups(self.nid)
@@ -298,113 +295,68 @@ class BpdNode:
 
     # --- repair: departures --------------------------------------------------
 
-    def on_member_left(
-        self,
-        group: Group,
-        departed: NodeId,
-        assignment: GroupAssignment,
-        alive: set[NodeId],
-        round: int,
-        timeout: int,
-    ) -> HandlerResult:
+    def on_member_left(self, group: Group, departed: NodeId) -> HandlerResult:
         """React to a detected departure from one of our groups."""
         res = HandlerResult()
+        alive = self.world.detected_alive
         if self.nid in group.senders:
             others = (group.members - {self.nid}) & alive
             if not others:
-                res.emissions.extend(
-                    self._emit_join_req(SEND_KIND, assignment, alive, round, timeout)
-                )
+                res.emissions.extend(self._emit_join_req(SEND_KIND))
         if self.nid in group.receivers:
             senders_alive = (group.senders - {self.nid}) & alive
             if not senders_alive:
-                res.emissions.extend(
-                    self._emit_grp_qry(group, alive, round, timeout)
-                )
+                res.emissions.extend(self._emit_grp_qry(group))
         return res
 
-    def _emit_join_req(
-        self,
-        grp_type: str,
-        assignment: GroupAssignment,
-        alive: set[NodeId],
-        round: int,
-        timeout: int,
-    ) -> list[tuple]:
-        leaders = sorted(leader_group(assignment, alive) - {self.nid})
-        msg = JoinReq(self.nid, grp_type)
-        if grp_type not in self.pending_join:
-            self.pending_join[grp_type] = _PendingJoin(
-                grp_type, frozenset(leaders), {}, round + timeout
-            )
+    def _deadline(self) -> int:
+        return self.world.round + self.world.bpd_cfg.reply_timeout_rounds
+
+    def _emit_join_req(self, grp_type: str) -> list[tuple]:
+        world = self.world
+        leaders = sorted(leader_group(world.assignment, world.detected_alive) - {self.nid})
         if not leaders:
             # nobody to ask; flag for retry at the next repair cycle
             self.pending_join.pop(grp_type, None)
             self.retry_kinds.add(grp_type)
             return []
-        return [("multi", tuple(leaders), msg)]
+        if grp_type not in self.pending_join:
+            self.pending_join[grp_type] = _Pending(frozenset(leaders), {}, self._deadline())
+        return [("multi", tuple(leaders), JoinReq(self.nid, grp_type))]
 
-    def _emit_grp_qry(
-        self, group: Group, alive: set[NodeId], round: int, timeout: int
-    ) -> list[tuple]:
-        members = sorted((group.members - {self.nid}) & alive)
+    def _emit_grp_qry(self, group: Group) -> list[tuple]:
+        members = sorted((group.members - {self.nid}) & self.world.detected_alive)
         if group.gid not in self.pending_query:
-            self.pending_query[group.gid] = _PendingQuery(
-                group.gid, frozenset(members), {}, round + timeout
-            )
+            self.pending_query[group.gid] = _Pending(frozenset(members), {}, self._deadline())
         if not members:
-            return []  # finalized by the caller's poll as all-empty
+            return []  # settled by the next poll as all-empty
         return [("multi", tuple(members), GrpQry(self.nid, group.gid))]
 
-    def on_grp_qry(self, msg: GrpQry, assignment: GroupAssignment) -> HandlerResult:
-        res = HandlerResult()
-        grp = assignment.groups.get(msg.grp)
-        rep = self.nid if grp is not None and self.nid in grp.senders else ""
-        res.emissions.append(("multi", (msg.requester,), GrpAns(self.nid, msg.grp, rep)))
-        return res
+    def on_grp_qry(self, msg: GrpQry, gid: None) -> HandlerResult:
+        sends = self.nid in self.world.assignment.groups[msg.grp].senders
+        ans = GrpAns(self.nid, msg.grp, self.nid if sends else "")
+        return HandlerResult([("multi", (msg.requester,), ans)])
 
-    def on_grp_ans(
-        self,
-        msg: GrpAns,
-        assignment: GroupAssignment,
-        alive: set[NodeId],
-        round: int,
-        timeout: int,
-    ) -> HandlerResult:
+    def on_grp_ans(self, msg: GrpAns, gid: None) -> HandlerResult:
+        res = HandlerResult()
         pend = self.pending_query.get(msg.grp)
-        if pend is None:
-            return HandlerResult()
-        pend.answers[msg.responder] = msg
-        if set(pend.answers) >= set(pend.expected):
-            return self._finalize_query(msg.grp, assignment, alive, round, timeout)
-        return HandlerResult()
-
-    def _finalize_query(
-        self,
-        gid: GroupId,
-        assignment: GroupAssignment,
-        alive: set[NodeId],
-        round: int,
-        timeout: int,
-    ) -> HandlerResult:
-        pend = self.pending_query.pop(gid, None)
-        res = HandlerResult()
-        if pend is None:
-            return res
-        if any(a.rep for a in pend.answers.values()):
-            return res  # some sender still serves the group
-        res.emissions.extend(
-            self._emit_join_req(RECV_KIND, assignment, alive, round, timeout)
-        )
+        if pend is not None:
+            pend.replies[msg.responder] = msg
+            if pend.complete():
+                res.emissions = self._finalize_query(msg.grp)
         return res
+
+    def _finalize_query(self, queried: GroupId) -> list[tuple]:
+        pend = self.pending_query.pop(queried)
+        if any(a.rep for a in pend.replies.values()):
+            return []  # some sender still serves the group
+        return self._emit_join_req(RECV_KIND)
 
     # --- repair: join negotiation ---------------------------------------------
 
-    def on_join_req(
-        self, msg: JoinReq, assignment: GroupAssignment, alive: set[NodeId]
-    ) -> HandlerResult:
+    def on_join_req(self, msg: JoinReq, gid: None) -> HandlerResult:
         """Leader side: offer the smallest group the requester can usefully join."""
-        res = HandlerResult()
+        assignment, alive = self.world.assignment, self.world.detected_alive
         mine = (
             assignment.recv_groups(self.nid)
             if msg.grp_type == SEND_KIND
@@ -421,76 +373,58 @@ class BpdNode:
             if best is not None
             else JoinRep(self.nid, msg.grp_type, "", 0)
         )
-        res.emissions.append(("multi", (msg.requester,), rep))
+        return HandlerResult([("multi", (msg.requester,), rep)])
+
+    def on_join_rep(self, msg: JoinRep, gid: None) -> HandlerResult:
+        res = HandlerResult()
+        pend = self.pending_join.get(msg.grp_type)
+        if pend is not None:
+            pend.replies[msg.responder] = msg
+            if pend.complete():
+                res.joins = self._finalize_join(msg.grp_type)
         return res
 
-    def on_join_rep(
-        self, msg: JoinRep, assignment: GroupAssignment, alive: set[NodeId]
-    ) -> HandlerResult:
-        pend = self.pending_join.get(msg.grp_type)
-        if pend is None:
-            return HandlerResult()
-        pend.reps[msg.responder] = msg
-        if set(pend.reps) >= set(pend.expected):
-            return self._finalize_join(msg.grp_type, assignment, alive)
-        return HandlerResult()
-
-    def _finalize_join(
-        self, grp_type: str, assignment: GroupAssignment, alive: set[NodeId]
-    ) -> HandlerResult:
-        pend = self.pending_join.pop(grp_type, None)
-        res = HandlerResult()
-        if pend is None:
-            return res
+    def _finalize_join(self, grp_type: str) -> list[JoinIntent]:
+        pend = self.pending_join.pop(grp_type)
+        groups, alive = self.world.assignment.groups, self.world.detected_alive
         candidates = [
             r
-            for r in pend.reps.values()
-            if r.grp
-            and r.grp in assignment.groups
-            and _useful(assignment.groups[r.grp], self.nid, grp_type, alive)
+            for r in pend.replies.values()
+            if r.grp and _useful(groups[r.grp], self.nid, grp_type, alive)
         ]
         if not candidates:
             self.retry_kinds.add(grp_type)  # NoReplies: retry next repair period
-            res.retry = True
-            return res
+            return []
         best = min(candidates, key=lambda r: (r.size, r.grp))
         role = SENDER if grp_type == SEND_KIND else RECEIVER
-        res.joins.append(JoinIntent(self.nid, best.grp, role, f"repair:{grp_type}"))
-        return res
+        return [JoinIntent(best.grp, role, f"repair:{grp_type}")]
 
-    def poll(
-        self, assignment: GroupAssignment, alive: set[NodeId], round: int, timeout: int
-    ) -> HandlerResult:
-        """Time out stale request aggregations (checked once per round)."""
+    def poll(self) -> HandlerResult:
+        """Settle open requests that are complete or past their deadline
+        (checked once per round)."""
         res = HandlerResult()
-        for gid in sorted(self.pending_query):
-            pend = self.pending_query[gid]
-            if round >= pend.deadline or set(pend.answers) >= set(pend.expected):
-                sub = self._finalize_query(gid, assignment, alive, round, timeout)
-                res.emissions.extend(sub.emissions)
-                res.joins.extend(sub.joins)
+        rnd = self.world.round
+        for queried in sorted(self.pending_query):
+            pend = self.pending_query[queried]
+            if rnd >= pend.deadline or pend.complete():
+                res.emissions.extend(self._finalize_query(queried))
         for kind in sorted(self.pending_join):
             pend = self.pending_join[kind]
-            if round >= pend.deadline or set(pend.reps) >= set(pend.expected):
-                sub = self._finalize_join(kind, assignment, alive)
-                res.emissions.extend(sub.emissions)
-                res.joins.extend(sub.joins)
+            if rnd >= pend.deadline or pend.complete():
+                res.joins.extend(self._finalize_join(kind))
         return res
 
-    def take_retries(
-        self, assignment: GroupAssignment, alive: set[NodeId], round: int, timeout: int
-    ) -> HandlerResult:
+    def take_retries(self) -> HandlerResult:
         """Re-issue flagged join requests if the need still exists."""
         res = HandlerResult()
+        assignment, alive = self.world.assignment, self.world.detected_alive
         kinds, self.retry_kinds = sorted(self.retry_kinds), set()
         for kind in kinds:
             if kind == SEND_KIND and not _needs_out_repair(self.nid, assignment, alive):
                 continue
             if kind == RECV_KIND and not _needs_in_repair(self.nid, assignment, alive):
                 continue
-            res.emissions.extend(
-                self._emit_join_req(kind, assignment, alive, round, timeout)
-            )
+            res.emissions.extend(self._emit_join_req(kind))
         return res
 
 

@@ -127,7 +127,7 @@ def _parse_faults(data: dict) -> list[FaultEvent]:
     return [FaultEvent(rnd, action, node) for rnd, _, action, node in entries]
 
 
-def build_world(data: dict[str, str], base_dir: Path, trace_fn=None) -> World:
+def build_world(data: dict[str, str], base_dir: Path) -> World:
     conf: dict[str, dict] = {"cli": {}, "sim": {}, "bpd": {}, "gossip": {}}
     for key, (convert, target, field, default) in _KEYS.items():
         if key in data:
@@ -148,7 +148,7 @@ def build_world(data: dict[str, str], base_dir: Path, trace_fn=None) -> World:
             conf["bpd"]["thresh"] = conf["bpd"]["thresh"](graph.n_nodes)
         bpd_cfg = BpdConfig(**conf["bpd"])
     faults = _parse_faults(data)
-    return World(graph, strategy, cfg, bpd_cfg=bpd_cfg, faults=faults, trace_fn=trace_fn)
+    return World(graph, strategy, cfg, bpd_cfg=bpd_cfg, faults=faults)
 
 
 # --- CSV output ------------------------------------------------------------
@@ -258,13 +258,14 @@ def cmd_run(args) -> int:
     if args.out:
         out_dir = Path(args.out)
     trace_fh = None
-    trace_fn = None
-    if "trace.file" in data:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace_fh = (out_dir / data["trace.file"]).open("w")
-        trace_fn = lambda line: trace_fh.write(line + "\n")
     try:
-        world = build_world(data, scn_path.parent, trace_fn=trace_fn)
+        world = build_world(data, scn_path.parent)
+        # opened only once the scenario is known good, so a rejected one
+        # leaves no file behind
+        if "trace.file" in data:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            trace_fh = (out_dir / data["trace.file"]).open("w")
+            world.trace_fn = lambda line: trace_fh.write(line + "\n")
         world.run()
     except (
         ScenarioError,

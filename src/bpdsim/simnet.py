@@ -61,6 +61,18 @@ from .workloads import DEFAULT_EPS, Bpd, Strategy, consensus_step, init_values, 
 
 _CASCADE_CAP = 2_000_000
 
+# control message type -> name of the BpdNode method that handles it; the
+# method is looked up on the node at each delivery, so one replaced on
+# BpdNode (as bench/tracer.py does) is the one that runs
+_HANDLERS = {
+    DiscoverMsg: "on_discover",
+    UpdateMsg: "on_update",
+    JoinReq: "on_join_req",
+    JoinRep: "on_join_rep",
+    GrpQry: "on_grp_qry",
+    GrpAns: "on_grp_ans",
+}
+
 
 class UnknownNodeError(KeyError):
     pass
@@ -181,25 +193,14 @@ class World:
                 raise ValueError(
                     f"thresh {bpd_cfg.thresh} below max edge weight {graph.max_weight()}"
                 )
-        # control message type -> delivery handler; the handlers look up the
-        # node's on_* method on each call, so a method replaced on BpdNode (as
-        # bench/tracer.py does) is the one that runs
-        self._handlers = {
-            DiscoverMsg: self._on_discover,
-            UpdateMsg: self._on_update,
-            JoinReq: self._on_join_req,
-            JoinRep: self._on_join_rep,
-            GrpQry: self._on_grp_qry,
-            GrpAns: self._on_grp_ans,
-        }
 
         self.alive: set[NodeId] = set(self.roster)
+        # alive <= detected_alive: a crashed peer stays in it until detected
         self.detected_alive: set[NodeId] = set(self.roster)
-        self.undetected: set[NodeId] = set()
         self.crashed_at: dict[NodeId, int] = {}
         self.stash: dict[NodeId, list[tuple[str, str]]] = {}
 
-        self.nodes: dict[NodeId, BpdNode] = {n: BpdNode(n) for n in self.roster}
+        self.nodes: dict[NodeId, BpdNode] = {n: BpdNode(n, self) for n in self.roster}
         self.x: dict[NodeId, float] = init_values(self.roster, cfg.seed)
         self.x0 = dict(self.x)
         # roster position of each node: the index into every stamp vector
@@ -266,7 +267,6 @@ class World:
             if node not in self.alive:
                 raise FaultError(f"{node} is already down")
             self.alive.discard(node)
-            self.undetected.add(node)
             self.crashed_at[node] = self.round
             self.last_crash_round = self.round
             self._trace(f"fault crash {node}")
@@ -274,10 +274,8 @@ class World:
             if node in self.alive:
                 return
             self.alive.add(node)
-            if node in self.undetected:
-                # came back before anyone noticed; memberships were never dropped
-                self.undetected.discard(node)
-            else:
+            # a peer that came back before anyone noticed never left its groups
+            if node not in self.detected_alive:
                 self.detected_alive.add(node)
                 for gid, role in self.stash.pop(node, []):
                     ev = join_group(self.assignment, node, gid, role, round=self.round)
@@ -343,14 +341,13 @@ class World:
     def _detect(self) -> None:
         due = sorted(
             n
-            for n in self.undetected
+            for n in self.detected_alive - self.alive
             if self.round - self.crashed_at[n] >= self.cfg.detection_rounds
         )
         if not due:
             return
         affected: list[tuple[NodeId, str, str]] = []
         for n in due:
-            self.undetected.discard(n)
             self.detected_alive.discard(n)
             removed = leave_all(self.assignment, n)
             self.stash[n] = removed
@@ -367,15 +364,7 @@ class World:
             seen.add((departed, gid))
             grp = self.assignment.groups[gid]
             for m in sorted(grp.members & self.alive):
-                res = self.nodes[m].on_member_left(
-                    grp,
-                    departed,
-                    self.assignment,
-                    self.detected_alive,
-                    self.round,
-                    self.bpd_cfg.reply_timeout_rounds,
-                )
-                self._apply_result(m, res)
+                self._apply_result(m, self.nodes[m].on_member_left(grp, departed))
 
     def _start_cycle(self) -> None:
         """Run one discover -> update -> verify cycle; traffic queued before it (this
@@ -383,9 +372,9 @@ class World:
         delivered = self._discover()
         for n in sorted(self.alive):
             node = self.nodes[n]
-            targets = node.update_targets(self.thresh)
+            targets = node.update_targets()
             if targets:
-                self._apply_result(n, node.start_update(targets, self.assignment, self.thresh))
+                self._apply_result(n, node.start_update(targets))
         self._drain_control(delivered)
         eff = effective_graph(self.assignment, set(self.detected_alive))
         if not is_strongly_connected(eff):
@@ -396,21 +385,14 @@ class World:
         """Discovery stage of a new epoch; returns the deliveries it made."""
         self.epoch += 1
         for n in sorted(self.alive):
-            res = self.nodes[n].start_discovery(self.epoch, self.assignment, self.detected_alive)
-            self._apply_result(n, res)
+            self._apply_result(n, self.nodes[n].start_discovery())
         for n in sorted(self.alive):
-            res = self.nodes[n].take_retries(
-                self.assignment,
-                self.detected_alive,
-                self.round,
-                self.bpd_cfg.reply_timeout_rounds,
-            )
-            self._apply_result(n, res)
+            self._apply_result(n, self.nodes[n].take_retries())
         return self._drain_control()
 
     def _drain_control(self, delivered: int = 0) -> int:
         """Deliver queued control traffic; `delivered` carries the cascade's count."""
-        ctrl, alive, nodes, handlers = self._ctrl, self.alive, self.nodes, self._handlers
+        ctrl, alive, nodes = self._ctrl, self.alive, self.nodes
         while ctrl:
             delivered += 1
             if delivered > _CASCADE_CAP:
@@ -419,40 +401,10 @@ class World:
                 )
             dst, gid, msg = ctrl.popleft()
             if dst in alive:
-                res = handlers[type(msg)](nodes[dst], gid, msg)
-                if res is not None and (res.emissions or res.joins):
+                res = getattr(nodes[dst], _HANDLERS[type(msg)])(msg, gid)
+                if res.emissions or res.joins:
                     self._apply_result(dst, res)
         return delivered
-
-    def _on_discover(self, node: BpdNode, gid: str, msg: DiscoverMsg) -> HandlerResult | None:
-        grp = self.assignment.groups.get(gid)
-        if grp is None:
-            return None
-        return node.on_discover(msg, grp, self.assignment)
-
-    def _on_update(self, node: BpdNode, gid: str, msg: UpdateMsg) -> HandlerResult | None:
-        grp = self.assignment.groups.get(gid)
-        if grp is None:
-            return None
-        return node.on_update(msg, grp, self.assignment, self.detected_alive, self.thresh)
-
-    def _on_join_req(self, node: BpdNode, _gid: None, msg: JoinReq) -> HandlerResult:
-        return node.on_join_req(msg, self.assignment, self.detected_alive)
-
-    def _on_join_rep(self, node: BpdNode, _gid: None, msg: JoinRep) -> HandlerResult:
-        return node.on_join_rep(msg, self.assignment, self.detected_alive)
-
-    def _on_grp_qry(self, node: BpdNode, _gid: None, msg: GrpQry) -> HandlerResult:
-        return node.on_grp_qry(msg, self.assignment)
-
-    def _on_grp_ans(self, node: BpdNode, _gid: None, msg: GrpAns) -> HandlerResult:
-        return node.on_grp_ans(
-            msg,
-            self.assignment,
-            self.detected_alive,
-            self.round,
-            self.bpd_cfg.reply_timeout_rounds,
-        )
 
     def _apply_result(self, emitter: NodeId, res: HandlerResult) -> None:
         for emission in res.emissions:
@@ -461,10 +413,7 @@ class World:
             self._bytes += self.cfg.control_bytes
             if kind == "group":
                 _, gid, msg = emission
-                grp = self.assignment.groups.get(gid)
-                if grp is None:
-                    continue
-                for m in sorted(grp.members - {emitter}):
+                for m in sorted(self.assignment.groups[gid].members - {emitter}):
                     self._ctrl.append((m, gid, msg))
             elif kind == "multi":
                 _, dsts, msg = emission
@@ -473,13 +422,11 @@ class World:
             else:
                 raise ValueError(f"unknown emission kind {kind!r}")
         for intent in res.joins:
-            ev = join_group(
-                self.assignment, intent.node, intent.gid, intent.role, round=self.round
-            )
+            ev = join_group(self.assignment, emitter, intent.gid, intent.role, round=self.round)
             if ev:
                 self.events.append(ev)
                 if self.trace_fn is not None:
-                    self._trace(f"join {intent.gid} {intent.node} {intent.role} {intent.reason}")
+                    self._trace(f"join {intent.gid} {emitter} {intent.role} {intent.reason}")
                 if intent.reason.startswith("repair:"):
                     self.repair_delays.append(self.round - self.last_crash_round)
 
@@ -490,13 +437,7 @@ class World:
             node = self.nodes[n]
             if not node.pending_join and not node.pending_query:
                 continue
-            res = node.poll(
-                self.assignment,
-                self.detected_alive,
-                self.round,
-                self.bpd_cfg.reply_timeout_rounds,
-            )
-            self._apply_result(n, res)
+            self._apply_result(n, node.poll())
         self._drain_control()
 
     def _send_app(self) -> None:

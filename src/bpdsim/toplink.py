@@ -176,10 +176,7 @@ def _tokenize(text: str) -> list[_Tok]:
                 break
             i += 1
             col += 1
-        word = text[start:i]
-        if not word:
-            raise TopLinkSyntaxError(f"unexpected character {ch!r}", line, start_col)
-        toks.append(_Tok("word", word, line, start_col))
+        toks.append(_Tok("word", text[start:i], line, start_col))
     toks.append(_Tok("eof", "", line, col))
     return toks
 
@@ -386,7 +383,6 @@ class _Parser:
             links.append((src, dst, weight))
             self.end_statement()
         fields["_links"] = links
-        fields["links_present"] = bool(links)
         self.end_statement(after_brace=True)
 
 

@@ -65,8 +65,7 @@ def test_world_rejects_thresh_below_max_weight():
 
 def test_discovery_emits_depth_zero_on_recv_groups(base10):
     w = World(base10, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=3))
-    node = BpdNode("a")
-    res = node.start_discovery(1, w.assignment, set(base10.nodes))
+    res = w.nodes["a"].start_discovery()
     # a receives from b and c (edges b->a, c->a)
     gids = sorted(e[1] for e in res.emissions)
     assert gids == ["g.b", "g.c"]
@@ -92,8 +91,8 @@ def test_stale_epoch_discovery_ignored(base10):
     node = w.nodes["a"]
     before = dict(node.path)
     g = w.assignment.groups["g.a"]  # a is the sender of g.a
-    stale = DiscoverMsg("f", Fraction(0), g.gid, g.weight, epoch=0)
-    res = node.on_discover(stale, g, w.assignment)
+    stale = DiscoverMsg("f", Fraction(0), epoch=0)
+    res = node.on_discover(stale, g.gid)
     assert res.emissions == [] and node.path == before
 
 
@@ -107,7 +106,7 @@ def test_update_targets_on_six_ring():
     w = World(g, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=3))
     # run only the discovery stage, then ask for targets directly
     w._discover()
-    assert w.nodes["n0"].update_targets(Fraction(3)) == ["n4", "n5"]
+    assert w.nodes["n0"].update_targets() == ["n4", "n5"]
 
 
 def test_cycle_stages_share_one_cascade_count(base10, monkeypatch):
@@ -124,9 +123,10 @@ def test_cycle_stages_share_one_cascade_count(base10, monkeypatch):
         return deliver
 
     discovery = world()._discover()
-    w = world()
-    w._handlers = {kind: counted(handler) for kind, handler in w._handlers.items()}
-    w.run_repair_cycle()
+    with monkeypatch.context() as patched:
+        for name in simnet._HANDLERS.values():
+            patched.setattr(BpdNode, name, counted(getattr(BpdNode, name)))
+        world().run_repair_cycle()
     total = len(delivered)  # no peer is down, so every delivery reaches a handler
     # each stage alone stays under the cap; only one shared count passes it
     assert discovery < total - 1 and total - discovery < total - 1
@@ -221,9 +221,8 @@ def test_update_back_at_its_requester_is_dropped():
     g = make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     w = cycle_world(g, thresh=2)
     node = w.nodes["a"]
-    g_d = w.assignment.groups["g.d"]  # a receives on g.d
-    msg = UpdateMsg("a", "c", 4, "g.b", "g.a", w.epoch)
-    res = node.on_update(msg, g_d, w.assignment, set(g.nodes), w.thresh)
+    msg = UpdateMsg("a", "c", 4, "g.b", w.epoch)
+    res = node.on_update(msg, "g.d")  # a receives on g.d
     assert res.emissions == [] and res.joins == []
 
 

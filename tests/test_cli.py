@@ -222,6 +222,25 @@ def test_run_trace_file(tmp_path, capsys):
     assert "round=" in trace and "join" in trace
 
 
+def test_rejected_scenario_leaves_no_trace_file(tmp_path, capsys):
+    scn = write_scenario(
+        tmp_path, "topology = net.tl\neps = -1\ntrace.file = t.log\noutput.dir = tout\n"
+    )
+    code, out, err = run_cli(["run", str(scn)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "eps" in err
+    assert not (tmp_path / "tout").exists()
+
+
+def test_unopenable_trace_file_is_one_error_line(tmp_path, capsys):
+    scn = write_scenario(tmp_path, SCN_BPD + "trace.file = nodir/t.log\n")
+    code, out, err = run_cli(["run", str(scn)], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "t.log" in err
+    assert not (tmp_path / "out" / "rounds.csv").exists()
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

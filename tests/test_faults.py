@@ -154,7 +154,7 @@ def test_leader_offers_only_useful_groups():
     g = make_graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "b")])
     w = World(g, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=2))
     leader = w.nodes["c"]
-    res = leader.on_join_req(JoinReq("b", "send_grp"), w.assignment, set(g.nodes))
+    res = leader.on_join_req(JoinReq("b", "send_grp"), None)
     (kind, dsts, rep), = res.emissions
     assert kind == "multi" and dsts == ("b",)
     assert isinstance(rep, JoinRep)
@@ -176,3 +176,52 @@ def test_crashes_then_full_recovery_round_trip():
     assert sorted(w.alive) == sorted(g.nodes)
     assert_connected_bounded(w, default_threshold(8))
     assert not w.not_connected_rounds
+
+
+# --- repair branches reached only by overlapping crashes ------------------
+
+
+def repair_world(n, seed, crashes, timeout, rounds):
+    g = random_sc_digraph(n, seed)
+    lines = []
+    w = World(
+        g,
+        Bpd(),
+        SimConfig(n_rounds=rounds, seed=0),
+        bpd_cfg=BpdConfig(
+            thresh=default_threshold(n), repair_period_rounds=3, reply_timeout_rounds=timeout
+        ),
+        faults=[FaultEvent(r, "crash", node) for r, node in crashes],
+        trace_fn=lines.append,
+    )
+    return w, lines
+
+
+@pytest.mark.parametrize("timeout", [2, 3, 5, 7])
+def test_join_request_finalized_at_its_deadline(timeout):
+    # n4's JoinReq of round 3 goes to leaders n1 and n2, which crashed that
+    # round and are not yet detected; their replies never come, so poll
+    # settles the request on what it has once the reply timeout passes
+    w, lines = repair_world(8, 267853, [(2, "n7"), (3, "n1"), (3, "n2")], timeout, rounds=12)
+    w.run()
+    joined = [l for l in lines if l.endswith(" join g.n7 n4 sender repair:send_grp")]
+    assert joined == [f"round={3 + timeout} join g.n7 n4 sender repair:send_grp"]
+    assert not any(node.pending_join for node in w.nodes.values())
+
+
+def test_retry_reissued_while_needed_then_dropped():
+    # after n0 and n3 crash, n1 is the only leader left: its own join
+    # requests find nobody to ask and stay flagged. The next cycle re-issues
+    # the send request while n1 still has no live receiver, and the one after
+    # drops both flags because the round-4 repair gave n1 an edge each way.
+    w, lines = repair_world(4, 55707, [(3, "n3"), (3, "n0")], timeout=5, rounds=0)
+    retries, control = {}, []
+    for _ in range(10):
+        control.append(w.step_round().control_messages)
+        retries[w.round] = sorted(w.nodes["n1"].retry_kinds)
+    assert retries[4] == retries[6] == ["recv_grp", "send_grp"]
+    assert retries[7] == retries[10] == []
+    assert control == [37, 4, 2, 30, 2, 2, 14, 2, 2, 14]
+    repairs = [l for l in lines if " repair:" in l]
+    assert repairs == ["round=4 join g.n1 n2 receiver repair:recv_grp"]
+    assert w.not_connected_rounds == []
