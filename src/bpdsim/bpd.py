@@ -168,6 +168,11 @@ class HandlerResult:
     joins: list[JoinIntent] = field(default_factory=list)
 
 
+# what a handler returns when it drops its message: one shared result, never
+# mutated, with tuples so that an accidental append on it raises
+_NOTHING = HandlerResult((), ())
+
+
 class BpdNode:
     """Protocol state for one peer, bound to the world that delivers to it.
 
@@ -204,23 +209,20 @@ class BpdNode:
         return res
 
     def on_discover(self, msg: DiscoverMsg, gid: GroupId) -> HandlerResult:
-        res = HandlerResult()
         if msg.epoch != self.epoch or msg.origin == self.nid:
-            return res
+            return _NOTHING
         assignment = self.world.assignment
         delivered_on = assignment.groups[gid]
         if self.nid not in delivered_on.senders:
             # sibling receiver overhears the announcement; not an edge for us
-            return res
+            return _NOTHING
         depth = msg.depth + delivered_on.weight
         cur = self.path.get(msg.origin)
         if cur is not None and cur.depth <= depth:
-            return res
+            return _NOTHING
         self.path[msg.origin] = PathEntry(depth, gid)
         fwd = DiscoverMsg(msg.origin, depth, msg.epoch)
-        for g in assignment.recv_groups(self.nid):
-            res.emissions.append(("group", g.gid, fwd))
-        return res
+        return HandlerResult([("group", g.gid, fwd) for g in assignment.recv_groups(self.nid)])
 
     # --- stage 2: update -----------------------------------------------------
 
@@ -249,28 +251,29 @@ class BpdNode:
         return res
 
     def on_update(self, msg: UpdateMsg, gid: GroupId) -> HandlerResult:
-        res = HandlerResult()
         if msg.epoch != self.epoch:
-            return res
+            return _NOTHING
         world = self.world
         if self.nid not in world.assignment.groups[gid].receivers:
             # co-senders hear the broadcast too, but only group receivers sit
             # at the far end of an edge; accepting here would shortcut depth
-            return res
+            return _NOTHING
         if self.nid == msg.target:
             if msg.grp and msg.requester not in self._joined_for:
                 self._joined_for.add(msg.requester)
                 if self._stamped_edge_missing(msg.grp):
-                    res.joins.append(JoinIntent(msg.grp, RECEIVER, f"update:{msg.requester}"))
-            return res
+                    intent = JoinIntent(msg.grp, RECEIVER, f"update:{msg.requester}")
+                    return HandlerResult(joins=[intent])
+            return _NOTHING
         # each node forwards a (requester, target) pair once per epoch, and the
         # requester already sent it, so a repeat is dropped
         if self.nid == msg.requester:
-            return res
+            return _NOTHING
         key = (msg.requester, msg.target)
         if key in self._forwarded:
-            return res
+            return _NOTHING
         self._forwarded.add(key)
+        res = HandlerResult()
         thresh = world.thresh
         for g in world.assignment.send_groups(self.nid):
             depth = msg.depth + g.weight
@@ -338,13 +341,13 @@ class BpdNode:
         return HandlerResult([("multi", (msg.requester,), ans)])
 
     def on_grp_ans(self, msg: GrpAns, gid: None) -> HandlerResult:
-        res = HandlerResult()
         pend = self.pending_query.get(msg.grp)
-        if pend is not None:
-            pend.replies[msg.responder] = msg
-            if pend.complete():
-                res.emissions = self._finalize_query(msg.grp)
-        return res
+        if pend is None:
+            return _NOTHING
+        pend.replies[msg.responder] = msg
+        if not pend.complete():
+            return _NOTHING
+        return HandlerResult(self._finalize_query(msg.grp))
 
     def _finalize_query(self, queried: GroupId) -> list[tuple]:
         pend = self.pending_query.pop(queried)
@@ -376,13 +379,13 @@ class BpdNode:
         return HandlerResult([("multi", (msg.requester,), rep)])
 
     def on_join_rep(self, msg: JoinRep, gid: None) -> HandlerResult:
-        res = HandlerResult()
         pend = self.pending_join.get(msg.grp_type)
-        if pend is not None:
-            pend.replies[msg.responder] = msg
-            if pend.complete():
-                res.joins = self._finalize_join(msg.grp_type)
-        return res
+        if pend is None:
+            return _NOTHING
+        pend.replies[msg.responder] = msg
+        if not pend.complete():
+            return _NOTHING
+        return HandlerResult(joins=self._finalize_join(msg.grp_type))
 
     def _finalize_join(self, grp_type: str) -> list[JoinIntent]:
         pend = self.pending_join.pop(grp_type)

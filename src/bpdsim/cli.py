@@ -76,7 +76,6 @@ _KEYS = {
     "de.window.rounds": _Key(int, "sim", "de_window_rounds"),
     "repair.period.rounds": _Key(int, "bpd", "repair_period_rounds"),
     "reply.timeout.rounds": _Key(int, "bpd", "reply_timeout_rounds"),
-    "hop.delay.ms": _Key(float, "sim", "per_hop_delay_ms"),
     "output.dir": _Key(str, "cli", "output.dir", "out"),
     "trace.file": _Key(str, "cli", "trace.file"),
 }

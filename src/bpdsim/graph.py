@@ -46,12 +46,6 @@ class DirectedGraph:
     def out_edges(self, u: NodeId) -> list[tuple[NodeId, Fraction]]:
         return sorted((v, w) for (a, v), w in self.edges.items() if a == u)
 
-    def in_edges(self, v: NodeId) -> list[tuple[NodeId, Fraction]]:
-        return sorted((u, w) for (u, b), w in self.edges.items() if b == v)
-
-    def out_degree(self, u: NodeId) -> int:
-        return sum(1 for (a, _v) in self.edges if a == u)
-
     def max_weight(self) -> Fraction:
         if not self.edges:
             return Fraction(0)

@@ -6,6 +6,16 @@ traffic (discovery, path updates, membership repair) instead completes
 within the round that triggers it: those exchanges take a network round
 trip, which at a 10 ms iteration period is far below one round, so the
 simulator cascades control deliveries to quiescence inside the round.
+
+The control queue is a FIFO with one entry per emission: the message, the
+group it rides (None for a point-to-point one) and its destinations, frozen
+when it is emitted. A group emission goes to the group's members other than
+the emitter, in sorted order, as they stand at that moment; a peer that joins
+later does not get it. A popped entry fans out there and then, one delivery
+per destination in that order, and each delivery's own emissions go to the
+tail. Every member delivery, to a crashed peer too, counts toward the
+cascade's cap of `_CASCADE_CAP` (2,000,000) deliveries.
+
 Everything is driven from sorted orders and seeded generators, so a run is a
 pure function of its configuration.
 
@@ -48,7 +58,7 @@ from .bpd import (
     JoinReq,
     UpdateMsg,
 )
-from .graph import DirectedGraph, NodeId, hop_counts, int_if_integral, is_strongly_connected
+from .graph import DirectedGraph, NodeId, int_if_integral, is_strongly_connected
 from .groups import (
     GroupAssignment,
     MembershipEvent,
@@ -82,10 +92,6 @@ class FaultError(ValueError):
     pass
 
 
-class UnreachableError(RuntimeError):
-    pass
-
-
 class CascadeError(RuntimeError):
     """One drain of control traffic ran past `_CASCADE_CAP` deliveries."""
 
@@ -99,7 +105,6 @@ class SimConfig:
     control_bytes: int = 32
     detection_rounds: int = 1
     de_window_rounds: int | None = None  # default: 2 * roster size
-    per_hop_delay_ms: float = 0.6
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
@@ -114,7 +119,6 @@ class SimConfig:
                 self.de_window_rounds is None or self.de_window_rounds >= 1,
                 ">= 1",
             ),
-            ("per_hop_delay_ms", 0 <= self.per_hop_delay_ms < math.inf, "finite and >= 0"),
             # each averaging step stays a convex combination
             ("eps", 0 < self.eps <= 1, "in (0, 1]"),
         ):
@@ -292,19 +296,6 @@ class World:
         self._poll_timeouts()
         return self.assignment
 
-    def estimate_latency(self, src: NodeId, dst: NodeId) -> float:
-        if src not in self.nodes or dst not in self.nodes:
-            raise UnknownNodeError(src if src not in self.nodes else dst)
-        if src == dst:
-            return 0.0
-        eff = effective_graph(self.assignment, self.alive)
-        if src not in eff.nodes:
-            raise UnreachableError(f"{dst} unreachable from {src}")
-        hops = hop_counts(eff, src)
-        if dst not in hops:
-            raise UnreachableError(f"{dst} unreachable from {src}")
-        return hops[dst] * self.cfg.per_hop_delay_ms
-
     def effective_edge_count(self) -> int:
         return effective_graph(self.assignment, set(self.roster)).n_edges
 
@@ -391,19 +382,22 @@ class World:
         return self._drain_control()
 
     def _drain_control(self, delivered: int = 0) -> int:
-        """Deliver queued control traffic; `delivered` carries the cascade's count."""
+        """Deliver queued control traffic, fanning each emission out to its
+        destinations as it is popped; `delivered` carries the cascade's count."""
         ctrl, alive, nodes = self._ctrl, self.alive, self.nodes
         while ctrl:
-            delivered += 1
-            if delivered > _CASCADE_CAP:
-                raise CascadeError(
-                    f"control cascade did not quiesce within {_CASCADE_CAP} deliveries"
-                )
-            dst, gid, msg = ctrl.popleft()
-            if dst in alive:
-                res = getattr(nodes[dst], _HANDLERS[type(msg)])(msg, gid)
-                if res.emissions or res.joins:
-                    self._apply_result(dst, res)
+            dsts, gid, msg = ctrl.popleft()
+            handler = _HANDLERS[type(msg)]
+            for dst in dsts:
+                delivered += 1
+                if delivered > _CASCADE_CAP:
+                    raise CascadeError(
+                        f"control cascade did not quiesce within {_CASCADE_CAP} deliveries"
+                    )
+                if dst in alive:
+                    res = getattr(nodes[dst], handler)(msg, gid)
+                    if res.emissions or res.joins:
+                        self._apply_result(dst, res)
         return delivered
 
     def _apply_result(self, emitter: NodeId, res: HandlerResult) -> None:
@@ -413,12 +407,11 @@ class World:
             self._bytes += self.cfg.control_bytes
             if kind == "group":
                 _, gid, msg = emission
-                for m in sorted(self.assignment.groups[gid].members - {emitter}):
-                    self._ctrl.append((m, gid, msg))
+                dsts = sorted(self.assignment.groups[gid].members - {emitter})
+                self._ctrl.append((dsts, gid, msg))
             elif kind == "multi":
                 _, dsts, msg = emission
-                for d in dsts:
-                    self._ctrl.append((d, None, msg))
+                self._ctrl.append((dsts, None, msg))
             else:
                 raise ValueError(f"unknown emission kind {kind!r}")
         for intent in res.joins:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpdsim import simnet
+from bpdsim import bpd, simnet
 from bpdsim.bpd import BpdConfig, BpdNode, DiscoverMsg, UpdateMsg, default_threshold
 from bpdsim.graph import all_pairs_costs, dijkstra, is_strongly_connected
 from bpdsim.simnet import SimConfig, World
@@ -93,7 +93,7 @@ def test_stale_epoch_discovery_ignored(base10):
     g = w.assignment.groups["g.a"]  # a is the sender of g.a
     stale = DiscoverMsg("f", Fraction(0), epoch=0)
     res = node.on_discover(stale, g.gid)
-    assert res.emissions == [] and node.path == before
+    assert res is bpd._NOTHING and node.path == before
 
 
 # --- stage 2: bounded update -------------------------------------------
@@ -223,7 +223,19 @@ def test_update_back_at_its_requester_is_dropped():
     node = w.nodes["a"]
     msg = UpdateMsg("a", "c", 4, "g.b", w.epoch)
     res = node.on_update(msg, "g.d")  # a receives on g.d
-    assert res.emissions == [] and res.joins == []
+    assert res is bpd._NOTHING
+
+
+def test_repeat_update_forward_returns_the_shared_empty_result():
+    g = make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    w = cycle_world(g, thresh=2)
+    node = w.nodes["b"]
+    requester, target = min(node._forwarded)  # b forwarded this pair in the cycle
+    msg = UpdateMsg(requester, target, 1, "", w.epoch)
+    res = node.on_update(msg, "g.a")  # b receives on g.a
+    assert res is bpd._NOTHING
+    with pytest.raises(AttributeError):
+        res.emissions.append(("group", "g.b", msg))
 
 
 def test_overlay_only_adds_edges(base10):

@@ -85,6 +85,14 @@ def test_scenario_unknown_key(tmp_path, capsys):
     assert code == 1 and "line 2" in err and "bogus" in err
 
 
+def test_scenario_hop_delay_key_is_unknown(tmp_path, capsys):
+    # the per-hop latency estimate it configured no longer exists
+    scn = write_scenario(tmp_path, "topology = net.tl\nhop.delay.ms = 0.6\n")
+    code, out, err = run_cli(["run", str(scn)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {scn}: line 2: unknown key 'hop.delay.ms'\n"
+
+
 def test_scenario_duplicate_key(tmp_path, capsys):
     scn = write_scenario(tmp_path, "topology = net.tl\ntopology = net.tl\n")
     code, _, err = run_cli(["run", str(scn)], capsys)
@@ -121,7 +129,6 @@ def test_scenario_bad_thresh(tmp_path, capsys):
         ("round.ms = 0", "round_period_ms"),
         ("eps = nan", "eps"),
         ("eps = -1", "eps"),
-        ("hop.delay.ms = -1", "per_hop_delay_ms"),
         ("rounds = -1", "n_rounds"),
         ("detection.rounds = 0", "detection_rounds"),
         ("thresh = 0", "thresh"),

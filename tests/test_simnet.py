@@ -1,15 +1,20 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpdsim.bpd import BpdConfig
+from bpdsim import bpd, cli, simnet
+from bpdsim.bpd import BpdConfig, BpdNode, DiscoverMsg, HandlerResult, default_threshold
 from bpdsim.graph import hop_counts
+from bpdsim.groups import RECEIVER, join_group
 from bpdsim.simnet import (
     FaultError,
     FaultEvent,
     SimConfig,
     UnknownNodeError,
-    UnreachableError,
     World,
     validate_schedule,
 )
@@ -160,22 +165,7 @@ def test_recover_alive_is_noop():
     assert "a" in w.alive
 
 
-# --- latency and structure --------------------------------------------------
-
-
-def test_estimate_latency_hops():
-    w = mesh_world(strategy=Unmodified())
-    assert w.estimate_latency("a", "a") == 0.0
-    assert w.estimate_latency("a", "b") == pytest.approx(0.6)
-    assert w.estimate_latency("d", "b") == pytest.approx(5 * 0.6)
-
-
-def test_estimate_latency_unreachable_after_partition():
-    w = mesh_world(strategy=Unmodified())
-    w.inject_fault("c", "crash")
-    w.step_round()  # detection removes c's memberships
-    with pytest.raises(UnreachableError):
-        w.estimate_latency("a", "d")
+# --- structure ---------------------------------------------------------------
 
 
 def test_effective_edges_track_joins():
@@ -239,3 +229,80 @@ def test_stamps_follow_hop_distance(n, seed, direct, rounds):
             got = {o: s for o in g.nodes if o != d and (s := w.stamps[d][w.pos[o]]) != -1}
             assert got == want
             assert w.de_hist[d] == {o: r for o in want}
+
+
+# --- control delivery order -------------------------------------------------
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
+# sha256 and count of the full control-delivery sequence of each case below;
+# the file is never rewritten by a test, so a reordered, added or lost
+# delivery fails here even when the CSVs come out the same
+DELIVERY_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "delivery_digests.json").read_text()
+)
+
+
+def ring12_cycle():
+    names = [f"n{i:02d}" for i in range(12)]
+    g = make_graph([(u, names[(i + 1) % 12]) for i, u in enumerate(names)])
+    cfg = BpdConfig(thresh=default_threshold(12))
+    World(g, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=cfg).run_repair_cycle()
+
+
+def bpd_crash_run():
+    cli.build_world(cli.parse_scenario(SCENARIOS / "bpd_crash.scn"), SCENARIOS).run()
+
+
+DELIVERY_CASES = {"ring12_cycle": ring12_cycle, "bpd_crash": bpd_crash_run}
+
+
+def delivery_record(monkeypatch, drive):
+    """Run drive() with every delivery handler logging one line per call:
+    round, destination, handler name, group and the message's repr."""
+    h, count = hashlib.sha256(), 0
+
+    def logged(name, handler):
+        def deliver(node, msg, gid):
+            nonlocal count
+            count += 1
+            h.update(f"{node.world.round} {node.nid} {name} {gid} {msg!r}\n".encode())
+            return handler(node, msg, gid)
+
+        return deliver
+
+    with monkeypatch.context() as patched:
+        for name in simnet._HANDLERS.values():
+            patched.setattr(BpdNode, name, logged(name, getattr(BpdNode, name)))
+        drive()
+    return {"sha256": h.hexdigest(), "deliveries": count}
+
+
+@pytest.mark.parametrize("case", sorted(DELIVERY_CASES))
+def test_control_delivery_sequence_is_pinned(case, monkeypatch):
+    assert delivery_record(monkeypatch, DELIVERY_CASES[case]) == DELIVERY_DIGESTS[case]
+
+
+def test_shared_empty_result_stays_empty_through_a_run():
+    bpd_crash_run()
+    assert bpd._NOTHING.emissions == () and bpd._NOTHING.joins == ()
+
+
+def test_group_destinations_frozen_at_emission(monkeypatch):
+    w = mesh_world(rounds=0, strategy=Bpd())
+    got = []
+    on_discover = BpdNode.on_discover
+
+    def logged(node, msg, gid):
+        got.append(node.nid)
+        return on_discover(node, msg, gid)
+
+    monkeypatch.setattr(BpdNode, "on_discover", logged)
+    stale = DiscoverMsg("a", 0, epoch=99)  # every node drops it
+    w._apply_result("a", HandlerResult([("group", "g.a", stale)]))
+    assert join_group(w.assignment, "d", "g.a", RECEIVER, round=0)  # d joins before the drain
+    w._drain_control()
+    assert got == ["b", "c"]
+    got.clear()
+    w._apply_result("a", HandlerResult([("group", "g.a", stale)]))
+    w._drain_control()
+    assert got == ["b", "c", "d"]
