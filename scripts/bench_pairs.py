@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Compare two checkouts on the benchmark in alternating pairs; write a JSON record.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_6.json \\
-        [--pairs 10] [--seed 1] [--seconds S]
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_6.json
 
-Each pair runs `bench/run.py` once per workload in each checkout, with the
-run length from BENCHMARK.json unless `--seconds` is given. The parent runs
+Each of 10 pairs runs `bench/run.py` once per workload in each checkout, at
+seed 1 and the run length of BENCHMARK.json. The parent runs
 first in even pairs and the change first in odd ones, so drift in the host's
 speed falls on both sides alike. For every end-to-end metric of
 BENCHMARK.json the record keeps each run's value, each side's median and
@@ -24,15 +23,19 @@ import sys
 from pathlib import Path
 
 COUNTS = ("simnet.ctrl_deliveries", "bpd.on_update.calls", "bpd.on_discover.calls")
+PAIRS = 10
+SEED = 1
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    cmd = [sys.executable, "bench/run.py", f"--workload={workload}", f"--seed={seed}",
+def bench(checkout: Path, workload: str, seconds: float, trace: bool) -> dict:
+    cmd = [sys.executable, "bench/run.py", f"--workload={workload}", f"--seed={SEED}",
            f"--seconds={seconds}", f"--trace={int(trace)}"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if proc.returncode != 0 or not result["correct"]:
+    if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {workload} failed: {proc.stderr.strip()[-300:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{checkout}: {workload} not correct: {proc.stdout.strip()[-300:]}")
     return result
 
 
@@ -52,33 +55,30 @@ def main() -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float)
     args = ap.parse_args()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
     runs = {w: {side: [] for side in sides} for w in workloads}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w in workloads:
             for side in order:
-                metrics = bench(sides[side], w, args.seed, seconds, trace=False)["metrics"]
+                metrics = bench(sides[side], w, seconds, trace=False)["metrics"]
                 runs[w][side].append({k: v["value"] for k, v in metrics.items()})
-            print(f"pair {i + 1}/{args.pairs} {w} done", file=sys.stderr)
+            print(f"pair {i + 1}/{PAIRS} {w} done", file=sys.stderr)
     record = {
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": seconds,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "workloads": {},
     }
     for w in workloads:
-        traced = {side: bench(path, w, args.seed, 0, trace=True)["metrics"]
+        traced = {side: bench(path, w, 0, trace=True)["metrics"]
                   for side, path in sides.items()}
         record["workloads"][w] = {
             "end_to_end": {
