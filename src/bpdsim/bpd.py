@@ -423,11 +423,8 @@ class BpdNode:
         assignment, alive = self.world.assignment, self.world.detected_alive
         kinds, self.retry_kinds = sorted(self.retry_kinds), set()
         for kind in kinds:
-            if kind == SEND_KIND and not _needs_out_repair(self.nid, assignment, alive):
-                continue
-            if kind == RECV_KIND and not _needs_in_repair(self.nid, assignment, alive):
-                continue
-            res.emissions.extend(self._emit_join_req(kind))
+            if _needs_repair(self.nid, kind, assignment, alive):
+                res.emissions.extend(self._emit_join_req(kind))
         return res
 
 
@@ -442,15 +439,10 @@ def _useful(group: Group, requester: NodeId, grp_type: str, alive: set[NodeId]) 
     return any(s != requester and s in alive for s in group.senders)
 
 
-def _needs_out_repair(nid: NodeId, assignment: GroupAssignment, alive: set[NodeId]) -> bool:
-    for g in assignment.send_groups(nid):
-        if any(r != nid and r in alive for r in g.receivers):
-            return False
-    return True
-
-
-def _needs_in_repair(nid: NodeId, assignment: GroupAssignment, alive: set[NodeId]) -> bool:
-    for g in assignment.recv_groups(nid):
-        if any(s != nid and s in alive for s in g.senders):
-            return False
-    return True
+def _needs_repair(
+    nid: NodeId, grp_type: str, assignment: GroupAssignment, alive: set[NodeId]
+) -> bool:
+    """Is nid left with no alive receiver (SEND_KIND) or sender (RECV_KIND)?"""
+    if grp_type == SEND_KIND:
+        return not any(r != nid and r in alive for g in assignment.send_groups(nid) for r in g.receivers)
+    return not any(s != nid and s in alive for g in assignment.recv_groups(nid) for s in g.senders)

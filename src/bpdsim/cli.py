@@ -6,12 +6,13 @@ Three subcommands:
     bpdsim run scenario.scn        simulate a scenario; write CSV measurements
     bpdsim bpd-trace model.tl      run one overlay repair cycle and show it
 
-Exit codes: 0 on success, 1 for any input problem (bad file, bad scenario,
-unconnectable topology), 2 when a run finishes but a runtime property was
-violated (the overlay lost strong connectivity or exceeded its path bound),
-and 2 when a `run` or `bpd-trace` is stopped because one round's control
-cascade ran past the simulator's delivery cap; that prints one `error:` line
-naming the cap and writes no CSVs.
+Exit codes: 0 on success; 1 for any input problem (bad file, bad scenario,
+unconnectable topology) and for a failure to write output; 2 when a run
+finishes but a runtime property was violated (the overlay lost strong
+connectivity or exceeded its path bound); and 2 when a `run` or `bpd-trace`
+is stopped because one round's control cascade ran past the simulator's
+delivery cap, which writes no CSVs. Every failure that stops a command is
+caught in one place, `main`, and printed as one `error:` line.
 """
 from __future__ import annotations
 
@@ -27,9 +28,8 @@ from . import metrics
 from .bpd import BpdConfig, default_threshold
 from .graph import all_pairs_costs, is_strongly_connected
 from .groups import form_groups
-from .simnet import CascadeError, FaultError, FaultEvent, SimConfig, UnknownNodeError, World
+from .simnet import CascadeError, FaultEvent, SimConfig, UnknownNodeError, World
 from .toplink import (
-    EmptyTopologyError,
     NotConnectableError,
     TopLinkError,
     build_graph,
@@ -231,16 +231,12 @@ def write_summary_csv(path: Path, world: World) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        spec = parse_toplink_file(Path(args.file))
-        if args.manifest:
-            graph = build_graph(spec, seed=args.seed)
-            out = export_manifest(form_groups(graph), spec)
-        else:
-            out = pretty_print(spec)
-    except (TopLinkError, EmptyTopologyError, NotConnectableError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    spec = parse_toplink_file(Path(args.file))
+    if args.manifest:
+        graph = build_graph(spec, seed=args.seed)
+        out = export_manifest(form_groups(graph), spec)
+    else:
+        out = pretty_print(spec)
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
     return EXIT_OK
 
@@ -250,37 +246,22 @@ def cmd_run(args) -> int:
     try:
         data = parse_scenario(scn_path)
     except (ScenarioError, OSError) as exc:
-        print(f"error: {scn_path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        # name the file: its errors carry only a line number
+        raise ScenarioError(f"{scn_path}: {exc}") from None
 
     out_dir = scn_path.parent / data.get("output.dir", _KEYS["output.dir"].default)
     if args.out:
         out_dir = Path(args.out)
+    world = build_world(data, scn_path.parent)
+    # opened only once the scenario is known good, so a rejected one leaves no
+    # file behind
     trace_fh = None
     try:
-        world = build_world(data, scn_path.parent)
-        # opened only once the scenario is known good, so a rejected one
-        # leaves no file behind
         if "trace.file" in data:
             out_dir.mkdir(parents=True, exist_ok=True)
             trace_fh = (out_dir / data["trace.file"]).open("w")
             world.trace_fn = lambda line: trace_fh.write(line + "\n")
         world.run()
-    except (
-        ScenarioError,
-        TopLinkError,
-        EmptyTopologyError,
-        NotConnectableError,
-        FaultError,
-        UnknownNodeError,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CascadeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -298,26 +279,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_bpd_trace(args) -> int:
-    try:
-        spec = parse_toplink_file(Path(args.file))
-        graph = build_graph(spec, seed=args.seed)
-        thresh = Fraction(args.thresh) if args.thresh else default_threshold(graph.n_nodes)
-        cfg = SimConfig(n_rounds=0, seed=args.seed)
-        world = World(graph, Bpd(), cfg, bpd_cfg=BpdConfig(thresh=thresh))
-        world.run_repair_cycle()
-    except (
-        TopLinkError,
-        EmptyTopologyError,
-        NotConnectableError,
-        ValueError,
-        ZeroDivisionError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CascadeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    spec = parse_toplink_file(Path(args.file))
+    graph = build_graph(spec, seed=args.seed)
+    thresh = Fraction(args.thresh) if args.thresh else default_threshold(graph.n_nodes)
+    cfg = SimConfig(n_rounds=0, seed=args.seed)
+    world = World(graph, Bpd(), cfg, bpd_cfg=BpdConfig(thresh=thresh))
+    world.run_repair_cycle()
 
     print(f"peers={graph.n_nodes} edges={graph.n_edges} thresh={thresh}")
     for n in sorted(world.nodes):
@@ -373,7 +340,21 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_bpd_trace)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CascadeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except (
+        TopLinkError,
+        NotConnectableError,
+        UnknownNodeError,
+        ValueError,  # ScenarioError, FaultError, EmptyTopologyError among them
+        ZeroDivisionError,
+        OSError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

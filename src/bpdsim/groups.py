@@ -110,31 +110,22 @@ def form_groups(graph: DirectedGraph) -> GroupAssignment:
 def effective_graph(assignment: GroupAssignment, alive: set[NodeId]) -> DirectedGraph:
     """Digraph implied by current memberships, restricted to alive peers.
 
-    Parallel group edges for one ordered pair collapse to the lightest.
+    Its nodes are the alive peers that hold at least one membership. Parallel
+    group edges for one ordered pair collapse to the lightest.
     """
     edges: dict[tuple[NodeId, NodeId], Fraction] = {}
-    present: set[NodeId] = set()
     for _, g in sorted(assignment.groups.items()):
         for u in g.senders:
             if u not in alive:
                 continue
-            present.add(u)
             for v in g.receivers:
                 if v == u or v not in alive:
                     continue
-                present.add(v)
                 key = (u, v)
                 if key not in edges or g.weight < edges[key]:
                     edges[key] = g.weight
-    nodes = tuple(sorted(present | (alive & _member_universe(assignment))))
+    nodes = tuple(n for n in alive if n in assignment._sends or n in assignment._recvs)
     return DirectedGraph(nodes, edges)
-
-
-def _member_universe(assignment: GroupAssignment) -> set[NodeId]:
-    out: set[NodeId] = set()
-    for g in assignment.groups.values():
-        out |= g.members
-    return out
 
 
 def join_group(

@@ -176,7 +176,6 @@ class World:
         faults: list[FaultEvent] | None = None,
         trace_fn=None,
     ):
-        self.graph0 = graph
         self.strategy = strategy
         self.cfg = cfg
         self.roster: list[NodeId] = list(graph.nodes)
@@ -409,11 +408,9 @@ class World:
                 _, gid, msg = emission
                 dsts = sorted(self.assignment.groups[gid].members - {emitter})
                 self._ctrl.append((dsts, gid, msg))
-            elif kind == "multi":
+            else:  # "multi"
                 _, dsts, msg = emission
                 self._ctrl.append((dsts, None, msg))
-            else:
-                raise ValueError(f"unknown emission kind {kind!r}")
         for intent in res.joins:
             ev = join_group(self.assignment, emitter, intent.gid, intent.role, round=self.round)
             if ev:

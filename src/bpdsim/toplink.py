@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import DirectedGraph, NodeId, is_strongly_connected
@@ -134,50 +134,27 @@ class _Tok:
     col: int
 
 
-_PUNCT = {"{", "}", ";", ",", "=", "(", ")"}
+# Every character starts exactly one of these, so the matches tile the text.
+# A word runs up to whitespace, punctuation, an arrow or a comment; it may
+# hold '-' and '/' otherwise (host names, rationals such as 1/2).
+_TOKEN_RE = re.compile(
+    r"(?P<skip>[ \t\r]+|//[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<punct>->|[{};,=()])"
+    r"|(?P<word>(?:[^ \t\r\n{};,=()/-]|-(?!>)|/(?!/))+)"
+)
 
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            toks.append(_Tok("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        # word: host names, peer names, keywords, numbers; '-' allowed unless
-        # it opens an arrow
-        start = i
-        start_col = col
-        while i < n:
-            c = text[i]
-            if c in " \t\r\n" or c in _PUNCT or text.startswith("->", i) or text.startswith("//", i):
-                break
-            i += 1
-            col += 1
-        toks.append(_Tok("word", text[start:i], line, start_col))
-    toks.append(_Tok("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind != "skip":
+            toks.append(_Tok(kind, m.group(), line, m.start() - line_start + 1))
+    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -221,34 +198,29 @@ class _Parser:
     def parse(self) -> TopologySpec:
         fields: dict[str, object] = {}
         seen: dict[str, int] = {}
-        while True:
-            t = self.peek()
-            if t.kind == "eof":
-                break
+        handlers = {
+            "app": self._stmt_name,
+            "actor": self._stmt_name,
+            "component": self._stmt_name,
+            "topology": self._stmt_topology,
+            "nodes": self._stmt_nodes,
+            "links": self._stmt_links,
+            "leaders": self._stmt_leaders,
+        }
+        while self.peek().kind != "eof":
+            t = self.next()
             if t.kind != "word":
                 raise TopLinkSyntaxError(f"expected statement, got {t.text!r}", t.line, t.col)
             if t.text in seen:
                 raise TopLinkSyntaxError(f"duplicate {t.text!r} statement", t.line, t.col)
-            handler = {
-                "app": self._stmt_name,
-                "actor": self._stmt_name,
-                "component": self._stmt_name,
-                "topology": self._stmt_topology,
-                "nodes": self._stmt_nodes,
-                "links": self._stmt_links,
-                "leaders": self._stmt_leaders,
-            }.get(t.text)
-            if handler is None:
+            if t.text not in handlers:
                 raise UnknownKeywordError(f"unknown keyword {t.text!r}", t.line, t.col)
             seen[t.text] = t.line
-            handler(fields)
+            handlers[t.text](fields, t.text)
 
-        if "nodes" not in seen:
-            last = self.toks[-1]
-            raise TopLinkSyntaxError("missing 'nodes' statement", last.line)
-        if "topology" not in seen:
-            last = self.toks[-1]
-            raise TopLinkSyntaxError("missing 'topology' statement", last.line)
+        for required in ("nodes", "topology"):
+            if required not in seen:
+                raise TopLinkSyntaxError(f"missing {required!r} statement", self.toks[-1].line)
 
         preset = fields["preset"]
         peers: tuple[PeerDecl, ...] = fields["peers"]  # type: ignore[assignment]
@@ -287,22 +259,19 @@ class _Parser:
             leaders_enabled=fields.get("leaders", False),  # type: ignore[arg-type]
         )
 
-    def _stmt_name(self, fields: dict) -> None:
-        key = self.next().text
+    def _stmt_name(self, fields: dict, key: str) -> None:
         val = self.expect_word(f"{key} name")
         fields[key] = val.text
         self.end_statement()
 
-    def _stmt_leaders(self, fields: dict) -> None:
-        self.next()
+    def _stmt_leaders(self, fields: dict, key: str) -> None:
         val = self.expect_word("'on' or 'off'")
         if val.text not in ("on", "off"):
             raise TopLinkSyntaxError(f"expected 'on' or 'off', got {val.text!r}", val.line, val.col)
         fields["leaders"] = val.text == "on"
         self.end_statement()
 
-    def _stmt_topology(self, fields: dict) -> None:
-        self.next()
+    def _stmt_topology(self, fields: dict, key: str) -> None:
         t = self.expect_word("preset name")
         if t.text not in ("ring", "random", "custom"):
             raise UnknownKeywordError(f"unknown preset {t.text!r}", t.line, t.col)
@@ -319,8 +288,7 @@ class _Parser:
             self.expect_punct(")")
         self.end_statement()
 
-    def _stmt_nodes(self, fields: dict) -> None:
-        self.next()
+    def _stmt_nodes(self, fields: dict, key: str) -> None:
         self.expect_punct("{")
         peers: list[PeerDecl] = []
         names: set[str] = set()
@@ -345,8 +313,7 @@ class _Parser:
         fields["peers"] = tuple(peers)
         self.end_statement(after_brace=True)
 
-    def _stmt_links(self, fields: dict) -> None:
-        self.next()
+    def _stmt_links(self, fields: dict, key: str) -> None:
         self.expect_punct("{")
         links: list[tuple[_Tok, _Tok, Fraction]] = []
         seen_pairs: set[tuple[str, str]] = set()
@@ -494,8 +461,8 @@ def export_manifest(assignment, spec: TopologySpec) -> str:
         lines.append(f"peer {peer}")
         if hosts.get(peer):
             lines.append(f"  host {hosts[peer]}")
-        sends = sorted(g.gid for g in assignment.send_groups(peer))
-        recvs = sorted(g.gid for g in assignment.recv_groups(peer))
+        sends = [g.gid for g in assignment.send_groups(peer)]
+        recvs = [g.gid for g in assignment.recv_groups(peer)]
         if sends:
             lines.append("  sends " + " ".join(sends))
         if recvs:
@@ -509,8 +476,6 @@ def export_manifest(assignment, spec: TopologySpec) -> str:
             lines.append("  senders " + " ".join(sorted(grp.senders)))
         if grp.receivers:
             lines.append("  receivers " + " ".join(sorted(grp.receivers)))
-        if spec.leaders_enabled:
-            alive = set(grp.senders) | set(grp.receivers)
-            if alive:
-                lines.append(f"  leader {min(alive)}")
+        if spec.leaders_enabled and grp.members:
+            lines.append(f"  leader {min(grp.members)}")
     return "\n".join(lines) + "\n"

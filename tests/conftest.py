@@ -81,20 +81,21 @@ def corpus_graph(i):
     return random_sc_digraph(4 + i % 9, 1000 + i)
 
 
-# designated error class and line for every invalid topology file
+# designated error class, line and column for every invalid topology file
+# (column 0: an error about a whole statement or file, not one token)
 INVALID_TL = {
-    "bad_rational.tl": ("TopLinkSyntaxError", 4),
-    "custom_nolinks.tl": ("PresetMismatchError", 1),
-    "duplicate_link.tl": ("DuplicateLinkError", 6),
-    "duplicate_peer.tl": ("DuplicatePeerError", 2),
-    "fanout_too_big.tl": ("InvalidFanoutError", 1),
-    "fanout_zero.tl": ("InvalidFanoutError", 1),
-    "missing_nodes.tl": ("TopLinkSyntaxError", 3),
-    "missing_semicolon.tl": ("TopLinkSyntaxError", 2),
-    "preset_links.tl": ("PresetMismatchError", 3),
-    "self_link.tl": ("SelfLinkError", 5),
-    "unknown_keyword.tl": ("UnknownKeywordError", 2),
-    "unknown_peer.tl": ("UnknownPeerError", 5),
-    "zero_rational_weight.tl": ("NonPositiveWeightError", 5),
-    "zero_weight.tl": ("NonPositiveWeightError", 4),
+    "bad_rational.tl": ("TopLinkSyntaxError", 4, 17),
+    "custom_nolinks.tl": ("PresetMismatchError", 1, 0),
+    "duplicate_link.tl": ("DuplicateLinkError", 6, 3),
+    "duplicate_peer.tl": ("DuplicatePeerError", 2, 15),
+    "fanout_too_big.tl": ("InvalidFanoutError", 1, 0),
+    "fanout_zero.tl": ("InvalidFanoutError", 1, 17),
+    "missing_nodes.tl": ("TopLinkSyntaxError", 3, 0),
+    "missing_semicolon.tl": ("TopLinkSyntaxError", 2, 1),
+    "preset_links.tl": ("PresetMismatchError", 3, 0),
+    "self_link.tl": ("SelfLinkError", 5, 3),
+    "unknown_keyword.tl": ("UnknownKeywordError", 2, 1),
+    "unknown_peer.tl": ("UnknownPeerError", 5, 8),
+    "zero_rational_weight.tl": ("NonPositiveWeightError", 5, 17),
+    "zero_weight.tl": ("NonPositiveWeightError", 4, 17),
 }

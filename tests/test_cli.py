@@ -248,6 +248,24 @@ def test_unopenable_trace_file_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "out" / "rounds.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "scn_line, argv",
+    [
+        ("output.dir = blocker", []),  # names a file
+        ("", ["-o", "blocker/x"]),  # a directory below a file
+    ],
+    ids=["output.dir", "-o"],
+)
+def test_unwritable_output_dir_is_one_error_line(scn_line, argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scn = write_scenario(tmp_path, f"topology = net.tl\nrounds = 3\n{scn_line}\n")
+    (tmp_path / "blocker").write_text("")
+    code, out, err = run_cli(["run", str(scn)] + argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "blocker" in err
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

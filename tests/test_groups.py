@@ -72,6 +72,10 @@ def test_lookups_match_a_scan_after_membership_changes(n, seed, steps):
             scan = sorted(asg.groups.items())
             assert asg.send_groups(node) == tuple(g for _, g in scan if node in g.senders)
             assert asg.recv_groups(node) == tuple(g for _, g in scan if node in g.receivers)
+        alive = set(nodes[1:])
+        assert effective_graph(asg, alive).nodes == tuple(
+            sorted(n for n in alive if any(n in g.members for g in asg.groups.values()))
+        )
 
     check()
     for step in steps:

@@ -38,12 +38,12 @@ def test_valid_corpus_parses_and_roundtrips(path):
 
 @pytest.mark.parametrize("name", sorted(INVALID_TL), ids=str)
 def test_invalid_corpus_designations(name):
-    cls_name, line = INVALID_TL[name]
+    cls_name, line, column = INVALID_TL[name]
     with pytest.raises(TopLinkError) as exc_info:
         parse_toplink_file(DATA / "invalid" / name)
     exc = exc_info.value
     assert type(exc).__name__ == cls_name
-    assert exc.line == line
+    assert (exc.line, exc.column) == (line, column)
     assert f"line {line}:" in str(exc)
 
 
@@ -97,9 +97,14 @@ def test_links_before_nodes_validated():
 
 
 def test_error_carries_position():
-    with pytest.raises(TopLinkError) as ei:
-        parse_toplink("topology ring;\nnodes { a, b, a };")
-    assert (ei.value.line, ei.value.column) == (2, 15)
+    for text, position in (
+        ("topology ring;\nnodes { a, b, a };", (2, 15)),
+        # end of file after a comment: the column past the comment's last character
+        ("topology ring;\nnodes { a, b // c", (2, 18)),
+    ):
+        with pytest.raises(TopLinkError) as ei:
+            parse_toplink(text)
+        assert (ei.value.line, ei.value.column) == position
 
 
 @given(st.lists(st.sampled_from("abcdefgh"), min_size=2, max_size=8, unique=True))
