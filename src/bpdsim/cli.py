@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from . import metrics
 from .bpd import BpdConfig, default_threshold
-from .graph import all_pairs_costs, is_strongly_connected
+from .graph import NodeId, all_pairs_costs, is_strongly_connected
 from .groups import form_groups
 from .simnet import CascadeError, FaultEvent, SimConfig, UnknownNodeError, World
 from .toplink import (
@@ -104,7 +104,7 @@ def parse_scenario(path: Path) -> dict[str, str]:
     return data
 
 
-def _parse_faults(data: dict) -> list[FaultEvent]:
+def _parse_faults(data: dict, peers: tuple[NodeId, ...]) -> list[FaultEvent]:
     entries = []
     for key, value in data.items():
         m = _FAULT_KEY_RE.match(key)
@@ -121,6 +121,8 @@ def _parse_faults(data: dict) -> list[FaultEvent]:
             raise ScenarioError(f"{key}: round must be >= 1")
         if parts[1] not in ("crash", "recover"):
             raise ScenarioError(f"{key}: action must be crash or recover")
+        if parts[2] not in peers:
+            raise ScenarioError(f"{key}: {UnknownNodeError(parts[2])}")
         entries.append((rnd, int(m.group(1)), parts[1], parts[2]))
     entries.sort(key=lambda e: (e[0], e[1]))
     return [FaultEvent(rnd, action, node) for rnd, _, action, node in entries]
@@ -146,7 +148,7 @@ def build_world(data: dict[str, str], base_dir: Path) -> World:
         if callable(conf["bpd"]["thresh"]):
             conf["bpd"]["thresh"] = conf["bpd"]["thresh"](graph.n_nodes)
         bpd_cfg = BpdConfig(**conf["bpd"])
-    faults = _parse_faults(data)
+    faults = _parse_faults(data, graph.nodes)
     return World(graph, strategy, cfg, bpd_cfg=bpd_cfg, faults=faults)
 
 

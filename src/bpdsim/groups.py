@@ -7,6 +7,13 @@ path-shortening both work by adding memberships, never removing them), so a
 group can end up with several senders. The projection back to a digraph is
 `effective_graph`: one edge per (alive sender, alive receiver) pair.
 
+A group broadcast goes to every member but the emitter, in sorted order.
+`Group.fanout` computes that tuple once per emitter and keeps it until the
+group's membership next changes: `form_groups`, `join_group` and `leave_all`
+are the only code that changes memberships, and the last two clear the cache
+of each group they change. A tuple handed out is never altered, so a message
+that holds one keeps the destinations it was emitted to.
+
 Group weights are exact: an `int` when integral, a `fractions.Fraction`
 otherwise (see `graph.int_if_integral`).
 """
@@ -47,10 +54,21 @@ class Group:
     weight: int | Fraction
     senders: set[NodeId] = field(default_factory=set)
     receivers: set[NodeId] = field(default_factory=set)
+    # emitter -> sorted members other than it; valid until membership changes
+    _fanout: dict[NodeId, tuple[NodeId, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def members(self) -> set[NodeId]:
         return self.senders | self.receivers
+
+    def fanout(self, emitter: NodeId) -> tuple[NodeId, ...]:
+        """The members other than `emitter`, sorted: who a broadcast reaches."""
+        dsts = self._fanout.get(emitter)
+        if dsts is None:
+            dsts = self._fanout[emitter] = tuple(sorted(self.members - {emitter}))
+        return dsts
 
     @property
     def size(self) -> int:
@@ -63,7 +81,8 @@ class GroupAssignment:
     and receives on, in gid order.
 
     `form_groups`, `join_group` and `leave_all` are the only code that
-    changes memberships; each keeps the index in step with the member sets.
+    changes memberships; each keeps the index in step with the member sets,
+    and the last two clear the fan-out cache of every group they change.
     """
 
     groups: dict[GroupId, Group] = field(default_factory=dict)
@@ -149,6 +168,7 @@ def join_group(
     if node in members:
         return None
     members.add(node)
+    grp._fanout.clear()
     index[node] = tuple(sorted(index.get(node, ()) + (grp,), key=attrgetter("gid")))
     return MembershipEvent("MemberJoined", gid, node, role, round)
 
@@ -162,8 +182,10 @@ def leave_all(assignment: GroupAssignment, node: NodeId) -> list[tuple[GroupId, 
     recvs = assignment._recvs.pop(node, ())
     for g in sends:
         g.senders.discard(node)
+        g._fanout.clear()
     for g in recvs:
         g.receivers.discard(node)
+        g._fanout.clear()
     removed = [(g.gid, SENDER) for g in sends] + [(g.gid, RECEIVER) for g in recvs]
     removed.sort(key=lambda entry: (entry[0], entry[1] != SENDER))
     return removed

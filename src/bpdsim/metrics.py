@@ -5,44 +5,61 @@ telling this node right now, how much has actually arrived recently? A node
 scores the fraction of the full roster whose information it holds fresh
 (itself included, dead peers never counted), so with one of six peers down
 even perfect dissemination tops out at 5/6.
+
+Each node keeps one receipt vector indexed by roster position, like the
+stamp vectors: slot i holds the last round in which its stamp for origin i
+rose, or `NO_RECEIPT`.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import compress, repeat
+from operator import gt, ne
+
 from .graph import NodeId
+
+# a receipt slot that holds nothing, never received or purged
+NO_RECEIPT = -1
 
 
 class ZeroOptimumError(ValueError):
     pass
 
 
-def record_receipt(history: dict[NodeId, int], source: NodeId, round: int) -> None:
-    """Note a fresh receipt of `source`'s information at `round`."""
-    history[source] = round
+def record_receipt(
+    receipts: list[int], before: Sequence[int], after: Sequence[int], round: int
+) -> None:
+    """Note the fresh receipts of one round: every slot whose stamp rose from
+    `before` to `after` now holds `round`."""
+    for i in compress(range(len(after)), map(ne, after, before)):
+        receipts[i] = round
 
 
-def purge(history: dict[NodeId, int], round: int, window: int) -> None:
+def purge(receipts: list[int], round: int, window: int) -> None:
     """Forget receipts older than the freshness window."""
-    for src in [s for s, r in history.items() if r < round - window]:
-        del history[src]
+    # empty slots are below any cutoff >= 0 too; resetting them changes nothing
+    for i in compress(range(len(receipts)), map(gt, repeat(round - window), receipts)):
+        receipts[i] = NO_RECEIPT
 
 
-def dissemination_efficiency(
-    history: dict[NodeId, int],
-    alive: set[NodeId],
-    node: NodeId,
-    roster_size: int,
-) -> float:
+def dissemination_efficiency(receipts: Sequence[int], alive: Sequence[bool], own: int) -> float:
     """Fresh coverage of the roster at one node, in [0, 1].
 
-    Counts the node itself plus every alive source with a receipt still in
-    the window; sources that crashed stop counting the moment their failure
-    is detected, so a residual backlog of their messages cannot inflate the
-    score.
+    `receipts` is the node's purged receipt vector, `alive` flags the origins
+    not detected as down and `own` is the node's own slot, all by roster
+    position. Counts the node itself plus every alive other origin with a
+    receipt still in the window; origins that crashed stop counting the
+    moment their failure is detected, so a residual backlog of their
+    messages cannot inflate the score.
     """
+    roster_size = len(receipts)
     if roster_size <= 1:
         return 1.0
-    fresh = {s for s in history if s in alive and s != node}
-    return (1 + len(fresh)) / roster_size
+    kept = list(compress(receipts, alive))
+    fresh = len(kept) - kept.count(NO_RECEIPT)
+    if alive[own] and receipts[own] != NO_RECEIPT:
+        fresh -= 1
+    return (1 + fresh) / roster_size
 
 
 def deviation_pct(values: dict[NodeId, float], optimum: float) -> float:

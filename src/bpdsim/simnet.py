@@ -11,10 +11,14 @@ The control queue is a FIFO with one entry per emission: the message, the
 group it rides (None for a point-to-point one) and its destinations, frozen
 when it is emitted. A group emission goes to the group's members other than
 the emitter, in sorted order, as they stand at that moment; a peer that joins
-later does not get it. A popped entry fans out there and then, one delivery
-per destination in that order, and each delivery's own emissions go to the
-tail. Every member delivery, to a crashed peer too, counts toward the
-cascade's cap of `_CASCADE_CAP` (2,000,000) deliveries.
+later does not get it. That destination tuple is the group's cached fan-out
+(`Group.fanout`), computed once per emitter and dropped when the group's
+membership changes, so an emission costs no sort. A popped entry fans out
+there and then, one delivery per destination in that order, and each
+delivery's own emissions go to the tail. A handler that drops its message
+returns the shared `bpd._NOTHING` result, which the drain skips. Every member
+delivery, to a crashed peer too, counts toward the cascade's cap of
+`_CASCADE_CAP` (2,000,000) deliveries.
 
 Everything is driven from sorted orders and seeded generators, so a run is a
 pure function of its configuration.
@@ -24,10 +28,12 @@ Each node holds a stamp vector indexed by position in the sorted roster: the
 latest round whose information from that origin it has, -1 for never. A
 sender stamps its own slot with the round and attaches one tuple snapshot of
 its vector to all of that round's messages. On delivery each destination
-merges every snapshot it received with one element-wise max, and records a
-receipt once for each origin whose stamp rose. The max does not depend on
-arrival order, so the merged vectors, and with them the DE figures, are the
-same as folding the messages in one at a time.
+merges every snapshot it received with one element-wise max, then records
+that round in its receipt vector, indexed like the stamps, at every origin
+whose stamp rose: one `metrics.record_receipt` call per destination per
+round. The max does not depend on arrival order, so the merged vectors, and
+with them the DE figures, are the same as folding the messages in one at a
+time.
 
 Crashed peers neither send nor receive. Messages addressed to one are still
 counted as sent and then dropped, because the senders cannot know better
@@ -43,11 +49,10 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import ne
 
 from . import metrics
 from .bpd import (
+    _NOTHING,
     BpdConfig,
     BpdNode,
     DiscoverMsg,
@@ -85,7 +90,10 @@ _HANDLERS = {
 
 
 class UnknownNodeError(KeyError):
-    pass
+    """A peer name that is not in the roster."""
+
+    def __str__(self) -> str:
+        return f"unknown peer {self.args[0]!r}"
 
 
 class FaultError(ValueError):
@@ -211,7 +219,10 @@ class World:
         self.stamps: dict[NodeId, list[int]] = {n: [-1] * len(self.roster) for n in self.roster}
         for n, i in self.pos.items():
             self.stamps[n][i] = 0
-        self.de_hist: dict[NodeId, dict[NodeId, int]] = {n: {} for n in self.roster}
+        # last round each origin's stamp rose at each node, by roster position
+        self.receipts: dict[NodeId, list[int]] = {
+            n: [metrics.NO_RECEIPT] * len(self.roster) for n in self.roster
+        }
         self.gossip_rng = random.Random(f"{cfg.seed}:gossip")
 
         self.round = 0
@@ -317,16 +328,12 @@ class World:
             snapshots.setdefault(dst, []).append(snapshot)
             if tracing:
                 self._trace(f"deliver app {src} {dst}")
-        roster, positions = self.roster, range(len(self.roster))
+        stamps, receipts = self.stamps, self.receipts
         record, rnd = metrics.record_receipt, self.round
         for dst, got in snapshots.items():
-            mine = self.stamps[dst]
-            merged = self.stamps[dst] = list(map(max, mine, *got))
-            hist = self.de_hist[dst]
-            own = self.pos[dst]
-            for i in compress(positions, map(ne, merged, mine)):
-                if i != own:
-                    record(hist, roster[i], rnd)
+            mine = stamps[dst]
+            merged = stamps[dst] = list(map(max, mine, *got))
+            record(receipts[dst], mine, merged, rnd)
 
     def _detect(self) -> None:
         due = sorted(
@@ -395,22 +402,21 @@ class World:
                     )
                 if dst in alive:
                     res = getattr(nodes[dst], handler)(msg, gid)
-                    if res.emissions or res.joins:
+                    if res is not _NOTHING:
                         self._apply_result(dst, res)
         return delivered
 
     def _apply_result(self, emitter: NodeId, res: HandlerResult) -> None:
-        for emission in res.emissions:
-            kind = emission[0]
-            self._ctrl_sent += 1
-            self._bytes += self.cfg.control_bytes
-            if kind == "group":
-                _, gid, msg = emission
-                dsts = sorted(self.assignment.groups[gid].members - {emitter})
-                self._ctrl.append((dsts, gid, msg))
-            else:  # "multi"
-                _, dsts, msg = emission
-                self._ctrl.append((dsts, None, msg))
+        emissions = res.emissions
+        if emissions:
+            self._ctrl_sent += len(emissions)
+            self._bytes += len(emissions) * self.cfg.control_bytes
+            groups, enqueue = self.assignment.groups, self._ctrl.append
+            for kind, target, msg in emissions:
+                if kind == "group":
+                    enqueue((groups[target].fanout(emitter), target, msg))
+                else:  # "multi": target is the destination tuple
+                    enqueue((target, None, msg))
         for intent in res.joins:
             ev = join_group(self.assignment, emitter, intent.gid, intent.role, round=self.round)
             if ev:
@@ -445,11 +451,12 @@ class World:
 
     def _close_round(self) -> RoundStats:
         des: dict[NodeId, float] = {}
+        detected = self.detected_alive
+        origins_alive = [n in detected for n in self.roster]
         for n in sorted(self.alive):
-            metrics.purge(self.de_hist[n], self.round, self.window)
-            des[n] = metrics.dissemination_efficiency(
-                self.de_hist[n], self.detected_alive, n, len(self.roster)
-            )
+            receipts = self.receipts[n]
+            metrics.purge(receipts, self.round, self.window)
+            des[n] = metrics.dissemination_efficiency(receipts, origins_alive, self.pos[n])
         xs = {n: self.x[n] for n in sorted(self.alive)}
         row = RoundStats(
             round=self.round,

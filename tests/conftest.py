@@ -2,8 +2,10 @@
 
 The brute-force oracle enumerates simple paths, so it is exponential and
 only used on small graphs; it exists to validate the Dijkstra oracle,
-which in turn checks the protocol. Corpus generators are seeded with
-stable strings so every test run sees identical graphs.
+which in turn checks the protocol. `DeOracle` is the dict-per-node
+dissemination bookkeeping that the simulator's receipt vectors replace.
+Corpus generators are seeded with stable strings so every test run sees
+identical graphs.
 """
 import random
 from fractions import Fraction
@@ -74,6 +76,31 @@ def random_sc_digraph(n, seed, weights=(1, 2), extra_p=0.25):
             if u != v and (u, v) not in edges and rng.random() < extra_p:
                 edges[(u, v)] = Fraction(rng.choice(weights))
     return DirectedGraph(nodes=tuple(nodes), edges=edges)
+
+
+class DeOracle:
+    """Dissemination efficiency kept the plain way: one dict per node from
+    origin to the round of its last fresh receipt, fed one receipt at a
+    time, rescanned for the window and the alive set every round."""
+
+    def __init__(self, roster):
+        self.roster = list(roster)
+        self.hist = {n: {} for n in self.roster}
+
+    def record(self, node, origin, round):
+        if origin != node:
+            self.hist[node][origin] = round
+
+    def purge(self, node, round, window):
+        hist = self.hist[node]
+        for src in [s for s, r in hist.items() if r < round - window]:
+            del hist[src]
+
+    def de(self, node, alive):
+        if len(self.roster) <= 1:
+            return 1.0
+        fresh = {s for s in self.hist[node] if s in alive and s != node}
+        return (1 + len(fresh)) / len(self.roster)
 
 
 def corpus_graph(i):

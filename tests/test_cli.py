@@ -93,6 +93,13 @@ def test_scenario_hop_delay_key_is_unknown(tmp_path, capsys):
     assert err == f"error: {scn}: line 2: unknown key 'hop.delay.ms'\n"
 
 
+def test_fault_on_unknown_peer_names_the_key(tmp_path, capsys):
+    scn = write_scenario(tmp_path, "topology = net.tl\nrounds = 5\nfaults.1 = 2 crash zz\n")
+    code, out, err = run_cli(["run", str(scn)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: faults.1: unknown peer 'zz'\n"
+
+
 def test_scenario_duplicate_key(tmp_path, capsys):
     scn = write_scenario(tmp_path, "topology = net.tl\ntopology = net.tl\n")
     code, _, err = run_cli(["run", str(scn)], capsys)

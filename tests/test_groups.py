@@ -76,14 +76,22 @@ def test_lookups_match_a_scan_after_membership_changes(n, seed, steps):
         assert effective_graph(asg, alive).nodes == tuple(
             sorted(n for n in alive if any(n in g.members for g in asg.groups.values()))
         )
+        # every cached fan-out equals a fresh scan; asking fills the cache,
+        # so the next step checks that it was cleared where it went stale
+        for g in asg.groups.values():
+            for e in nodes:
+                assert g.fanout(e) == tuple(sorted(g.members - {e}))
 
     check()
     for step in steps:
         node = nodes[step[1] % n]
+        handed = [(t := g.fanout(e), list(t)) for g in asg.groups.values() for e in nodes]
         if step[0] == "join":
             join_group(asg, node, gids[step[2] % len(gids)], step[3])
         else:
             leave_all(asg, node)
+        # what a message was given before the change stays as it was
+        assert all(isinstance(t, tuple) and list(t) == copy for t, copy in handed)
         check()
 
 

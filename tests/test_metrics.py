@@ -1,8 +1,13 @@
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bpdsim import cli, metrics
 from bpdsim.metrics import (
+    NO_RECEIPT,
     ZeroOptimumError,
     bandwidth_kbps,
     deviation_pct,
@@ -12,45 +17,87 @@ from bpdsim.metrics import (
     record_receipt,
 )
 
-ROSTER6 = {"a", "b", "c", "d", "e", "f"}
+# roster a..f by position; every receipt vector below is indexed the same way
+ROSTER6 = ("a", "b", "c", "d", "e", "f")
+ALL_ALIVE = [True] * 6
+NONE = NO_RECEIPT
 
 
 def test_de_full_coverage():
-    hist = {s: 10 for s in ROSTER6 - {"a"}}
-    assert dissemination_efficiency(hist, ROSTER6, "a", 6) == 1.0
+    receipts = [NONE, 10, 10, 10, 10, 10]
+    assert dissemination_efficiency(receipts, ALL_ALIVE, 0) == 1.0
 
 
 def test_de_excludes_crashed_sources():
-    # backlog from f still in history, but f is down: 5/6 is the ceiling
-    hist = {s: 10 for s in ROSTER6 - {"a"}}
-    assert dissemination_efficiency(hist, ROSTER6 - {"f"}, "a", 6) == pytest.approx(5 / 6)
+    # backlog from f still in the vector, but f is down: 5/6 is the ceiling
+    receipts = [NONE, 10, 10, 10, 10, 10]
+    alive = [True, True, True, True, True, False]
+    assert dissemination_efficiency(receipts, alive, 0) == pytest.approx(5 / 6)
 
 
 def test_de_partitioned_pair():
     # b hears only a: itself + one source out of a six-node roster
-    assert dissemination_efficiency({"a": 9}, ROSTER6, "b", 6) == pytest.approx(2 / 6)
+    receipts = [9, NONE, NONE, NONE, NONE, NONE]
+    assert dissemination_efficiency(receipts, ALL_ALIVE, 1) == pytest.approx(2 / 6)
 
 
 def test_de_self_only():
-    assert dissemination_efficiency({}, ROSTER6, "a", 6) == pytest.approx(1 / 6)
+    assert dissemination_efficiency([NONE] * 6, ALL_ALIVE, 0) == pytest.approx(1 / 6)
+
+
+def test_de_own_slot_not_counted():
+    # a receipt in the node's own slot adds nothing: the node counts once
+    receipts = [10, 10, NONE, NONE, NONE, NONE]
+    assert dissemination_efficiency(receipts, ALL_ALIVE, 0) == pytest.approx(2 / 6)
 
 
 def test_de_singleton_roster():
-    assert dissemination_efficiency({}, {"a"}, "a", 1) == 1.0
+    assert dissemination_efficiency([NONE], [True], 0) == 1.0
 
 
 def test_purge_window_boundary():
-    hist = {"a": 5, "b": 6, "c": 10}
-    purge(hist, round=10, window=4)
+    receipts = [5, 6, 10, NONE]
+    purge(receipts, round=10, window=4)
     # receipt at exactly round - window survives
-    assert hist == {"b": 6, "c": 10}
+    assert receipts == [NONE, 6, 10, NONE]
 
 
 def test_record_receipt_newest_wins():
-    hist = {}
-    record_receipt(hist, "a", 3)
-    record_receipt(hist, "a", 7)
-    assert hist == {"a": 7}
+    receipts = [NONE, NONE, NONE]
+    record_receipt(receipts, [0, 0, 0], [1, 0, 0], 3)
+    assert receipts == [3, NONE, NONE]
+    # a slot that rises again takes the newer round; one that stays keeps its own
+    record_receipt(receipts, [1, 0, 0], [2, 0, 1], 7)
+    assert receipts == [7, NONE, 7]
+
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
+
+
+def test_world_calls_each_metrics_function(monkeypatch):
+    # the benchmark's tracer times DE through these three names, so each must
+    # still be what the world calls: once per destination per round at most
+    # for receipts, and purge and DE once per alive node per round
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(metrics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("record_receipt", "purge", "dissemination_efficiency"):
+        monkeypatch.setattr(metrics, name, counted(name))
+    scn = SCENARIOS / "bpd_crash.scn"
+    world = cli.build_world(cli.parse_scenario(scn), scn.parent)
+    world.run()
+    rounds, n = world.cfg.n_rounds, len(world.roster)
+    assert all(calls[name] > 0 for name in ("record_receipt", "purge", "dissemination_efficiency"))
+    assert calls["record_receipt"] <= rounds * n
+    assert calls["purge"] == calls["dissemination_efficiency"] <= rounds * n
 
 
 def test_deviation_pct_hand_values():

@@ -10,6 +10,7 @@ from bpdsim import bpd, cli, simnet
 from bpdsim.bpd import BpdConfig, BpdNode, DiscoverMsg, HandlerResult, default_threshold
 from bpdsim.graph import hop_counts
 from bpdsim.groups import RECEIVER, join_group
+from bpdsim.metrics import NO_RECEIPT
 from bpdsim.simnet import (
     FaultError,
     FaultEvent,
@@ -19,7 +20,7 @@ from bpdsim.simnet import (
     validate_schedule,
 )
 from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified
-from conftest import BASE10_EDGES, make_graph, random_sc_digraph
+from conftest import BASE10_EDGES, DeOracle, make_graph, random_sc_digraph
 
 
 def mesh_world(rounds=10, seed=0, faults=None, strategy=None, **cfg):
@@ -37,8 +38,10 @@ def mesh_world(rounds=10, seed=0, faults=None, strategy=None, **cfg):
 
 
 def test_schedule_rejects_unknown_node():
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(UnknownNodeError) as exc:
         validate_schedule([FaultEvent(1, "crash", "zz")], {"a"})
+    # says what is wrong, not only the quoted name a plain KeyError would give
+    assert str(exc.value) == "unknown peer 'zz'"
 
 
 def test_schedule_rejects_double_crash():
@@ -206,7 +209,7 @@ def test_direct_mesh_delivers_at_one_round_lag():
         for d in w.roster:
             others = [o for o in w.roster if o != d]
             assert [w.stamps[d][w.pos[o]] for o in others] == [r - 1] * len(others)
-            assert w.de_hist[d] == {o: r for o in others}
+            assert w.receipts[d] == [NO_RECEIPT if o == d else r for o in w.roster]
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,7 +231,55 @@ def test_stamps_follow_hop_distance(n, seed, direct, rounds):
             want = {o: r - hops[o][d] for o in g.nodes if o != d and r - hops[o][d] >= 1}
             got = {o: s for o in g.nodes if o != d and (s := w.stamps[d][w.pos[o]]) != -1}
             assert got == want
-            assert w.de_hist[d] == {o: r for o in want}
+            assert w.receipts[d] == [r if o in want else NO_RECEIPT for o in w.roster]
+
+
+_DE_STRATEGIES = st.sampled_from([AllToAll(), Unmodified(), Gossip(fanout=1)])
+
+
+@st.composite
+def _fault_schedules(draw, nodes, rounds):
+    """A valid crash/recover schedule: per node, alternating events in rising rounds."""
+    events = []
+    for node in nodes:
+        times = sorted(draw(st.sets(st.integers(1, rounds), max_size=4)))
+        events += [
+            FaultEvent(t, "crash" if k % 2 == 0 else "recover", node) for k, t in enumerate(times)
+        ]
+    return sorted(events, key=lambda ev: ev.round)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_de_matches_the_dict_oracle(data):
+    # every round, feed the dict oracle each stamp slot that rose at each node
+    # and ask it for every alive node's DE: the receipt vectors must give the
+    # same floats
+    n = data.draw(st.integers(2, 8), "n")
+    rounds = data.draw(st.integers(1, 20), "rounds")
+    g = random_sc_digraph(n, data.draw(st.integers(0, 10_000), "seed"))
+    cfg = SimConfig(
+        n_rounds=rounds,
+        seed=data.draw(st.integers(0, 100), "sim seed"),
+        detection_rounds=data.draw(st.integers(1, 3), "detection"),
+        de_window_rounds=data.draw(st.one_of(st.none(), st.integers(1, 6)), "window"),
+    )
+    # two peers never fail, so a gossip peer always has someone to pick
+    faults = data.draw(_fault_schedules(g.nodes[2:], rounds), "faults")
+    w = World(g, data.draw(_DE_STRATEGIES, "strategy"), cfg, faults=faults)
+    oracle = DeOracle(w.roster)
+    for r in range(1, rounds + 1):
+        before = {d: list(v) for d, v in w.stamps.items()}
+        w.step_round()
+        for d in w.roster:
+            for i, (old, new) in enumerate(zip(before[d], w.stamps[d])):
+                if new != old:
+                    oracle.record(d, w.roster[i], r)
+        want = {}
+        for d in sorted(w.alive):
+            oracle.purge(d, r, w.window)
+            want[d] = oracle.de(d, w.detected_alive)
+        assert w.de_trace[-1] == want
 
 
 # --- control delivery order -------------------------------------------------
