@@ -21,7 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
 
 from bpdsim import metrics
-from bpdsim.bpd import BpdConfig, default_threshold
+from bpdsim.bpd import default_threshold
 from bpdsim.graph import DirectedGraph, all_pairs_costs, is_strongly_connected
 from bpdsim.simnet import FaultEvent, SimConfig, World
 from bpdsim.toplink import build_graph, parse_toplink_file
@@ -30,16 +30,16 @@ from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified, true_average
 BASE_TL = Path(__file__).parents[1] / "scenarios" / "base10.tl"
 
 STRATEGIES = [
-    ("all-to-all", AllToAll(), None),
-    ("gossip(3)", Gossip(3), None),
-    ("unmodified", Unmodified(), None),
-    ("bpd", Bpd(), BpdConfig(thresh=3, repair_period_rounds=50)),
+    ("all-to-all", AllToAll()),
+    ("gossip(3)", Gossip(3)),
+    ("unmodified", Unmodified()),
+    ("bpd", Bpd(3, repair_period_rounds=50)),
 ]
 
 
-def run_world(graph, strategy, bpd_cfg, seed, rounds, faults=()):
+def run_world(graph, strategy, seed, rounds, faults=()):
     cfg = SimConfig(n_rounds=rounds, seed=seed)
-    w = World(graph, strategy, cfg, bpd_cfg=bpd_cfg, faults=list(faults))
+    w = World(graph, strategy, cfg, faults=list(faults))
     w.run()
     return w
 
@@ -47,10 +47,10 @@ def run_world(graph, strategy, bpd_cfg, seed, rounds, faults=()):
 def strategy_table(graph, seeds, rounds):
     print(f"strategy comparison, {seeds} seeds x {rounds} rounds")
     print(f"{'strategy':<12} {'msgs/rd':>8} {'kB/s/node':>10} {'dev %':>8} {'to-band':>8}")
-    for name, strategy, bpd_cfg in STRATEGIES:
+    for name, strategy in STRATEGIES:
         msgs, kbps, devs, bands = [], [], [], []
         for seed in range(seeds):
-            w = run_world(graph, strategy, bpd_cfg, seed, rounds)
+            w = run_world(graph, strategy, seed, rounds)
             opt = true_average(w.x0)
             msgs.append(w.stats[-1].messages)
             kbps.append(
@@ -71,14 +71,13 @@ def strategy_table(graph, seeds, rounds):
 def fault_table(graph, rounds):
     print(f"mean dissemination efficiency at round {rounds} (seed 7, crashes at 100/150)")
     cases = [
-        ("bpd, 1 crash", Bpd(), BpdConfig(thresh=3, repair_period_rounds=50),
-         [FaultEvent(100, "crash", "c")]),
-        ("bpd, 2 crashes", Bpd(), BpdConfig(thresh=3, repair_period_rounds=50),
+        ("bpd, 1 crash", Bpd(3, repair_period_rounds=50), [FaultEvent(100, "crash", "c")]),
+        ("bpd, 2 crashes", Bpd(3, repair_period_rounds=50),
          [FaultEvent(100, "crash", "c"), FaultEvent(150, "crash", "e")]),
-        ("unmodified, 1 crash", Unmodified(), None, [FaultEvent(100, "crash", "c")]),
+        ("unmodified, 1 crash", Unmodified(), [FaultEvent(100, "crash", "c")]),
     ]
-    for name, strategy, bpd_cfg, faults in cases:
-        w = run_world(graph, strategy, bpd_cfg, 7, rounds, faults)
+    for name, strategy, faults in cases:
+        w = run_world(graph, strategy, 7, rounds, faults)
         print(f"  {name:<22} DE = {w.stats[-1].mean_de:.4f}")
     print()
 
@@ -106,8 +105,7 @@ def repair_table(cases):
         graph = random_sc_digraph(n, idx)
         victim = random.Random(f"faults:{idx}").choice(sorted(graph.nodes))
         w = run_world(
-            graph, Bpd(),
-            BpdConfig(thresh=default_threshold(n), repair_period_rounds=1000),
+            graph, Bpd(default_threshold(n), repair_period_rounds=1000),
             idx, 60, [FaultEvent(30, "crash", victim)],
         )
         w.run_repair_cycle()

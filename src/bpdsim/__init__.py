@@ -1,6 +1,6 @@
 """Bounded-path overlay dissemination: model, protocol, and simulator."""
 
-from .bpd import BpdConfig, BpdNode, default_threshold
+from .bpd import BpdNode, default_threshold
 from .graph import DirectedGraph, all_pairs_costs, dijkstra, is_strongly_connected
 from .groups import Group, GroupAssignment, effective_graph, form_groups
 from .simnet import FaultEvent, SimConfig, World
@@ -10,7 +10,6 @@ from .workloads import AllToAll, Bpd, Gossip, Unmodified, parse_strategy
 __all__ = [
     "AllToAll",
     "Bpd",
-    "BpdConfig",
     "BpdNode",
     "DirectedGraph",
     "FaultEvent",

@@ -73,22 +73,6 @@ def default_threshold(n_nodes: int) -> int:
     return math.ceil((n_nodes - 1) / 2)
 
 
-@dataclass(frozen=True)
-class BpdConfig:
-    thresh: Fraction
-    repair_period_rounds: int = 200
-    reply_timeout_rounds: int = 5
-
-    def __post_init__(self):
-        for name, ok, rule in (
-            ("thresh", self.thresh > 0, "> 0"),
-            ("repair_period_rounds", self.repair_period_rounds >= 1, ">= 1"),
-            ("reply_timeout_rounds", self.reply_timeout_rounds >= 1, ">= 1"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
-
-
 # --- wire messages -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -313,7 +297,7 @@ class BpdNode:
         return res
 
     def _deadline(self) -> int:
-        return self.world.round + self.world.bpd_cfg.reply_timeout_rounds
+        return self.world.round + self.world.strategy.reply_timeout_rounds
 
     def _emit_join_req(self, grp_type: str) -> list[tuple]:
         world = self.world

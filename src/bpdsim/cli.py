@@ -20,12 +20,13 @@ import argparse
 import csv
 import re
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import metrics
-from .bpd import BpdConfig, default_threshold
+from .bpd import default_threshold
 from .graph import NodeId, all_pairs_costs, is_strongly_connected
 from .groups import form_groups
 from .simnet import CascadeError, FaultEvent, SimConfig, UnknownNodeError, World
@@ -37,7 +38,7 @@ from .toplink import (
     parse_toplink_file,
     pretty_print,
 )
-from .workloads import Bpd, parse_strategy, true_average
+from .workloads import Bpd, Gossip, strategy_class, true_average
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -53,29 +54,30 @@ _FAULT_KEY_RE = re.compile(r"^faults\.([0-9]+)$")
 
 class _Key(NamedTuple):
     convert: Callable[[str], object]
-    target: str  # "sim": SimConfig, "bpd": BpdConfig, "gossip": Gossip, "cli": this module
+    target: object  # SimConfig, a strategy class, or "cli" for this module
     field: str
     default: object = None  # only where no dataclass field holds one
 
 
 # Every scenario key but the faults.N family. An absent key takes its row's
 # default, or else its dataclass field's; a callable default is a function of
-# the peer count.
+# the peer count. A row that targets a strategy class is read only when the
+# scenario runs that strategy.
 _KEYS = {
     "topology": _Key(str, "cli", "topology"),
     "strategy": _Key(str, "cli", "strategy", "bpd"),
-    "gossip.fanout": _Key(int, "gossip", "fanout"),
-    "thresh": _Key(Fraction, "bpd", "thresh", default_threshold),
-    "rounds": _Key(int, "sim", "n_rounds", 300),
-    "seed": _Key(int, "sim", "seed"),
-    "eps": _Key(float, "sim", "eps"),
-    "payload.bytes": _Key(int, "sim", "payload_bytes"),
-    "control.bytes": _Key(int, "sim", "control_bytes"),
-    "round.ms": _Key(float, "sim", "round_period_ms"),
-    "detection.rounds": _Key(int, "sim", "detection_rounds"),
-    "de.window.rounds": _Key(int, "sim", "de_window_rounds"),
-    "repair.period.rounds": _Key(int, "bpd", "repair_period_rounds"),
-    "reply.timeout.rounds": _Key(int, "bpd", "reply_timeout_rounds"),
+    "gossip.fanout": _Key(int, Gossip, "fanout"),
+    "thresh": _Key(Fraction, Bpd, "thresh", default_threshold),
+    "rounds": _Key(int, SimConfig, "n_rounds", 300),
+    "seed": _Key(int, SimConfig, "seed"),
+    "eps": _Key(float, SimConfig, "eps"),
+    "payload.bytes": _Key(int, SimConfig, "payload_bytes"),
+    "control.bytes": _Key(int, SimConfig, "control_bytes"),
+    "round.ms": _Key(float, SimConfig, "round_period_ms"),
+    "detection.rounds": _Key(int, SimConfig, "detection_rounds"),
+    "de.window.rounds": _Key(int, SimConfig, "de_window_rounds"),
+    "repair.period.rounds": _Key(int, Bpd, "repair_period_rounds"),
+    "reply.timeout.rounds": _Key(int, Bpd, "reply_timeout_rounds"),
     "output.dir": _Key(str, "cli", "output.dir", "out"),
     "trace.file": _Key(str, "cli", "trace.file"),
 }
@@ -129,7 +131,7 @@ def _parse_faults(data: dict, peers: tuple[NodeId, ...]) -> list[FaultEvent]:
 
 
 def build_world(data: dict[str, str], base_dir: Path) -> World:
-    conf: dict[str, dict] = {"cli": {}, "sim": {}, "bpd": {}, "gossip": {}}
+    conf: dict[object, dict] = defaultdict(dict)
     for key, (convert, target, field, default) in _KEYS.items():
         if key in data:
             try:
@@ -140,16 +142,12 @@ def build_world(data: dict[str, str], base_dir: Path) -> World:
                 ) from None
         elif default is not None:
             conf[target][field] = default
-    cfg = SimConfig(**conf["sim"])
+    cfg = SimConfig(**conf[SimConfig])
     graph = build_graph(parse_toplink_file(base_dir / conf["cli"]["topology"]), seed=cfg.seed)
-    strategy = parse_strategy(conf["cli"]["strategy"], **conf["gossip"])
-    bpd_cfg = None
-    if isinstance(strategy, Bpd):
-        if callable(conf["bpd"]["thresh"]):
-            conf["bpd"]["thresh"] = conf["bpd"]["thresh"](graph.n_nodes)
-        bpd_cfg = BpdConfig(**conf["bpd"])
+    cls = strategy_class(conf["cli"]["strategy"])
+    strategy = cls(**{f: v(graph.n_nodes) if callable(v) else v for f, v in conf[cls].items()})
     faults = _parse_faults(data, graph.nodes)
-    return World(graph, strategy, cfg, bpd_cfg=bpd_cfg, faults=faults)
+    return World(graph, strategy, cfg, faults=faults)
 
 
 # --- CSV output ------------------------------------------------------------
@@ -285,7 +283,7 @@ def cmd_bpd_trace(args) -> int:
     graph = build_graph(spec, seed=args.seed)
     thresh = Fraction(args.thresh) if args.thresh else default_threshold(graph.n_nodes)
     cfg = SimConfig(n_rounds=0, seed=args.seed)
-    world = World(graph, Bpd(), cfg, bpd_cfg=BpdConfig(thresh=thresh))
+    world = World(graph, Bpd(thresh), cfg)
     world.run_repair_cycle()
 
     print(f"peers={graph.n_nodes} edges={graph.n_edges} thresh={thresh}")

@@ -53,7 +53,6 @@ from fractions import Fraction
 from . import metrics
 from .bpd import (
     _NOTHING,
-    BpdConfig,
     BpdNode,
     DiscoverMsg,
     GrpAns,
@@ -72,7 +71,7 @@ from .groups import (
     join_group,
     leave_all,
 )
-from .workloads import DEFAULT_EPS, Bpd, Strategy, consensus_step, init_values, strategy_emit
+from .workloads import DEFAULT_EPS, Bpd, Gossip, Strategy, consensus_step, init_values, strategy_emit
 
 _CASCADE_CAP = 2_000_000
 
@@ -180,9 +179,7 @@ class World:
         graph: DirectedGraph,
         strategy: Strategy,
         cfg: SimConfig,
-        bpd_cfg: BpdConfig | None = None,
         faults: list[FaultEvent] | None = None,
-        trace_fn=None,
     ):
         self.strategy = strategy
         self.cfg = cfg
@@ -190,20 +187,25 @@ class World:
         self.window = cfg.de_window_rounds or 2 * len(self.roster)
         self.faults = list(faults or [])
         validate_schedule(self.faults, set(self.roster))
-        self.trace_fn = trace_fn
+        # a callable taking one trace line, or None for no trace
+        self.trace_fn = None
 
         self.assignment: GroupAssignment = form_groups(graph)
-        self.bpd_cfg = bpd_cfg
-        # converted once: every update delivery compares against it, and it is
-        # an int when integral, like the group weights it is compared with
-        self.thresh = None if bpd_cfg is None else int_if_integral(Fraction(bpd_cfg.thresh))
+        self.thresh = None
         if isinstance(strategy, Bpd):
-            if bpd_cfg is None:
-                raise ValueError("bpd strategy needs a BpdConfig")
+            # converted once: every update delivery compares against it, and it
+            # is an int when integral, like the group weights it is compared with
+            self.thresh = int_if_integral(Fraction(strategy.thresh))
             if self.thresh < graph.max_weight():
                 raise ValueError(
-                    f"thresh {bpd_cfg.thresh} below max edge weight {graph.max_weight()}"
+                    f"thresh {strategy.thresh} below max edge weight {graph.max_weight()}"
                 )
+        elif isinstance(strategy, Gossip) and strategy.fanout >= len(self.roster):
+            # a shortfall mid-run, while peers are down, caps the sample instead
+            raise ValueError(
+                f"fanout must be <= {len(self.roster) - 1}, the number of other peers,"
+                f" got {strategy.fanout}"
+            )
 
         self.alive: set[NodeId] = set(self.roster)
         # alive <= detected_alive: a crashed peer stays in it until detected
@@ -260,7 +262,7 @@ class World:
 
         self._deliver_app(consensus_in)
         self._detect()
-        if isinstance(self.strategy, Bpd) and (self.round - 1) % self.bpd_cfg.repair_period_rounds == 0:
+        if isinstance(self.strategy, Bpd) and (self.round - 1) % self.strategy.repair_period_rounds == 0:
             self._start_cycle()
         else:
             self._drain_control()

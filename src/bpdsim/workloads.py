@@ -11,25 +11,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .graph import NodeId
 
 DEFAULT_EPS = 0.5
 
 
-class TooFewPeersError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AllToAll:
-    name: str = "all-to-all"
+    pass
 
 
 @dataclass(frozen=True)
 class Gossip:
     fanout: int = 3
-    name: str = "gossip"
 
     def __post_init__(self):
         if self.fanout < 0:
@@ -38,12 +34,27 @@ class Gossip:
 
 @dataclass(frozen=True)
 class Unmodified:
-    name: str = "unmodified"
+    pass
 
 
 @dataclass(frozen=True)
 class Bpd:
-    name: str = "bpd"
+    """The declared topology managed by the bounded-path protocol: `thresh` bounds
+    every pairwise path cost, a repair cycle starts every `repair_period_rounds`,
+    and a pending repair query expires after `reply_timeout_rounds`."""
+
+    thresh: int | Fraction
+    repair_period_rounds: int = 200
+    reply_timeout_rounds: int = 5
+
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("thresh", self.thresh > 0, "> 0"),
+            ("repair_period_rounds", self.repair_period_rounds >= 1, ">= 1"),
+            ("reply_timeout_rounds", self.reply_timeout_rounds >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 Strategy = AllToAll | Gossip | Unmodified | Bpd
@@ -52,12 +63,17 @@ _NAMES = {"all-to-all": AllToAll, "alltoall": AllToAll, "gossip": Gossip,
           "unmodified": Unmodified, "bpd": Bpd}
 
 
-def parse_strategy(name: str, **gossip) -> Strategy:
-    """The named strategy; keyword arguments go to Gossip, other strategies ignore them."""
+def strategy_class(name: str) -> type[Strategy]:
+    """The strategy class a name stands for, ignoring case and surrounding space."""
     cls = _NAMES.get(name.strip().lower())
     if cls is None:
         raise ValueError(f"unknown strategy {name!r}")
-    return cls(**gossip) if cls is Gossip else cls()
+    return cls
+
+
+def parse_strategy(name: str, **params) -> Strategy:
+    """The named strategy, built from its own parameters."""
+    return strategy_class(name)(**params)
 
 
 def init_values(roster: list[NodeId], seed: int) -> dict[NodeId, float]:
@@ -84,11 +100,10 @@ def consensus_step(x_i: float, delivered: dict[NodeId, float], eps: float = DEFA
 def select_gossip_peers(
     node: NodeId, alive: set[NodeId], fanout: int, rng: random.Random
 ) -> list[NodeId]:
-    """Uniform sample of fanout distinct alive peers (never the node itself)."""
+    """Uniform sample of fanout distinct alive peers (never the node itself), or
+    every one of them when fewer are left."""
     pool = sorted(alive - {node})
-    if fanout > len(pool):
-        raise TooFewPeersError(f"fanout {fanout} > {len(pool)} available peers")
-    return sorted(rng.sample(pool, fanout))
+    return sorted(rng.sample(pool, min(fanout, len(pool))))
 
 
 def strategy_emit(strategy: Strategy, node: NodeId, world) -> list[NodeId]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from bpdsim import cli, metrics
-from bpdsim.bpd import BpdConfig, default_threshold
+from bpdsim.bpd import default_threshold
 from bpdsim.graph import all_pairs_costs, dijkstra, is_strongly_connected
 from bpdsim.simnet import FaultEvent, SimConfig, World
 from bpdsim.toplink import build_graph, parse_toplink, parse_toplink_file
@@ -33,7 +33,7 @@ def base10_graph():
 
 
 def repair_world(graph, thresh, **kw):
-    w = World(graph, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=thresh), **kw)
+    w = World(graph, Bpd(thresh), SimConfig(n_rounds=0, seed=0), **kw)
     w.run_repair_cycle()
     return w
 
@@ -87,15 +87,15 @@ def test_criterion_2_bounded_path_postcondition(capsys):
 def test_criterion_3_message_counts(capsys):
     g = base10_graph()
 
-    def msgs(strategy, bpd_cfg=None):
-        w = World(g, strategy, SimConfig(n_rounds=10, seed=42), bpd_cfg=bpd_cfg)
+    def msgs(strategy):
+        w = World(g, strategy, SimConfig(n_rounds=10, seed=42))
         w.run()
         return w, sorted({s.messages for s in w.stats})
 
     _, a2a = msgs(AllToAll())
     _, gsp = msgs(Gossip(3))
     _, unm = msgs(Unmodified())
-    wb, bpd = msgs(Bpd(), BpdConfig(thresh=3, repair_period_rounds=50))
+    wb, bpd = msgs(Bpd(3, repair_period_rounds=50))
     added = wb.effective_edge_count() - wb.edges_initial
     ok = (
         a2a == [30]
@@ -116,20 +116,20 @@ def test_criterion_3_message_counts(capsys):
 def test_criterion_4_dissemination_efficiency_under_faults(capsys):
     g = base10_graph()
 
-    def run(strategy, bpd_cfg, faults):
-        w = World(g, strategy, SimConfig(n_rounds=260, seed=7), bpd_cfg=bpd_cfg, faults=faults)
+    def run(strategy, faults):
+        w = World(g, strategy, SimConfig(n_rounds=260, seed=7), faults=faults)
         w.run()
         return w
 
-    bcfg = BpdConfig(thresh=3, repair_period_rounds=50)
-    de1 = run(Bpd(), bcfg, [FaultEvent(100, "crash", "c")]).stats[-1].mean_de
+    bpd = Bpd(3, repair_period_rounds=50)
+    de1 = run(bpd, [FaultEvent(100, "crash", "c")]).stats[-1].mean_de
     de2 = run(
-        Bpd(), bcfg, [FaultEvent(100, "crash", "c"), FaultEvent(150, "crash", "e")]
+        bpd, [FaultEvent(100, "crash", "c"), FaultEvent(150, "crash", "e")]
     ).stats[-1].mean_de
-    deu = run(Unmodified(), None, [FaultEvent(100, "crash", "c")]).stats[-1].mean_de
+    deu = run(Unmodified(), [FaultEvent(100, "crash", "c")]).stats[-1].mean_de
 
     shape = run(
-        Bpd(), bcfg, [FaultEvent(100, "crash", "c"), FaultEvent(180, "recover", "c")]
+        bpd, [FaultEvent(100, "crash", "c"), FaultEvent(180, "recover", "c")]
     )
     des = [s.mean_de for s in shape.stats]
     steady_before = des[98] == 1.0
@@ -169,11 +169,11 @@ def test_criterion_5_consensus_ordering(capsys):
     wins = 0
     for seed in range(20):
         bands = {}
-        for name, strat, bcfg in [
-            ("bpd", Bpd(), BpdConfig(thresh=3, repair_period_rounds=50)),
-            ("unmod", Unmodified(), None),
+        for name, strat in [
+            ("bpd", Bpd(3, repair_period_rounds=50)),
+            ("unmod", Unmodified()),
         ]:
-            wr = World(g, strat, SimConfig(n_rounds=300, seed=seed), bpd_cfg=bcfg)
+            wr = World(g, strat, SimConfig(n_rounds=300, seed=seed))
             wr.run()
             band = metrics.iterations_to_band(wr.x_trace, true_average(wr.x0))
             bands[name] = float("inf") if band is None else band
@@ -205,9 +205,8 @@ def test_criterion_6_fault_recovery_connectivity(capsys):
             faults.append(FaultEvent(45, "crash", victims[1]))
         w = World(
             g,
-            Bpd(),
+            Bpd(thresh, repair_period_rounds=1000),
             SimConfig(n_rounds=60, seed=idx),
-            bpd_cfg=BpdConfig(thresh=thresh, repair_period_rounds=1000),
             faults=faults,
         )
         w.run()

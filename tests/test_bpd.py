@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpdsim import bpd, simnet
-from bpdsim.bpd import BpdConfig, BpdNode, DiscoverMsg, UpdateMsg, default_threshold
+from bpdsim.bpd import BpdNode, DiscoverMsg, UpdateMsg, default_threshold
 from bpdsim.graph import all_pairs_costs, dijkstra, is_strongly_connected
 from bpdsim.simnet import SimConfig, World
 from bpdsim.workloads import Bpd
@@ -14,9 +14,7 @@ from conftest import corpus_graph, make_graph, random_sc_digraph
 
 def cycle_world(graph, thresh=None):
     th = thresh if thresh is not None else default_threshold(graph.n_nodes)
-    w = World(
-        graph, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=th)
-    )
+    w = World(graph, Bpd(th), SimConfig(n_rounds=0, seed=0))
     w.run_repair_cycle()
     return w
 
@@ -49,22 +47,22 @@ def test_default_threshold_values():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        BpdConfig(thresh=0)
+        Bpd(0)
     with pytest.raises(ValueError):
-        BpdConfig(thresh=3, repair_period_rounds=0)
+        Bpd(3, repair_period_rounds=0)
 
 
 def test_world_rejects_thresh_below_max_weight():
     g = make_graph([("a", "b"), ("b", "a")], weights=[5, 5])
     with pytest.raises(ValueError):
-        World(g, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=3))
+        World(g, Bpd(3), SimConfig(n_rounds=0, seed=0))
 
 
 # --- stage 1: discovery ------------------------------------------------
 
 
 def test_discovery_emits_depth_zero_on_recv_groups(base10):
-    w = World(base10, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=3))
+    w = World(base10, Bpd(3), SimConfig(n_rounds=0, seed=0))
     res = w.nodes["a"].start_discovery()
     # a receives from b and c (edges b->a, c->a)
     gids = sorted(e[1] for e in res.emissions)
@@ -103,7 +101,7 @@ def test_update_targets_on_six_ring():
     g = make_graph(
         [("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n3", "n4"), ("n4", "n5"), ("n5", "n0")]
     )
-    w = World(g, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=3))
+    w = World(g, Bpd(3), SimConfig(n_rounds=0, seed=0))
     # run only the discovery stage, then ask for targets directly
     w._discover()
     assert w.nodes["n0"].update_targets() == ["n4", "n5"]
@@ -111,7 +109,7 @@ def test_update_targets_on_six_ring():
 
 def test_cycle_stages_share_one_cascade_count(base10, monkeypatch):
     def world():
-        return World(base10, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=3))
+        return World(base10, Bpd(3), SimConfig(n_rounds=0, seed=0))
 
     delivered = []
 
@@ -172,13 +170,8 @@ def test_second_request_same_epoch_not_served_twice(base10):
 
 def test_join_reasons_name_requesters(base10):
     lines = []
-    w = World(
-        base10,
-        Bpd(),
-        SimConfig(n_rounds=0, seed=0),
-        bpd_cfg=BpdConfig(thresh=3),
-        trace_fn=lines.append,
-    )
+    w = World(base10, Bpd(3), SimConfig(n_rounds=0, seed=0))
+    w.trace_fn = lines.append
     w.run_repair_cycle()
     joins = [l for l in lines if " join " in l]
     assert joins and all("update:" in l for l in joins)

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from bpdsim import cli, simnet
-from bpdsim.bpd import BpdConfig, default_threshold
+from bpdsim.bpd import default_threshold
 from bpdsim.simnet import SimConfig
-from bpdsim.workloads import Gossip
+from bpdsim.workloads import Bpd
 
 DATA = Path(__file__).parent / "data" / "toplink"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -142,6 +142,8 @@ def test_scenario_bad_thresh(tmp_path, capsys):
         ("repair.period.rounds = 0", "repair_period_rounds"),
         ("reply.timeout.rounds = 0", "reply_timeout_rounds"),
         ("strategy = gossip\ngossip.fanout = -2", "fanout"),
+        # more than the five other peers of net.tl
+        ("strategy = gossip\ngossip.fanout = 6", "fanout"),
     ],
 )
 def test_scenario_value_out_of_range(line, field, tmp_path, capsys):
@@ -157,7 +159,7 @@ def test_scenario_of_only_a_topology_takes_every_default(tmp_path):
     scn = write_scenario(tmp_path, "topology = net.tl\n")
     world = cli.build_world(cli.parse_scenario(scn), tmp_path)
     assert world.cfg == SimConfig(n_rounds=300)
-    assert world.bpd_cfg == BpdConfig(thresh=default_threshold(len(world.roster)))
+    assert world.strategy == Bpd(default_threshold(len(world.roster)))
 
 
 def _readme_defaults() -> dict[str, str]:
@@ -176,8 +178,7 @@ def _code_default(key: str):
     row = cli._KEYS[key]
     if row.default is not None or row.target == "cli":
         return row.default
-    cls = {"sim": SimConfig, "bpd": BpdConfig, "gossip": Gossip}[row.target]
-    return {f.name: f.default for f in dataclasses.fields(cls)}[row.field]
+    return {f.name: f.default for f in dataclasses.fields(row.target)}[row.field]
 
 
 def test_readme_scenario_table_matches_key_table():
@@ -215,6 +216,33 @@ def test_run_writes_csvs(tmp_path, capsys):
         "bandwidth_kbps,edges_initial,edges_added"
     )
     assert len(summary) == 2
+
+
+def test_gossip_sends_to_every_peer_left_when_fewer_than_fanout(tmp_path, capsys):
+    scn = write_scenario(
+        tmp_path,
+        "topology = net.tl\nstrategy = gossip\ngossip.fanout = 3\nrounds = 10\n"
+        "faults.1 = 2 crash a\nfaults.2 = 2 crash b\nfaults.3 = 2 crash c\n",
+    )
+    code, _, err = run_cli(["run", str(scn)], capsys)
+    assert code == 0, err
+    rows = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10 and (tmp_path / "out" / "summary.csv").exists()
+    # the crashes are detected in round 3; from then on d, e and f each send
+    # to the other two
+    assert [int(row.split(",")[1]) for row in rows[2:]] == [6] * 8
+
+
+@pytest.mark.parametrize(
+    "line, code",
+    [("repair.period.rounds = 0", 0), ("thresh = x", 1)],
+    ids=["out-of-range-ignored", "malformed-rejected"],
+)
+def test_another_strategys_key_is_converted_then_ignored(line, code, tmp_path, capsys):
+    scn = write_scenario(tmp_path, f"topology = net.tl\nstrategy = gossip\nrounds = 3\n{line}\n")
+    got, _, err = run_cli(["run", str(scn)], capsys)
+    assert got == code, err
+    assert (tmp_path / "out" / "rounds.csv").exists() == (code == 0)
 
 
 def test_run_reruns_byte_identical(tmp_path, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bpdsim.bpd import BpdConfig, JoinReq, JoinRep, default_threshold
+from bpdsim.bpd import JoinReq, JoinRep, default_threshold
 from bpdsim.graph import all_pairs_costs, is_strongly_connected
 from bpdsim.groups import RECEIVER, SENDER
 from bpdsim.simnet import FaultEvent, SimConfig, World
@@ -14,9 +14,8 @@ def run_with_faults(graph, faults, rounds=40, thresh=None, seed=0):
     th = thresh if thresh is not None else default_threshold(graph.n_nodes)
     w = World(
         graph,
-        Bpd(),
+        Bpd(th, repair_period_rounds=1000),
         SimConfig(n_rounds=rounds, seed=seed),
-        bpd_cfg=BpdConfig(thresh=th, repair_period_rounds=1000),
         faults=faults,
     )
     w.run()
@@ -138,9 +137,8 @@ def test_recovery_before_detection_is_silent():
     g = make_graph([("a", "b"), ("b", "c"), ("c", "a")])
     w = World(
         g,
-        Bpd(),
+        Bpd(2, repair_period_rounds=1000),
         SimConfig(n_rounds=12, seed=0, detection_rounds=3),
-        bpd_cfg=BpdConfig(thresh=2, repair_period_rounds=1000),
         faults=[FaultEvent(5, "crash", "b"), FaultEvent(6, "recover", "b")],
     )
     w.run()
@@ -152,7 +150,7 @@ def test_leader_offers_only_useful_groups():
     # direct handler check: a leader never offers a group the requester
     # already sends in, even when it is the smallest
     g = make_graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "b")])
-    w = World(g, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=BpdConfig(thresh=2))
+    w = World(g, Bpd(2), SimConfig(n_rounds=0, seed=0))
     leader = w.nodes["c"]
     res = leader.on_join_req(JoinReq("b", "send_grp"), None)
     (kind, dsts, rep), = res.emissions
@@ -186,14 +184,11 @@ def repair_world(n, seed, crashes, timeout, rounds):
     lines = []
     w = World(
         g,
-        Bpd(),
+        Bpd(default_threshold(n), repair_period_rounds=3, reply_timeout_rounds=timeout),
         SimConfig(n_rounds=rounds, seed=0),
-        bpd_cfg=BpdConfig(
-            thresh=default_threshold(n), repair_period_rounds=3, reply_timeout_rounds=timeout
-        ),
         faults=[FaultEvent(r, "crash", node) for r, node in crashes],
-        trace_fn=lines.append,
     )
+    w.trace_fn = lines.append
     return w, lines
 
 

@@ -25,3 +25,19 @@ def test_run_experiments_smoke():
     assert proc.returncode == 0, proc.stderr
     lines = [line.strip() for line in proc.stdout.splitlines()]
     assert "connected and bounded after repair: 5/5" in lines
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.split()) == 2

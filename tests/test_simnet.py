@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpdsim import bpd, cli, simnet
-from bpdsim.bpd import BpdConfig, BpdNode, DiscoverMsg, HandlerResult, default_threshold
+from bpdsim.bpd import BpdNode, DiscoverMsg, HandlerResult, default_threshold
 from bpdsim.graph import hop_counts
 from bpdsim.groups import RECEIVER, join_group
 from bpdsim.metrics import NO_RECEIPT
@@ -29,7 +29,6 @@ def mesh_world(rounds=10, seed=0, faults=None, strategy=None, **cfg):
         g,
         strategy or AllToAll(),
         SimConfig(n_rounds=rounds, seed=seed, **cfg),
-        bpd_cfg=BpdConfig(thresh=3) if isinstance(strategy, Bpd) else None,
         faults=faults or [],
     )
 
@@ -172,7 +171,7 @@ def test_recover_alive_is_noop():
 
 
 def test_effective_edges_track_joins():
-    w = mesh_world(rounds=2, strategy=Bpd())
+    w = mesh_world(rounds=2, strategy=Bpd(3))
     assert w.edges_initial == 10
     w.run()
     assert w.effective_edge_count() > 10
@@ -182,12 +181,7 @@ def test_effective_edges_track_joins():
 def test_not_connected_flag_on_split_topology():
     # two separate 2-cycles: discovery can never span them
     g = make_graph([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")])
-    w = World(
-        g,
-        Bpd(),
-        SimConfig(n_rounds=1, seed=0),
-        bpd_cfg=BpdConfig(thresh=2),
-    )
+    w = World(g, Bpd(2), SimConfig(n_rounds=1, seed=0))
     w.run()
     assert w.not_connected_rounds == [1]
 
@@ -234,7 +228,10 @@ def test_stamps_follow_hop_distance(n, seed, direct, rounds):
             assert w.receipts[d] == [r if o in want else NO_RECEIPT for o in w.roster]
 
 
-_DE_STRATEGIES = st.sampled_from([AllToAll(), Unmodified(), Gossip(fanout=1)])
+def _de_strategies(n):
+    return st.one_of(
+        st.sampled_from([AllToAll(), Unmodified()]), st.integers(1, n - 1).map(Gossip)
+    )
 
 
 @st.composite
@@ -264,9 +261,9 @@ def test_de_matches_the_dict_oracle(data):
         detection_rounds=data.draw(st.integers(1, 3), "detection"),
         de_window_rounds=data.draw(st.one_of(st.none(), st.integers(1, 6)), "window"),
     )
-    # two peers never fail, so a gossip peer always has someone to pick
-    faults = data.draw(_fault_schedules(g.nodes[2:], rounds), "faults")
-    w = World(g, data.draw(_DE_STRATEGIES, "strategy"), cfg, faults=faults)
+    # any peer may fail, so a gossip peer may have fewer peers left than its fanout
+    faults = data.draw(_fault_schedules(g.nodes, rounds), "faults")
+    w = World(g, data.draw(_de_strategies(n), "strategy"), cfg, faults=faults)
     oracle = DeOracle(w.roster)
     for r in range(1, rounds + 1):
         before = {d: list(v) for d, v in w.stamps.items()}
@@ -296,8 +293,7 @@ DELIVERY_DIGESTS = json.loads(
 def ring12_cycle():
     names = [f"n{i:02d}" for i in range(12)]
     g = make_graph([(u, names[(i + 1) % 12]) for i, u in enumerate(names)])
-    cfg = BpdConfig(thresh=default_threshold(12))
-    World(g, Bpd(), SimConfig(n_rounds=0, seed=0), bpd_cfg=cfg).run_repair_cycle()
+    World(g, Bpd(default_threshold(12)), SimConfig(n_rounds=0, seed=0)).run_repair_cycle()
 
 
 def bpd_crash_run():
@@ -339,7 +335,7 @@ def test_shared_empty_result_stays_empty_through_a_run():
 
 
 def test_group_destinations_frozen_at_emission(monkeypatch):
-    w = mesh_world(rounds=0, strategy=Bpd())
+    w = mesh_world(rounds=0, strategy=Bpd(3))
     got = []
     on_discover = BpdNode.on_discover
 

@@ -9,7 +9,6 @@ from bpdsim.workloads import (
     AllToAll,
     Bpd,
     Gossip,
-    TooFewPeersError,
     Unmodified,
     consensus_step,
     init_values,
@@ -75,9 +74,9 @@ def test_gossip_peer_selection():
     assert set(picks) <= alive
 
 
-def test_gossip_fanout_too_big():
-    with pytest.raises(TooFewPeersError):
-        select_gossip_peers("a", {"a", "b"}, 2, random.Random(0))
+def test_gossip_fanout_capped_at_the_peers_left():
+    assert select_gossip_peers("a", {"a", "b"}, 2, random.Random(0)) == ["b"]
+    assert select_gossip_peers("a", {"a"}, 2, random.Random(0)) == []
 
 
 def test_gossip_selection_seeded():
@@ -91,9 +90,12 @@ def test_parse_strategy_names():
     assert parse_strategy("ALLTOALL") == AllToAll()
     assert parse_strategy("gossip", fanout=5) == Gossip(5)
     assert parse_strategy("unmodified") == Unmodified()
-    assert parse_strategy(" bpd ") == Bpd()
+    assert parse_strategy(" bpd ", thresh=3) == Bpd(3)
     with pytest.raises(ValueError):
         parse_strategy("carrier-pigeon")
+    # each strategy takes only its own parameters
+    with pytest.raises(TypeError):
+        parse_strategy("all-to-all", fanout=3)
 
 
 def test_emit_shapes():
@@ -105,6 +107,13 @@ def test_emit_shapes():
     assert strategy_emit(Unmodified(), "b", w) == ["a"]
     picks = strategy_emit(Gossip(3), "a", w)
     assert len(picks) == 3 and "a" not in picks
+
+
+def test_world_rejects_a_fanout_beyond_the_other_peers():
+    g = make_graph(BASE10_EDGES)
+    World(g, Gossip(5), SimConfig(n_rounds=0, seed=0))
+    with pytest.raises(ValueError, match="fanout must be <= 5"):
+        World(g, Gossip(6), SimConfig(n_rounds=0, seed=0))
 
 
 def test_all_to_all_contracts_spread():
