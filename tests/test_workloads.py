@@ -74,7 +74,8 @@ def test_gossip_peer_selection():
     assert set(picks) <= alive
 
 
-def test_gossip_fanout_capped_at_the_peers_left():
+def test_gossip_fanout_too_big():
+    # fewer peers left than the fanout: the sample takes every one of them
     assert select_gossip_peers("a", {"a", "b"}, 2, random.Random(0)) == ["b"]
     assert select_gossip_peers("a", {"a"}, 2, random.Random(0)) == []
 
