@@ -8,11 +8,13 @@ group can end up with several senders. The projection back to a digraph is
 `effective_graph`: one edge per (alive sender, alive receiver) pair.
 
 A group broadcast goes to every member but the emitter, in sorted order.
-`Group.fanout` computes that tuple once per emitter and keeps it until the
-group's membership next changes: `form_groups`, `join_group` and `leave_all`
-are the only code that changes memberships, and the last two clear the cache
-of each group they change. A tuple handed out is never altered, so a message
-that holds one keeps the destinations it was emitted to.
+`Group.fanout` computes that tuple once per emitter, and
+`Group.sorted_receivers` the group's receivers in sorted order, which is who
+application data sent on the group reaches; each is kept until the group's
+membership next changes: `form_groups`, `join_group` and `leave_all` are the
+only code that changes memberships, and the last two clear the caches of each
+group they change. A tuple handed out is never altered, so a message that
+holds one keeps the destinations it was emitted to.
 
 Group weights are exact: an `int` when integral, a `fractions.Fraction`
 otherwise (see `graph.int_if_integral`).
@@ -58,6 +60,10 @@ class Group:
     _fanout: dict[NodeId, tuple[NodeId, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # the receivers, sorted; valid until membership changes
+    _receivers: tuple[NodeId, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def members(self) -> set[NodeId]:
@@ -69,6 +75,17 @@ class Group:
         if dsts is None:
             dsts = self._fanout[emitter] = tuple(sorted(self.members - {emitter}))
         return dsts
+
+    def sorted_receivers(self) -> tuple[NodeId, ...]:
+        """The receivers, sorted: who data sent on the group reaches."""
+        if self._receivers is None:
+            self._receivers = tuple(sorted(self.receivers))
+        return self._receivers
+
+    def _membership_changed(self) -> None:
+        """Drop every cached tuple; called by each change to the member sets."""
+        self._fanout.clear()
+        self._receivers = None
 
     @property
     def size(self) -> int:
@@ -82,7 +99,7 @@ class GroupAssignment:
 
     `form_groups`, `join_group` and `leave_all` are the only code that
     changes memberships; each keeps the index in step with the member sets,
-    and the last two clear the fan-out cache of every group they change.
+    and the last two clear the cached tuples of every group they change.
     """
 
     groups: dict[GroupId, Group] = field(default_factory=dict)
@@ -168,7 +185,7 @@ def join_group(
     if node in members:
         return None
     members.add(node)
-    grp._fanout.clear()
+    grp._membership_changed()
     index[node] = tuple(sorted(index.get(node, ()) + (grp,), key=attrgetter("gid")))
     return MembershipEvent("MemberJoined", gid, node, role, round)
 
@@ -182,10 +199,10 @@ def leave_all(assignment: GroupAssignment, node: NodeId) -> list[tuple[GroupId, 
     recvs = assignment._recvs.pop(node, ())
     for g in sends:
         g.senders.discard(node)
-        g._fanout.clear()
+        g._membership_changed()
     for g in recvs:
         g.receivers.discard(node)
-        g._fanout.clear()
+        g._membership_changed()
     removed = [(g.gid, SENDER) for g in sends] + [(g.gid, RECEIVER) for g in recvs]
     removed.sort(key=lambda entry: (entry[0], entry[1] != SENDER))
     return removed

@@ -26,14 +26,26 @@ pure function of its configuration.
 Freshness for dissemination efficiency travels with the application data.
 Each node holds a stamp vector indexed by position in the sorted roster: the
 latest round whose information from that origin it has, -1 for never. A
-sender stamps its own slot with the round and attaches one tuple snapshot of
-its vector to all of that round's messages. On delivery each destination
-merges every snapshot it received with one element-wise max, then records
-that round in its receipt vector, indexed like the stamps, at every origin
-whose stamp rose: one `metrics.record_receipt` call per destination per
-round. The max does not depend on arrival order, so the merged vectors, and
-with them the DE figures, are the same as folding the messages in one at a
-time.
+sender stamps its own slot with the round and takes one tuple snapshot of
+its vector, and the round's application traffic is queued as one in-flight
+entry per sender: its value, that snapshot and its destinations, fanned out
+in order on delivery. Each destination then merges what it received with one
+element-wise max and records that round in its receipt vector, indexed like
+the stamps, at every origin whose stamp rose: one `metrics.record_receipt`
+call per destination per round. The max does not depend on arrival order, so
+the merged vectors, and with them the DE figures, are the same as folding
+the messages in one at a time.
+
+Destinations share that max. Nothing writes a stamp vector between a round's
+send and the next round's delivery, so a peer that sent holds exactly the
+snapshot it sent, and a destination's merge is the max over the vectors of
+itself and of the senders it heard from: a function of that set of names.
+Each distinct set is merged once per round and every destination gets its
+own copy; under all-to-all every destination hears the same set, so a round
+costs one merge where it used to cost one per destination. A destination
+that did not send (a peer that recovered this round, or one with no
+destinations) brings its current vector, and its set can equal no other
+destination's, since nobody heard from it.
 
 Crashed peers neither send nor receive. Messages addressed to one are still
 counted as sent and then dropped, because the senders cannot know better
@@ -230,8 +242,9 @@ class World:
         self.round = 0
         self.epoch = 0
         self._ctrl: deque = deque()
-        # (src, dst, x, stamp snapshot) per message sent last round
-        self._app_inflight: list[tuple[NodeId, NodeId, float, tuple[int, ...]]] = []
+        # (src, x, stamp snapshot, destinations) per peer that sent last round;
+        # until its delivery, each such peer's stamp vector equals its snapshot
+        self._app_inflight: list[tuple[NodeId, float, tuple[int, ...], list[NodeId]]] = []
         self.stats: list[RoundStats] = []
         self.x_trace: list[dict[NodeId, float]] = []
         self.de_trace: list[dict[NodeId, float]] = []
@@ -322,19 +335,31 @@ class World:
         tracing = self.trace_fn is not None
         # consensus_in is filled in message order: the float sums of
         # consensus_step follow its insertion order
-        snapshots: dict[NodeId, list[tuple[int, ...]]] = {}
-        for src, dst, x, snapshot in inflight:
-            if dst not in alive:
-                continue
-            consensus_in[dst][src] = x
-            snapshots.setdefault(dst, []).append(snapshot)
-            if tracing:
-                self._trace(f"deliver app {src} {dst}")
+        sent: dict[NodeId, tuple[int, ...]] = {}
+        for src, x, snapshot, dsts in inflight:
+            sent[src] = snapshot
+            for dst in dsts:
+                if dst not in alive:
+                    continue
+                consensus_in[dst][src] = x
+                if tracing:
+                    self._trace(f"deliver app {src} {dst}")
         stamps, receipts = self.stamps, self.receipts
         record, rnd = metrics.record_receipt, self.round
-        for dst, got in snapshots.items():
+        # {destination} | the senders it heard from -> their element-wise max
+        merges: dict[frozenset[NodeId], list[int]] = {}
+        for dst, heard in consensus_in.items():
+            if not heard:
+                continue
             mine = stamps[dst]
-            merged = stamps[dst] = list(map(max, mine, *got))
+            key = frozenset(heard) | {dst}
+            shared = merges.get(key)
+            if shared is None:
+                vectors = [sent[src] for src in heard]
+                vectors.append(sent.get(dst, mine))
+                shared = merges[key] = list(map(max, *vectors))
+            # a list of its own: _send_app writes the destination's own slot
+            stamps[dst] = merged = shared.copy()
             record(receipts[dst], mine, merged, rnd)
 
     def _detect(self) -> None:
@@ -445,9 +470,7 @@ class World:
             dsts = strategy_emit(self.strategy, n, self)
             if not dsts:
                 continue
-            snapshot = tuple(mine)
-            xval = self.x[n]
-            self._app_inflight.extend((n, dst, xval, snapshot) for dst in dsts)
+            self._app_inflight.append((n, self.x[n], tuple(mine), dsts))
             self._app_sent += len(dsts)
             self._bytes += len(dsts) * self.cfg.payload_bytes
 

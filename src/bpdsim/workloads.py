@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import sub
 
 from .graph import NodeId
 
@@ -94,7 +96,7 @@ def consensus_step(x_i: float, delivered: dict[NodeId, float], eps: float = DEFA
     if k == 0:
         return x_i
     a = eps / k
-    return x_i + a * sum(x_j - x_i for x_j in delivered.values())
+    return x_i + a * sum(map(sub, delivered.values(), repeat(x_i)))
 
 
 def select_gossip_peers(
@@ -119,7 +121,7 @@ def strategy_emit(strategy: Strategy, node: NodeId, world) -> list[NodeId]:
         return select_gossip_peers(node, world.detected_alive, strategy.fanout, world.gossip_rng)
     dsts: list[NodeId] = []
     for g in world.assignment.send_groups(node):
-        for r in sorted(g.receivers):
+        for r in g.sorted_receivers():
             if r != node:
                 dsts.append(r)
     return dsts

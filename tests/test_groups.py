@@ -76,9 +76,11 @@ def test_lookups_match_a_scan_after_membership_changes(n, seed, steps):
         assert effective_graph(asg, alive).nodes == tuple(
             sorted(n for n in alive if any(n in g.members for g in asg.groups.values()))
         )
-        # every cached fan-out equals a fresh scan; asking fills the cache,
-        # so the next step checks that it was cleared where it went stale
+        # every cached fan-out and receiver tuple equals a fresh scan; asking
+        # fills the cache, so the next step checks that it was cleared where
+        # it went stale
         for g in asg.groups.values():
+            assert g.sorted_receivers() == tuple(sorted(g.receivers))
             for e in nodes:
                 assert g.fanout(e) == tuple(sorted(g.members - {e}))
 
@@ -86,6 +88,7 @@ def test_lookups_match_a_scan_after_membership_changes(n, seed, steps):
     for step in steps:
         node = nodes[step[1] % n]
         handed = [(t := g.fanout(e), list(t)) for g in asg.groups.values() for e in nodes]
+        handed += [(t := g.sorted_receivers(), list(t)) for g in asg.groups.values()]
         if step[0] == "join":
             join_group(asg, node, gids[step[2] % len(gids)], step[3])
         else:

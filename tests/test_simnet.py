@@ -279,6 +279,85 @@ def test_de_matches_the_dict_oracle(data):
         assert w.de_trace[-1] == want
 
 
+def step_against_merge_oracle(w):
+    """Run one round of `w` and check every stamp vector against the plain
+    merge: each alive destination folds every snapshot it received into its
+    own vector, `list(map(max, mine, *snapshots))`, then stamps its own slot
+    when it sends."""
+    before = {d: list(v) for d, v in w.stamps.items()}
+    inflight = list(w._app_inflight)
+    w.step_round()
+    got = {}
+    for _src, _x, snapshot, dsts in inflight:
+        for dst in dsts:
+            if dst in w.alive:
+                got.setdefault(dst, []).append(snapshot)
+    for d in w.roster:
+        want = list(map(max, before[d], *got[d])) if d in got else before[d]
+        if d in w.alive:
+            want[w.pos[d]] = w.round
+        assert w.stamps[d] == want, (w.round, d)
+    # no two peers hold one list: a write to one vector must not show in another
+    assert len({id(v) for v in w.stamps.values()}) == len(w.roster)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_merge_matches_the_per_destination_merge(data):
+    n = data.draw(st.integers(2, 8), "n")
+    rounds = data.draw(st.integers(1, 20), "rounds")
+    g = random_sc_digraph(n, data.draw(st.integers(0, 10_000), "seed"))
+    cfg = SimConfig(
+        n_rounds=rounds,
+        seed=data.draw(st.integers(0, 100), "sim seed"),
+        detection_rounds=data.draw(st.integers(1, 3), "detection"),
+    )
+    # bpd with a short period, so repair joins put receivers in further groups
+    bpd_strategy = st.integers(1, 4).map(lambda period: Bpd(2, repair_period_rounds=period))
+    strategy = data.draw(st.one_of(_de_strategies(n), bpd_strategy), "strategy")
+    faults = data.draw(_fault_schedules(g.nodes, rounds), "faults")
+    w = World(g, strategy, cfg, faults=faults)
+    for _ in range(rounds):
+        step_against_merge_oracle(w)
+
+
+def test_peer_recovering_into_an_all_to_all_round_keeps_what_only_it_holds():
+    # d's last message (sent in round 2) reaches only c, since a and b are down
+    # from round 3; c goes down in round 4, a and b come back in round 5 and c
+    # in round 6, when it hears a and b without having sent itself: its merge
+    # must keep d's round-2 stamp, which a and b never got
+    faults = [
+        FaultEvent(3, "crash", "a"),
+        FaultEvent(3, "crash", "b"),
+        FaultEvent(3, "crash", "d"),
+        FaultEvent(4, "crash", "c"),
+        FaultEvent(5, "recover", "a"),
+        FaultEvent(5, "recover", "b"),
+        FaultEvent(6, "recover", "c"),
+    ]
+    g = make_graph([(u, v) for u in "abcd" for v in "abcd" if u != v])
+    w = World(g, AllToAll(), SimConfig(n_rounds=6, detection_rounds=10), faults=faults)
+    for _ in range(5):
+        step_against_merge_oracle(w)
+    assert [src for src, *_ in w._app_inflight] == ["a", "b"]
+    step_against_merge_oracle(w)
+    assert w.stamps["c"][w.pos["d"]] == 2
+    assert w.stamps["a"][w.pos["d"]] == w.stamps["b"][w.pos["d"]] == 1
+
+
+def test_receiver_in_two_send_groups_of_one_sender():
+    # a sends on g.a.0 (to b) and g.a.1 (to c); b also joins g.a.1, so a's
+    # message reaches b twice, and b and c hear the same sender set {a}
+    g = make_graph([("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")], weights=[1, 2, 1, 1])
+    w = World(g, Unmodified(), SimConfig(n_rounds=4))
+    assert join_group(w.assignment, "b", "g.a.1", RECEIVER)
+    for _ in range(4):
+        step_against_merge_oracle(w)
+        assert w.stats[-1].messages == 5
+    src, _x, _snapshot, dsts = w._app_inflight[0]
+    assert (src, dsts) == ("a", ["b", "b", "c"])
+
+
 # --- control delivery order -------------------------------------------------
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
