@@ -15,14 +15,13 @@ import argparse
 import random
 import statistics
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
 
 from bpdsim import metrics
 from bpdsim.bpd import default_threshold
-from bpdsim.graph import DirectedGraph, all_pairs_costs, is_strongly_connected
+from bpdsim.graph import all_pairs_costs, is_strongly_connected, random_sc_digraph
 from bpdsim.simnet import FaultEvent, SimConfig, World
 from bpdsim.toplink import build_graph, parse_toplink_file
 from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified, true_average
@@ -80,21 +79,6 @@ def fault_table(graph, rounds):
         w = run_world(graph, strategy, 7, rounds, faults)
         print(f"  {name:<22} DE = {w.stats[-1].mean_de:.4f}")
     print()
-
-
-def random_sc_digraph(n, seed, weights=(1, 2), extra_p=0.25):
-    rng = random.Random(f"corpus:{n}:{seed}")
-    nodes = [f"n{i}" for i in range(n)]
-    order = nodes[:]
-    rng.shuffle(order)
-    edges = {}
-    for i, u in enumerate(order):
-        edges[(u, order[(i + 1) % n])] = Fraction(rng.choice(weights))
-    for u in nodes:
-        for v in nodes:
-            if u != v and (u, v) not in edges and rng.random() < extra_p:
-                edges[(u, v)] = Fraction(rng.choice(weights))
-    return DirectedGraph(nodes=tuple(nodes), edges=edges)
 
 
 def repair_table(cases):

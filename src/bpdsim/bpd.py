@@ -161,7 +161,11 @@ class BpdNode:
     """Protocol state for one peer, bound to the world that delivers to it.
 
     The node reads the world's assignment, detected-alive set, round, epoch,
-    threshold and reply timeout, and never writes them.
+    and its `Bpd` strategy's threshold and reply timeout, and never writes
+    them. Only a world whose strategy is `Bpd` builds nodes, so only such a
+    world and its nodes form a reference cycle, which the cyclic collector
+    frees. The cycle stays: the nodes read the live round and epoch, and a
+    weak reference would cost a dereference on every handler call.
     """
 
     def __init__(self, nid: NodeId, world: World):
@@ -212,7 +216,7 @@ class BpdNode:
 
     def update_targets(self) -> list[NodeId]:
         """Peers (from the roster seen at discovery) beyond thresh or unknown."""
-        thresh = self.world.thresh
+        thresh = self.world.strategy.thresh
         out = []
         for peer in self.roster_view:
             if peer == self.nid:
@@ -225,7 +229,7 @@ class BpdNode:
     def start_update(self, targets: list[NodeId]) -> HandlerResult:
         res = HandlerResult()
         send_groups = self.world.assignment.send_groups(self.nid)
-        thresh = self.world.thresh
+        thresh = self.world.strategy.thresh
         for target in targets:
             for g in send_groups:
                 depth = g.weight
@@ -258,7 +262,7 @@ class BpdNode:
             return _NOTHING
         self._forwarded.add(key)
         res = HandlerResult()
-        thresh = world.thresh
+        thresh = world.strategy.thresh
         for g in world.assignment.send_groups(self.nid):
             depth = msg.depth + g.weight
             grp = g.gid if depth <= thresh else msg.grp

@@ -9,6 +9,7 @@ just as exact, and mixed `int`/`Fraction` sums and comparisons stay exact.
 from __future__ import annotations
 
 import heapq
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -111,6 +112,25 @@ def hop_counts(graph: DirectedGraph, src: NodeId) -> dict[NodeId, int]:
                 hops[v] = hops[u] + 1
                 q.append(v)
     return hops
+
+
+def random_sc_digraph(
+    n: int, seed: int, weights: tuple = (1, 2), extra_p: float = 0.25
+) -> DirectedGraph:
+    """Strongly connected by construction: hidden Hamiltonian cycle plus
+    random extra edges."""
+    rng = random.Random(f"corpus:{n}:{seed}")
+    nodes = [f"n{i}" for i in range(n)]
+    order = nodes[:]
+    rng.shuffle(order)
+    edges = {}
+    for i, u in enumerate(order):
+        edges[(u, order[(i + 1) % n])] = Fraction(rng.choice(weights))
+    for u in nodes:
+        for v in nodes:
+            if u != v and (u, v) not in edges and rng.random() < extra_p:
+                edges[(u, v)] = Fraction(rng.choice(weights))
+    return DirectedGraph(nodes=tuple(nodes), edges=edges)
 
 
 def is_strongly_connected(graph: DirectedGraph) -> bool:

@@ -37,10 +37,6 @@ class UnknownGroupError(KeyError):
     pass
 
 
-class EmptyGroupError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class MembershipEvent:
     kind: str  # "MemberJoined" | "MemberLeft"
@@ -208,20 +204,7 @@ def leave_all(assignment: GroupAssignment, node: NodeId) -> list[tuple[GroupId, 
     return removed
 
 
-def elect_leader(group: Group, alive: set[NodeId]) -> NodeId:
-    """Deterministic: the lexicographically smallest alive member."""
-    candidates = sorted(m for m in group.members if m in alive)
-    if not candidates:
-        raise EmptyGroupError(f"group {group.gid} has no alive members")
-    return candidates[0]
-
-
 def leader_group(assignment: GroupAssignment, alive: set[NodeId]) -> set[NodeId]:
-    """The per-group leaders of every group that still has alive members."""
-    leaders: set[NodeId] = set()
-    for _, g in sorted(assignment.groups.items()):
-        try:
-            leaders.add(elect_leader(g, alive))
-        except EmptyGroupError:
-            continue
-    return leaders
+    """The leaders of every group that still has alive members: each one's
+    smallest alive member."""
+    return {min(live) for g in assignment.groups.values() if (live := g.members & alive)}

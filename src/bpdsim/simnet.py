@@ -20,6 +20,12 @@ returns the shared `bpd._NOTHING` result, which the drain skips. Every member
 delivery, to a crashed peer too, counts toward the cascade's cap of
 `_CASCADE_CAP` (2,000,000) deliveries.
 
+Protocol state exists only where the protocol runs: a world whose strategy is
+`Bpd` holds one `BpdNode` per peer in `World.nodes`, and any other world holds
+none. Each node keeps a reference to its world, which it reads live; that
+cycle stays for `Bpd` worlds (see `BpdNode`), and a world of any other
+strategy is freed by reference counting alone.
+
 Everything is driven from sorted orders and seeded generators, so a run is a
 pure function of its configuration.
 
@@ -60,7 +66,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import metrics
 from .bpd import (
@@ -74,7 +79,7 @@ from .bpd import (
     JoinReq,
     UpdateMsg,
 )
-from .graph import DirectedGraph, NodeId, int_if_integral, is_strongly_connected
+from .graph import DirectedGraph, NodeId, is_strongly_connected
 from .groups import (
     GroupAssignment,
     MembershipEvent,
@@ -203,15 +208,14 @@ class World:
         self.trace_fn = None
 
         self.assignment: GroupAssignment = form_groups(graph)
-        self.thresh = None
+        # protocol state, one node per peer, only where the protocol runs
+        self.nodes: dict[NodeId, BpdNode] = {}
         if isinstance(strategy, Bpd):
-            # converted once: every update delivery compares against it, and it
-            # is an int when integral, like the group weights it is compared with
-            self.thresh = int_if_integral(Fraction(strategy.thresh))
-            if self.thresh < graph.max_weight():
+            if strategy.thresh < graph.max_weight():
                 raise ValueError(
                     f"thresh {strategy.thresh} below max edge weight {graph.max_weight()}"
                 )
+            self.nodes = {n: BpdNode(n, self) for n in self.roster}
         elif isinstance(strategy, Gossip) and strategy.fanout >= len(self.roster):
             # a shortfall mid-run, while peers are down, caps the sample instead
             raise ValueError(
@@ -225,7 +229,6 @@ class World:
         self.crashed_at: dict[NodeId, int] = {}
         self.stash: dict[NodeId, list[tuple[str, str]]] = {}
 
-        self.nodes: dict[NodeId, BpdNode] = {n: BpdNode(n, self) for n in self.roster}
         self.x: dict[NodeId, float] = init_values(self.roster, cfg.seed)
         self.x0 = dict(self.x)
         # roster position of each node: the index into every stamp vector
@@ -290,7 +293,7 @@ class World:
         return self._close_round()
 
     def inject_fault(self, node: NodeId, action: str) -> None:
-        if node not in self.nodes:
+        if node not in self.pos:
             raise UnknownNodeError(node)
         if action == "crash":
             if node not in self.alive:
@@ -317,6 +320,8 @@ class World:
 
     def run_repair_cycle(self) -> GroupAssignment:
         """Force one full discovery + update cycle to quiescence right now."""
+        if not isinstance(self.strategy, Bpd):
+            raise ValueError(f"a repair cycle needs a Bpd strategy, not {self.strategy}")
         self._start_cycle()
         self._poll_timeouts()
         return self.assignment
@@ -379,7 +384,7 @@ class World:
                 self.events.append(MembershipEvent("MemberLeft", gid, n, role, self.round))
                 affected.append((n, gid, role))
                 self._trace(f"member-left {gid} {n} {role}")
-        if not isinstance(self.strategy, Bpd):
+        if not self.nodes:
             return
         seen: set[tuple[NodeId, str]] = set()
         for departed, gid, _role in affected:
@@ -454,13 +459,10 @@ class World:
                     self.repair_delays.append(self.round - self.last_crash_round)
 
     def _poll_timeouts(self) -> None:
-        if not isinstance(self.strategy, Bpd):
-            return
-        for n in sorted(self.alive):
-            node = self.nodes[n]
-            if not node.pending_join and not node.pending_query:
-                continue
-            self._apply_result(n, node.poll())
+        alive = self.alive
+        for n, node in self.nodes.items():  # roster order, which is sorted
+            if n in alive and (node.pending_join or node.pending_query):
+                self._apply_result(n, node.poll())
         self._drain_control()
 
     def _send_app(self) -> None:

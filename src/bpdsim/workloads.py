@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import sub
 
-from .graph import NodeId
+from .graph import NodeId, int_if_integral
 
 DEFAULT_EPS = 0.5
 
@@ -43,13 +43,17 @@ class Unmodified:
 class Bpd:
     """The declared topology managed by the bounded-path protocol: `thresh` bounds
     every pairwise path cost, a repair cycle starts every `repair_period_rounds`,
-    and a pending repair query expires after `reply_timeout_rounds`."""
+    and a pending repair query expires after `reply_timeout_rounds`.
+
+    `thresh` is stored exactly, an `int` when integral and a `Fraction`
+    otherwise, like the group weights every update delivery compares it with."""
 
     thresh: int | Fraction
     repair_period_rounds: int = 200
     reply_timeout_rounds: int = 5
 
     def __post_init__(self):
+        object.__setattr__(self, "thresh", int_if_integral(Fraction(self.thresh)))
         for name, ok, rule in (
             ("thresh", self.thresh > 0, "> 0"),
             ("repair_period_rounds", self.repair_period_rounds >= 1, ">= 1"),

@@ -4,15 +4,14 @@ The brute-force oracle enumerates simple paths, so it is exponential and
 only used on small graphs; it exists to validate the Dijkstra oracle,
 which in turn checks the protocol. `DeOracle` is the dict-per-node
 dissemination bookkeeping that the simulator's receipt vectors replace.
-Corpus generators are seeded with stable strings so every test run sees
-identical graphs.
+Corpus generators (`bpdsim.graph.random_sc_digraph` and those built on it)
+are seeded with stable strings so every test run sees identical graphs.
 """
-import random
 from fractions import Fraction
 
 import pytest
 
-from bpdsim.graph import DirectedGraph
+from bpdsim.graph import DirectedGraph, random_sc_digraph
 
 # the ten-link base used across measurement tests: two-cycle {a,b} and
 # cycle {d,e,f} joined only through c; worst directed distance d->b = 5
@@ -59,23 +58,6 @@ def brute_force_costs(graph, src):
 
     walk(src, Fraction(0), {src})
     return best
-
-
-def random_sc_digraph(n, seed, weights=(1, 2), extra_p=0.25):
-    """Strongly connected by construction: hidden Hamiltonian cycle plus
-    random extra edges."""
-    rng = random.Random(f"corpus:{n}:{seed}")
-    nodes = [f"n{i}" for i in range(n)]
-    order = nodes[:]
-    rng.shuffle(order)
-    edges = {}
-    for i, u in enumerate(order):
-        edges[(u, order[(i + 1) % n])] = Fraction(rng.choice(weights))
-    for u in nodes:
-        for v in nodes:
-            if u != v and (u, v) not in edges and rng.random() < extra_p:
-                edges[(u, v)] = Fraction(rng.choice(weights))
-    return DirectedGraph(nodes=tuple(nodes), edges=edges)
 
 
 class DeOracle:

@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpdsim.groups import (
-    EmptyGroupError,
     RECEIVER,
     SENDER,
     UnknownGroupError,
     effective_graph,
-    elect_leader,
     form_groups,
     join_group,
     leader_group,
@@ -159,18 +157,12 @@ def test_leave_all_and_restore():
     assert {gid: (set(g.senders), set(g.receivers)) for gid, g in asg.groups.items()} == before
 
 
-def test_elect_leader_smallest_alive():
-    asg = form_groups(ring4())
-    grp = asg.groups["g.a"]
-    assert elect_leader(grp, {"a", "b", "c", "d"}) == "a"
-    assert elect_leader(grp, {"b", "c", "d"}) == "b"
-    with pytest.raises(EmptyGroupError):
-        elect_leader(grp, {"c", "d"})
-
-
 def test_leader_group():
     asg = form_groups(ring4())
     # smallest member of each of g.a={a,b}, g.b={b,c}, g.c={c,d}, g.d={d,a}
     assert leader_group(asg, {"a", "b", "c", "d"}) == {"a", "b", "c"}
     # with a dead, leadership falls to the next member
     assert leader_group(asg, {"b", "c", "d"}) == {"b", "c", "d"}
+    # g.a={a,b} has no alive member and so no leader; g.d's falls to d
+    assert leader_group(asg, {"c", "d"}) == {"c", "d"}
+    assert leader_group(asg, set()) == set()

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -432,3 +434,46 @@ def test_group_destinations_frozen_at_emission(monkeypatch):
     w._apply_result("a", HandlerResult([("group", "g.a", stale)]))
     w._drain_control()
     assert got == ["b", "c", "d"]
+
+
+# --- protocol state only for Bpd ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "strategy, protocol",
+    [(AllToAll(), False), (Gossip(3), False), (Unmodified(), False), (Bpd(3), True)],
+    ids=["alltoall", "gossip", "unmodified", "bpd"],
+)
+def test_only_a_bpd_world_holds_nodes_and_a_reference_cycle(strategy, protocol):
+    w = mesh_world(rounds=5, strategy=strategy)
+    w.run()
+    assert bool(w.nodes) is protocol
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        del w
+        gc.collect()
+        # a Bpd world and its nodes refer to each other; any other world is
+        # freed by reference counting and leaves nothing for the collector
+        assert bool(gc.garbage) is protocol
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("strategy", [AllToAll(), Gossip(3), Unmodified()], ids=repr)
+def test_repair_cycle_needs_a_bpd_strategy(strategy):
+    w = mesh_world(rounds=0, strategy=strategy)
+    with pytest.raises(ValueError, match="repair cycle needs a Bpd strategy"):
+        w.run_repair_cycle()
+
+
+@pytest.mark.parametrize(
+    "given, exact", [(2.0, 2), (2.5, Fraction(5, 2)), (Fraction(6, 2), 3), (Fraction(7, 3), Fraction(7, 3))]
+)
+def test_bpd_world_holds_its_threshold_exactly(given, exact):
+    w = mesh_world(rounds=0, strategy=Bpd(given))
+    assert w.strategy.thresh == exact
+    assert type(w.strategy.thresh) is type(exact)
+    assert Bpd(given) == Bpd(exact)
