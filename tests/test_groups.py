@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bpdsim.groups import (
     RECEIVER,
     SENDER,
+    GroupAssignment,
     UnknownGroupError,
     effective_graph,
     form_groups,
@@ -155,6 +156,15 @@ def test_leave_all_and_restore():
     for gid, role in stash:
         join_group(asg, "b", gid, role)
     assert {gid: (set(g.senders), set(g.receivers)) for gid, g in asg.groups.items()} == before
+
+
+def test_elect_leader_smallest_alive():
+    # one group's leader is its smallest alive member, and a group with no
+    # alive member has none
+    only_ga = GroupAssignment(groups={"g.a": form_groups(ring4()).groups["g.a"]})
+    assert leader_group(only_ga, {"a", "b", "c", "d"}) == {"a"}
+    assert leader_group(only_ga, {"b", "c", "d"}) == {"b"}
+    assert leader_group(only_ga, {"c", "d"}) == set()
 
 
 def test_leader_group():
