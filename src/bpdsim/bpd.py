@@ -241,6 +241,13 @@ class BpdNode:
     def on_update(self, msg: UpdateMsg, gid: GroupId) -> HandlerResult:
         if msg.epoch != self.epoch:
             return _NOTHING
+        # each node forwards a (requester, target) pair once per epoch. A pair
+        # is stored only after it passed the receiver, target and requester
+        # tests below, so a repeat would fail whichever of them ran first;
+        # testing it first skips the group lookup for every repeat
+        key = (msg.requester, msg.target)
+        if key in self._forwarded:
+            return _NOTHING
         world = self.world
         if self.nid not in world.assignment.groups[gid].receivers:
             # co-senders hear the broadcast too, but only group receivers sit
@@ -253,12 +260,8 @@ class BpdNode:
                     intent = JoinIntent(msg.grp, RECEIVER, f"update:{msg.requester}")
                     return HandlerResult(joins=[intent])
             return _NOTHING
-        # each node forwards a (requester, target) pair once per epoch, and the
-        # requester already sent it, so a repeat is dropped
+        # the requester already sent its own pair
         if self.nid == msg.requester:
-            return _NOTHING
-        key = (msg.requester, msg.target)
-        if key in self._forwarded:
             return _NOTHING
         self._forwarded.add(key)
         res = HandlerResult()

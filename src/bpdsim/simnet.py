@@ -31,27 +31,29 @@ pure function of its configuration.
 
 Freshness for dissemination efficiency travels with the application data.
 Each node holds a stamp vector indexed by position in the sorted roster: the
-latest round whose information from that origin it has, -1 for never. A
-sender stamps its own slot with the round and takes one tuple snapshot of
-its vector, and the round's application traffic is queued as one in-flight
-entry per sender: its value, that snapshot and its destinations, fanned out
-in order on delivery. Each destination then merges what it received with one
-element-wise max and records that round in its receipt vector, indexed like
-the stamps, at every origin whose stamp rose: one `metrics.record_receipt`
-call per destination per round. The max does not depend on arrival order, so
-the merged vectors, and with them the DE figures, are the same as folding
-the messages in one at a time.
+latest round whose information from that origin it has, -1 for never. Stamp
+and receipt vectors are ints in the packed layout of `metrics.Packing`, sized
+from `SimConfig.n_rounds`; a world stepped past that many rounds re-packs
+them at double width. A sender stamps its own slot with the round, and the
+round's application traffic is queued as one in-flight entry per sender: its
+value, its stamp vector as it stands (an int, so it cannot change under the
+entry) and its destinations, fanned out in order on delivery. Each
+destination then merges what it received with one element-wise max and
+records that round in its receipt vector at every origin whose stamp rose:
+one `metrics.record_receipt` call per destination per round. The max does not
+depend on arrival order, so the merged vectors, and with them the DE figures,
+are the same as folding the messages in one at a time.
 
 Destinations share that max. Nothing writes a stamp vector between a round's
 send and the next round's delivery, so a peer that sent holds exactly the
-snapshot it sent, and a destination's merge is the max over the vectors of
+vector it sent, and a destination's merge is the max over the vectors of
 itself and of the senders it heard from: a function of that set of names.
-Each distinct set is merged once per round and every destination gets its
-own copy; under all-to-all every destination hears the same set, so a round
-costs one merge where it used to cost one per destination. A destination
-that did not send (a peer that recovered this round, or one with no
-destinations) brings its current vector, and its set can equal no other
-destination's, since nobody heard from it.
+Each distinct set is merged once per round; under all-to-all every
+destination hears the same set, so a round costs one merge where it used to
+cost one per destination. A destination that did not send (a peer that
+recovered this round, or one with no destinations) brings its current
+vector, and its set can equal no other destination's, since nobody heard
+from it.
 
 Crashed peers neither send nor receive. Messages addressed to one are still
 counted as sent and then dropped, because the senders cannot know better
@@ -231,15 +233,15 @@ class World:
 
         self.x: dict[NodeId, float] = init_values(self.roster, cfg.seed)
         self.x0 = dict(self.x)
-        # roster position of each node: the index into every stamp vector
+        # roster position of each node: its slot in every stamp and receipt vector
         self.pos: dict[NodeId, int] = {n: i for i, n in enumerate(self.roster)}
-        self.stamps: dict[NodeId, list[int]] = {n: [-1] * len(self.roster) for n in self.roster}
-        for n, i in self.pos.items():
-            self.stamps[n][i] = 0
-        # last round each origin's stamp rose at each node, by roster position
-        self.receipts: dict[NodeId, list[int]] = {
-            n: [metrics.NO_RECEIPT] * len(self.roster) for n in self.roster
-        }
+        # vectors packed into ints (metrics.Packing); each node starts out
+        # holding round 0 of itself and nothing else
+        self.packing = metrics.Packing.for_rounds(len(self.roster), cfg.n_rounds)
+        width = self.packing.width
+        self.stamps: dict[NodeId, int] = {n: 1 << width * i for n, i in self.pos.items()}
+        # last round each origin's stamp rose at each node, all NO_RECEIPT
+        self.receipts: dict[NodeId, int] = dict.fromkeys(self.roster, 0)
         self.gossip_rng = random.Random(f"{cfg.seed}:gossip")
 
         self.round = 0
@@ -247,7 +249,7 @@ class World:
         self._ctrl: deque = deque()
         # (src, x, stamp snapshot, destinations) per peer that sent last round;
         # until its delivery, each such peer's stamp vector equals its snapshot
-        self._app_inflight: list[tuple[NodeId, float, tuple[int, ...], list[NodeId]]] = []
+        self._app_inflight: list[tuple[NodeId, float, int, list[NodeId]]] = []
         self.stats: list[RoundStats] = []
         self.x_trace: list[dict[NodeId, float]] = []
         self.de_trace: list[dict[NodeId, float]] = []
@@ -269,6 +271,8 @@ class World:
 
     def step_round(self) -> RoundStats:
         self.round += 1
+        if self.round > self.packing.top:
+            self._widen()
         self._app_sent = self._ctrl_sent = self._bytes = 0
         consensus_in: dict[NodeId, dict[NodeId, float]] = {n: {} for n in self.roster}
 
@@ -340,7 +344,7 @@ class World:
         tracing = self.trace_fn is not None
         # consensus_in is filled in message order: the float sums of
         # consensus_step follow its insertion order
-        sent: dict[NodeId, tuple[int, ...]] = {}
+        sent: dict[NodeId, int] = {}
         for src, x, snapshot, dsts in inflight:
             sent[src] = snapshot
             for dst in dsts:
@@ -349,23 +353,37 @@ class World:
                 consensus_in[dst][src] = x
                 if tracing:
                     self._trace(f"deliver app {src} {dst}")
-        stamps, receipts = self.stamps, self.receipts
+        stamps, receipts, packing = self.stamps, self.receipts, self.packing
         record, rnd = metrics.record_receipt, self.round
         # {destination} | the senders it heard from -> their element-wise max
-        merges: dict[frozenset[NodeId], list[int]] = {}
+        merges: dict[frozenset[NodeId], int] = {}
         for dst, heard in consensus_in.items():
             if not heard:
                 continue
             mine = stamps[dst]
             key = frozenset(heard) | {dst}
-            shared = merges.get(key)
-            if shared is None:
+            merged = merges.get(key)
+            if merged is None:
                 vectors = [sent[src] for src in heard]
                 vectors.append(sent.get(dst, mine))
-                shared = merges[key] = list(map(max, *vectors))
-            # a list of its own: _send_app writes the destination's own slot
-            stamps[dst] = merged = shared.copy()
-            record(receipts[dst], mine, merged, rnd)
+                merged = merges[key] = packing.max(vectors)
+            stamps[dst] = merged
+            receipts[dst] = record(receipts[dst], mine, merged, rnd, packing)
+
+    def _widen(self) -> None:
+        """Re-pack every stamp, receipt and in-flight snapshot at double width,
+        for a world stepped past the largest round its slots hold."""
+        old = self.packing
+        new = self.packing = metrics.Packing(old.size, 2 * old.width)
+
+        def repack(packed: int) -> int:
+            return new.pack(old.unpack(packed))
+
+        self.stamps = {n: repack(v) for n, v in self.stamps.items()}
+        self.receipts = {n: repack(v) for n, v in self.receipts.items()}
+        self._app_inflight = [
+            (src, x, repack(snapshot), dsts) for src, x, snapshot, dsts in self._app_inflight
+        ]
 
     def _detect(self) -> None:
         due = sorted(
@@ -466,24 +484,23 @@ class World:
         self._drain_control()
 
     def _send_app(self) -> None:
+        stamps, packing = self.stamps, self.packing
         for n in sorted(self.alive):
-            mine = self.stamps[n]
-            mine[self.pos[n]] = self.round
+            mine = stamps[n] = packing.put(stamps[n], self.pos[n], self.round)
             dsts = strategy_emit(self.strategy, n, self)
             if not dsts:
                 continue
-            self._app_inflight.append((n, self.x[n], tuple(mine), dsts))
+            self._app_inflight.append((n, self.x[n], mine, dsts))
             self._app_sent += len(dsts)
             self._bytes += len(dsts) * self.cfg.payload_bytes
 
     def _close_round(self) -> RoundStats:
         des: dict[NodeId, float] = {}
-        detected = self.detected_alive
-        origins_alive = [n in detected for n in self.roster]
+        detected, packing, rnd = self.detected_alive, self.packing, self.round
+        origins_alive = packing.guard_bits(n in detected for n in self.roster)
         for n in sorted(self.alive):
-            receipts = self.receipts[n]
-            metrics.purge(receipts, self.round, self.window)
-            des[n] = metrics.dissemination_efficiency(receipts, origins_alive, self.pos[n])
+            receipts = self.receipts[n] = metrics.purge(self.receipts[n], rnd, self.window, packing)
+            des[n] = metrics.dissemination_efficiency(receipts, origins_alive, self.pos[n], packing)
         xs = {n: self.x[n] for n in sorted(self.alive)}
         row = RoundStats(
             round=self.round,

@@ -1,13 +1,16 @@
 from collections import Counter
+from itertools import compress, repeat
+from operator import gt, ne
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpdsim import cli, metrics
 from bpdsim.metrics import (
     NO_RECEIPT,
+    Packing,
     ZeroOptimumError,
     bandwidth_kbps,
     deviation_pct,
@@ -17,58 +20,145 @@ from bpdsim.metrics import (
     record_receipt,
 )
 
+# --- list oracles: the kernel on plain lists, one slot at a time -----------
+
+
+def list_record_receipt(receipts, before, after, round):
+    for i in compress(range(len(after)), map(ne, after, before)):
+        receipts[i] = round
+
+
+def list_purge(receipts, round, window):
+    for i in compress(range(len(receipts)), map(gt, repeat(round - window), receipts)):
+        receipts[i] = NO_RECEIPT
+
+
+def list_de(receipts, alive, own):
+    roster_size = len(receipts)
+    if roster_size <= 1:
+        return 1.0
+    kept = list(compress(receipts, alive))
+    fresh = len(kept) - kept.count(NO_RECEIPT)
+    if alive[own] and receipts[own] != NO_RECEIPT:
+        fresh -= 1
+    return (1 + fresh) / roster_size
+
+
 # roster a..f by position; every receipt vector below is indexed the same way
 ROSTER6 = ("a", "b", "c", "d", "e", "f")
 ALL_ALIVE = [True] * 6
 NONE = NO_RECEIPT
 
 
+def de(receipts, alive, own):
+    """DE of plain receipt and alive lists, through the packed kernel."""
+    packing = Packing.for_rounds(len(receipts), 10)
+    return dissemination_efficiency(packing.pack(receipts), packing.guard_bits(alive), own, packing)
+
+
 def test_de_full_coverage():
     receipts = [NONE, 10, 10, 10, 10, 10]
-    assert dissemination_efficiency(receipts, ALL_ALIVE, 0) == 1.0
+    assert de(receipts, ALL_ALIVE, 0) == 1.0
 
 
 def test_de_excludes_crashed_sources():
     # backlog from f still in the vector, but f is down: 5/6 is the ceiling
     receipts = [NONE, 10, 10, 10, 10, 10]
     alive = [True, True, True, True, True, False]
-    assert dissemination_efficiency(receipts, alive, 0) == pytest.approx(5 / 6)
+    assert de(receipts, alive, 0) == pytest.approx(5 / 6)
 
 
 def test_de_partitioned_pair():
     # b hears only a: itself + one source out of a six-node roster
     receipts = [9, NONE, NONE, NONE, NONE, NONE]
-    assert dissemination_efficiency(receipts, ALL_ALIVE, 1) == pytest.approx(2 / 6)
+    assert de(receipts, ALL_ALIVE, 1) == pytest.approx(2 / 6)
 
 
 def test_de_self_only():
-    assert dissemination_efficiency([NONE] * 6, ALL_ALIVE, 0) == pytest.approx(1 / 6)
+    assert de([NONE] * 6, ALL_ALIVE, 0) == pytest.approx(1 / 6)
 
 
 def test_de_own_slot_not_counted():
     # a receipt in the node's own slot adds nothing: the node counts once
     receipts = [10, 10, NONE, NONE, NONE, NONE]
-    assert dissemination_efficiency(receipts, ALL_ALIVE, 0) == pytest.approx(2 / 6)
+    assert de(receipts, ALL_ALIVE, 0) == pytest.approx(2 / 6)
 
 
 def test_de_singleton_roster():
-    assert dissemination_efficiency([NONE], [True], 0) == 1.0
+    assert de([NONE], [True], 0) == 1.0
+    assert de([4], [True], 0) == 1.0
 
 
 def test_purge_window_boundary():
-    receipts = [5, 6, 10, NONE]
-    purge(receipts, round=10, window=4)
+    packing = Packing.for_rounds(4, 10)
+    receipts = purge(packing.pack([5, 6, 10, NONE]), round=10, window=4, packing=packing)
     # receipt at exactly round - window survives
-    assert receipts == [NONE, 6, 10, NONE]
+    assert packing.unpack(receipts) == [NONE, 6, 10, NONE]
 
 
 def test_record_receipt_newest_wins():
-    receipts = [NONE, NONE, NONE]
-    record_receipt(receipts, [0, 0, 0], [1, 0, 0], 3)
-    assert receipts == [3, NONE, NONE]
+    packing = Packing.for_rounds(3, 7)
+    pack = packing.pack
+    receipts = record_receipt(pack([NONE, NONE, NONE]), pack([0, 0, 0]), pack([1, 0, 0]), 3, packing)
+    assert packing.unpack(receipts) == [3, NONE, NONE]
     # a slot that rises again takes the newer round; one that stays keeps its own
-    record_receipt(receipts, [1, 0, 0], [2, 0, 1], 7)
-    assert receipts == [7, NONE, 7]
+    receipts = record_receipt(receipts, pack([1, 0, 0]), pack([2, 0, 1]), 7, packing)
+    assert packing.unpack(receipts) == [7, NONE, 7]
+
+
+def test_width_holds_every_round_of_the_run():
+    for n_rounds in (0, 1, 2, 6, 7, 299, 300, 1 << 20):
+        packing = Packing.for_rounds(5, n_rounds)
+        assert packing.top >= n_rounds
+        # and no narrower layout would
+        assert Packing(5, packing.width - 1).top < n_rounds
+
+
+@st.composite
+def packed_layouts(draw):
+    """A layout whose packed ints reach past several 30-bit digits."""
+    size = draw(st.integers(1, 70), "size")
+    return Packing(size, draw(st.integers(2, 20), "width"))
+
+
+def field_values(packing):
+    """One plain vector for `packing`, its values anywhere in -1..top."""
+    return st.lists(
+        st.integers(NO_RECEIPT, packing.top), min_size=packing.size, max_size=packing.size
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_packed_kernel_matches_the_list_oracles(data):
+    packing = data.draw(packed_layouts(), "layout")
+    size, top = packing.size, packing.top
+    a, b, c, rec = (data.draw(field_values(packing), name) for name in "abcr")
+    for plain in (a, b, c, rec):
+        assert packing.unpack(packing.pack(plain)) == plain
+    pa, pb, pc, prec = map(packing.pack, (a, b, c, rec))
+
+    assert packing.max([pa]) == pa
+    assert packing.unpack(packing.max([pa, pb, pc])) == list(map(max, a, b, c))
+
+    i, value = data.draw(st.integers(0, size - 1), "slot"), data.draw(st.integers(-1, top), "value")
+    assert packing.unpack(packing.put(pa, i, value)) == a[:i] + [value] + a[i + 1 :]
+
+    rnd = data.draw(st.integers(0, top), "record round")
+    want = list(rec)
+    list_record_receipt(want, a, b, rnd)
+    assert packing.unpack(record_receipt(prec, pa, pb, rnd, packing)) == want
+
+    rnd = data.draw(st.integers(0, top), "purge round")
+    window = data.draw(st.integers(1, top + 2), "window")
+    want = list(rec)
+    list_purge(want, rnd, window)
+    assert packing.unpack(purge(prec, rnd, window, packing)) == want
+
+    alive = data.draw(st.lists(st.booleans(), min_size=size, max_size=size), "alive")
+    own = data.draw(st.integers(0, size - 1), "own")
+    got = dissemination_efficiency(prec, packing.guard_bits(alive), own, packing)
+    assert got == list_de(rec, alive, own)
 
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"

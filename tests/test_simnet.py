@@ -25,6 +25,11 @@ from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified
 from conftest import BASE10_EDGES, DeOracle, make_graph, random_sc_digraph
 
 
+def vec(w, packed):
+    """A packed stamp or receipt vector of `w` as a list indexed by roster position."""
+    return w.packing.unpack(packed)
+
+
 def mesh_world(rounds=10, seed=0, faults=None, strategy=None, **cfg):
     g = make_graph(BASE10_EDGES)
     return World(
@@ -204,8 +209,8 @@ def test_direct_mesh_delivers_at_one_round_lag():
         w.step_round()
         for d in w.roster:
             others = [o for o in w.roster if o != d]
-            assert [w.stamps[d][w.pos[o]] for o in others] == [r - 1] * len(others)
-            assert w.receipts[d] == [NO_RECEIPT if o == d else r for o in w.roster]
+            assert [vec(w, w.stamps[d])[w.pos[o]] for o in others] == [r - 1] * len(others)
+            assert vec(w, w.receipts[d]) == [NO_RECEIPT if o == d else r for o in w.roster]
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,9 +230,10 @@ def test_stamps_follow_hop_distance(n, seed, direct, rounds):
         w.step_round()
         for d in g.nodes:
             want = {o: r - hops[o][d] for o in g.nodes if o != d and r - hops[o][d] >= 1}
-            got = {o: s for o in g.nodes if o != d and (s := w.stamps[d][w.pos[o]]) != -1}
+            stamps = vec(w, w.stamps[d])
+            got = {o: s for o in g.nodes if o != d and (s := stamps[w.pos[o]]) != -1}
             assert got == want
-            assert w.receipts[d] == [r if o in want else NO_RECEIPT for o in w.roster]
+            assert vec(w, w.receipts[d]) == [r if o in want else NO_RECEIPT for o in w.roster]
 
 
 def _de_strategies(n):
@@ -258,7 +264,8 @@ def test_de_matches_the_dict_oracle(data):
     rounds = data.draw(st.integers(1, 20), "rounds")
     g = random_sc_digraph(n, data.draw(st.integers(0, 10_000), "seed"))
     cfg = SimConfig(
-        n_rounds=rounds,
+        # a world stepped past its n_rounds widens its vectors on the way
+        n_rounds=data.draw(st.integers(0, rounds), "n_rounds"),
         seed=data.draw(st.integers(0, 100), "sim seed"),
         detection_rounds=data.draw(st.integers(1, 3), "detection"),
         de_window_rounds=data.draw(st.one_of(st.none(), st.integers(1, 6)), "window"),
@@ -268,10 +275,10 @@ def test_de_matches_the_dict_oracle(data):
     w = World(g, data.draw(_de_strategies(n), "strategy"), cfg, faults=faults)
     oracle = DeOracle(w.roster)
     for r in range(1, rounds + 1):
-        before = {d: list(v) for d, v in w.stamps.items()}
+        before = {d: vec(w, v) for d, v in w.stamps.items()}
         w.step_round()
         for d in w.roster:
-            for i, (old, new) in enumerate(zip(before[d], w.stamps[d])):
+            for i, (old, new) in enumerate(zip(before[d], vec(w, w.stamps[d]))):
                 if new != old:
                     oracle.record(d, w.roster[i], r)
         want = {}
@@ -286,11 +293,11 @@ def step_against_merge_oracle(w):
     merge: each alive destination folds every snapshot it received into its
     own vector, `list(map(max, mine, *snapshots))`, then stamps its own slot
     when it sends."""
-    before = {d: list(v) for d, v in w.stamps.items()}
-    inflight = list(w._app_inflight)
+    before = {d: vec(w, v) for d, v in w.stamps.items()}
+    inflight = [(dsts, vec(w, snapshot)) for _src, _x, snapshot, dsts in w._app_inflight]
     w.step_round()
     got = {}
-    for _src, _x, snapshot, dsts in inflight:
+    for dsts, snapshot in inflight:
         for dst in dsts:
             if dst in w.alive:
                 got.setdefault(dst, []).append(snapshot)
@@ -298,9 +305,10 @@ def step_against_merge_oracle(w):
         want = list(map(max, before[d], *got[d])) if d in got else before[d]
         if d in w.alive:
             want[w.pos[d]] = w.round
-        assert w.stamps[d] == want, (w.round, d)
-    # no two peers hold one list: a write to one vector must not show in another
-    assert len({id(v) for v in w.stamps.values()}) == len(w.roster)
+        assert vec(w, w.stamps[d]) == want, (w.round, d)
+    # vectors are immutable ints, so destinations that share a merge cannot
+    # see each other's later writes
+    assert all(type(v) is int for v in w.stamps.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,7 +318,7 @@ def test_shared_merge_matches_the_per_destination_merge(data):
     rounds = data.draw(st.integers(1, 20), "rounds")
     g = random_sc_digraph(n, data.draw(st.integers(0, 10_000), "seed"))
     cfg = SimConfig(
-        n_rounds=rounds,
+        n_rounds=data.draw(st.integers(0, rounds), "n_rounds"),
         seed=data.draw(st.integers(0, 100), "sim seed"),
         detection_rounds=data.draw(st.integers(1, 3), "detection"),
     )
@@ -321,6 +329,41 @@ def test_shared_merge_matches_the_per_destination_merge(data):
     w = World(g, strategy, cfg, faults=faults)
     for _ in range(rounds):
         step_against_merge_oracle(w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_world_stepped_past_its_rounds_matches_one_built_for_them(data):
+    # a world built for 0 rounds holds only round 0 in its slots, so it
+    # re-packs at rounds 1 and 7 (and 127), each time with the app traffic of
+    # the round before still in flight; read back, nothing may differ from a
+    # world built wide enough from the start
+    n = data.draw(st.integers(2, 8), "n")
+    rounds = data.draw(st.integers(1, 20), "rounds")
+    g = random_sc_digraph(n, data.draw(st.integers(0, 10_000), "seed"))
+    strategy = data.draw(_de_strategies(n), "strategy")
+    faults = data.draw(_fault_schedules(g.nodes, rounds), "faults")
+    sim = {
+        "seed": data.draw(st.integers(0, 100), "sim seed"),
+        "detection_rounds": data.draw(st.integers(1, 3), "detection"),
+        "de_window_rounds": data.draw(st.one_of(st.none(), st.integers(1, 6)), "window"),
+    }
+    narrow = World(g, strategy, SimConfig(n_rounds=0, **sim), faults=faults)
+    wide = World(g, strategy, SimConfig(n_rounds=rounds, **sim), faults=faults)
+    assert narrow.packing.width == 2
+    for _ in range(rounds):
+        assert narrow.step_round() == wide.step_round()
+        for name in ("stamps", "receipts"):
+            got, want = getattr(narrow, name), getattr(wide, name)
+            assert {d: vec(narrow, v) for d, v in got.items()} == {
+                d: vec(wide, v) for d, v in want.items()
+            }
+        assert [(s, x, vec(narrow, p), d) for s, x, p, d in narrow._app_inflight] == [
+            (s, x, vec(wide, p), d) for s, x, p, d in wide._app_inflight
+        ]
+    assert narrow.de_trace == wide.de_trace
+    assert narrow.x_trace == wide.x_trace
+    assert narrow.packing.width == (4 if rounds < 7 else 8)
 
 
 def test_peer_recovering_into_an_all_to_all_round_keeps_what_only_it_holds():
@@ -343,8 +386,9 @@ def test_peer_recovering_into_an_all_to_all_round_keeps_what_only_it_holds():
         step_against_merge_oracle(w)
     assert [src for src, *_ in w._app_inflight] == ["a", "b"]
     step_against_merge_oracle(w)
-    assert w.stamps["c"][w.pos["d"]] == 2
-    assert w.stamps["a"][w.pos["d"]] == w.stamps["b"][w.pos["d"]] == 1
+    d = w.pos["d"]
+    assert vec(w, w.stamps["c"])[d] == 2
+    assert vec(w, w.stamps["a"])[d] == vec(w, w.stamps["b"])[d] == 1
 
 
 def test_receiver_in_two_send_groups_of_one_sender():
