@@ -80,12 +80,12 @@ class Packing:
         """Element-wise max of one or more packed vectors."""
         guards, shift = self.guards, self.width - 1
         it = iter(vectors)
-        top = next(it)
+        best = next(it)
         for v in it:
-            # guard bit set where top >= v; spread to the slot's value bits
-            ge = ((top | guards) - v) & guards
-            top = v ^ ((top ^ v) & (ge - (ge >> shift)))
-        return top
+            # guard bit set where best >= v; spread to the slot's value bits
+            ge = ((best | guards) - v) & guards
+            best = v ^ ((best ^ v) & (ge - (ge >> shift)))
+        return best
 
 
 def _nonzero_guards(packed: int, packing: Packing) -> int:

@@ -99,7 +99,7 @@ def test_purge_window_boundary():
 def test_record_receipt_newest_wins():
     packing = Packing.for_rounds(3, 7)
     pack = packing.pack
-    receipts = record_receipt(pack([NONE, NONE, NONE]), pack([0, 0, 0]), pack([1, 0, 0]), 3, packing)
+    receipts = record_receipt(pack([NONE] * 3), pack([0, 0, 0]), pack([1, 0, 0]), 3, packing)
     assert packing.unpack(receipts) == [3, NONE, NONE]
     # a slot that rises again takes the newer round; one that stays keeps its own
     receipts = record_receipt(receipts, pack([1, 0, 0]), pack([2, 0, 1]), 7, packing)

@@ -335,9 +335,9 @@ def test_shared_merge_matches_the_per_destination_merge(data):
 @given(data=st.data())
 def test_world_stepped_past_its_rounds_matches_one_built_for_them(data):
     # a world built for 0 rounds holds only round 0 in its slots, so it
-    # re-packs at rounds 1 and 7 (and 127), each time with the app traffic of
-    # the round before still in flight; read back, nothing may differ from a
-    # world built wide enough from the start
+    # re-packs at round 1 and again at round 7, with round 6's app traffic
+    # still in flight; read back, nothing may differ from a world built wide
+    # enough from the start
     n = data.draw(st.integers(2, 8), "n")
     rounds = data.draw(st.integers(1, 20), "rounds")
     g = random_sc_digraph(n, data.draw(st.integers(0, 10_000), "seed"))
