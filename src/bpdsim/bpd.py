@@ -24,13 +24,15 @@ added.
 
 Each node is bound to the world that drives it and reads the shared state
 from there: the group assignment, the set of peers not yet detected as down,
-the current round and epoch, the threshold and the reply timeout. A node
-writes only its own state. Every handler takes the message and the group it
-arrived on (None for a point-to-point repair message) and returns a
-`HandlerResult`: membership changes come back as intents for the world to
-apply, and messages as emission tuples: ``("group", gid, msg)`` broadcasts
-to the other alive members of a group, ``("multi", (dst, ...), msg)``
-targets an explicit peer list.
+the current round and epoch, the threshold and the reply timeout; it keeps
+its own references to the group dict, which is only ever updated in place,
+and to the frozen threshold (see `BpdNode`). A node writes only its own
+state. Every handler takes the message and the group it arrived on (None for
+a point-to-point repair message) and returns a `HandlerResult`: membership
+changes come back as intents for the world to apply, and messages as
+emission tuples: ``("group", gid, msg)`` broadcasts to the other alive
+members of a group, ``("multi", (dst, ...), msg)`` targets an explicit peer
+list.
 
 Wire convention: an update message's ``depth`` already includes the weight of
 the group it is riding, i.e. the receiver reads its own exact path cost from
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import NodeId
 from .groups import (
@@ -74,16 +76,18 @@ def default_threshold(n_nodes: int) -> int:
 
 
 # --- wire messages -----------------------------------------------------------
+# Messages and path entries are named tuples: they build in about half the
+# time of a frozen dataclass and print the same repr. A named tuple equals a
+# plain tuple of the same fields, so none of them is compared, hashed or used
+# as a key; a handler reads only their fields.
 
-@dataclass(frozen=True)
-class DiscoverMsg:
+class DiscoverMsg(NamedTuple):
     origin: NodeId
     depth: int | Fraction
     epoch: int
 
 
-@dataclass(frozen=True)
-class UpdateMsg:
+class UpdateMsg(NamedTuple):
     requester: NodeId
     target: NodeId
     depth: int | Fraction  # exact path cost from requester to the receiving node
@@ -91,35 +95,30 @@ class UpdateMsg:
     epoch: int
 
 
-@dataclass(frozen=True)
-class JoinReq:
+class JoinReq(NamedTuple):
     requester: NodeId
     grp_type: str  # SEND_KIND | RECV_KIND
 
 
-@dataclass(frozen=True)
-class JoinRep:
+class JoinRep(NamedTuple):
     responder: NodeId
     grp_type: str
     grp: GroupId  # "" = no candidate
     size: int
 
 
-@dataclass(frozen=True)
-class GrpQry:
+class GrpQry(NamedTuple):
     requester: NodeId
     grp: GroupId
 
 
-@dataclass(frozen=True)
-class GrpAns:
+class GrpAns(NamedTuple):
     responder: NodeId
     grp: GroupId
     rep: NodeId  # responder id if it sends on the queried group, else ""
 
 
-@dataclass(frozen=True)
-class PathEntry:
+class PathEntry(NamedTuple):
     depth: int | Fraction
     via_group: GroupId
 
@@ -162,15 +161,21 @@ class BpdNode:
 
     The node reads the world's assignment, detected-alive set, round, epoch,
     and its `Bpd` strategy's threshold and reply timeout, and never writes
-    them. Only a world whose strategy is `Bpd` builds nodes, so only such a
-    world and its nodes form a reference cycle, which the cyclic collector
-    frees. The cycle stays: the nodes read the live round and epoch, and a
-    weak reference would cost a dereference on every handler call.
+    them. It keeps two of them itself, because the drop tests of every
+    discovery and update delivery read them: the assignment's group dict,
+    which the assignment updates in place and never rebinds, and the
+    threshold of the frozen `Bpd`. Only a world whose strategy is `Bpd`
+    builds nodes, so only such a world and its nodes form a reference cycle,
+    which the cyclic collector frees. The cycle stays: the nodes read the
+    live round and epoch, and a weak reference would cost a dereference on
+    every handler call.
     """
 
     def __init__(self, nid: NodeId, world: World):
         self.nid = nid
         self.world = world
+        self.groups = world.assignment.groups
+        self.thresh = world.strategy.thresh
         self.epoch = -1
         self.path: dict[NodeId, PathEntry] = {}
         self.roster_view: tuple[NodeId, ...] = ()
@@ -199,8 +204,7 @@ class BpdNode:
     def on_discover(self, msg: DiscoverMsg, gid: GroupId) -> HandlerResult:
         if msg.epoch != self.epoch or msg.origin == self.nid:
             return _NOTHING
-        assignment = self.world.assignment
-        delivered_on = assignment.groups[gid]
+        delivered_on = self.groups[gid]
         if self.nid not in delivered_on.senders:
             # sibling receiver overhears the announcement; not an edge for us
             return _NOTHING
@@ -210,13 +214,14 @@ class BpdNode:
             return _NOTHING
         self.path[msg.origin] = PathEntry(depth, gid)
         fwd = DiscoverMsg(msg.origin, depth, msg.epoch)
-        return HandlerResult([("group", g.gid, fwd) for g in assignment.recv_groups(self.nid)])
+        recv_groups = self.world.assignment.recv_groups(self.nid)
+        return HandlerResult([("group", g.gid, fwd) for g in recv_groups])
 
     # --- stage 2: update -----------------------------------------------------
 
     def update_targets(self) -> list[NodeId]:
         """Peers (from the roster seen at discovery) beyond thresh or unknown."""
-        thresh = self.world.strategy.thresh
+        thresh = self.thresh
         out = []
         for peer in self.roster_view:
             if peer == self.nid:
@@ -229,7 +234,7 @@ class BpdNode:
     def start_update(self, targets: list[NodeId]) -> HandlerResult:
         res = HandlerResult()
         send_groups = self.world.assignment.send_groups(self.nid)
-        thresh = self.world.strategy.thresh
+        thresh = self.thresh
         for target in targets:
             for g in send_groups:
                 depth = g.weight
@@ -248,8 +253,7 @@ class BpdNode:
         key = (msg.requester, msg.target)
         if key in self._forwarded:
             return _NOTHING
-        world = self.world
-        if self.nid not in world.assignment.groups[gid].receivers:
+        if self.nid not in self.groups[gid].receivers:
             # co-senders hear the broadcast too, but only group receivers sit
             # at the far end of an edge; accepting here would shortcut depth
             return _NOTHING
@@ -265,8 +269,8 @@ class BpdNode:
             return _NOTHING
         self._forwarded.add(key)
         res = HandlerResult()
-        thresh = world.strategy.thresh
-        for g in world.assignment.send_groups(self.nid):
+        thresh = self.thresh
+        for g in self.world.assignment.send_groups(self.nid):
             depth = msg.depth + g.weight
             grp = g.gid if depth <= thresh else msg.grp
             fwd = UpdateMsg(msg.requester, msg.target, depth, grp, msg.epoch)
@@ -276,7 +280,7 @@ class BpdNode:
     def _stamped_edge_missing(self, gid: GroupId) -> bool:
         """False when every alive sender of gid already reaches us as cheaply."""
         assignment, alive = self.world.assignment, self.world.detected_alive
-        grp = assignment.groups[gid]
+        grp = self.groups[gid]
         if self.nid in grp.receivers:
             return False
         mine = assignment.recv_groups(self.nid)
@@ -327,7 +331,7 @@ class BpdNode:
         return [("multi", tuple(members), GrpQry(self.nid, group.gid))]
 
     def on_grp_qry(self, msg: GrpQry, gid: None) -> HandlerResult:
-        sends = self.nid in self.world.assignment.groups[msg.grp].senders
+        sends = self.nid in self.groups[msg.grp].senders
         ans = GrpAns(self.nid, msg.grp, self.nid if sends else "")
         return HandlerResult([("multi", (msg.requester,), ans)])
 
@@ -380,7 +384,7 @@ class BpdNode:
 
     def _finalize_join(self, grp_type: str) -> list[JoinIntent]:
         pend = self.pending_join.pop(grp_type)
-        groups, alive = self.world.assignment.groups, self.world.detected_alive
+        groups, alive = self.groups, self.world.detected_alive
         candidates = [
             r
             for r in pend.replies.values()

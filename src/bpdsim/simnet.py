@@ -15,10 +15,14 @@ later does not get it. That destination tuple is the group's cached fan-out
 (`Group.fanout`), computed once per emitter and dropped when the group's
 membership changes, so an emission costs no sort. A popped entry fans out
 there and then, one delivery per destination in that order, and each
-delivery's own emissions go to the tail. A handler that drops its message
-returns the shared `bpd._NOTHING` result, which the drain skips. Every member
-delivery, to a crashed peer too, counts toward the cascade's cap of
-`_CASCADE_CAP` (2,000,000) deliveries.
+delivery's own emissions go to the tail. The handler is looked up once per
+popped emission, on the `BpdNode` class, and called with the node, the
+message and the group; the messages are named tuples (see `bpd`). A handler
+that drops its message returns the shared `bpd._NOTHING` result, which the
+drain skips. Every member delivery, to a crashed peer too, counts toward the
+cascade's cap of `_CASCADE_CAP` (2,000,000) deliveries; a popped emission
+adds all of its destinations to the count at once, and one that takes the
+count past the cap raises before any of its deliveries runs.
 
 Protocol state exists only where the protocol runs: a world whose strategy is
 `Bpd` holds one `BpdNode` per peer in `World.nodes`, and any other world holds
@@ -44,16 +48,18 @@ one `metrics.record_receipt` call per destination per round. The max does not
 depend on arrival order, so the merged vectors, and with them the DE figures,
 are the same as folding the messages in one at a time.
 
-Destinations share that max. Nothing writes a stamp vector between a round's
-send and the next round's delivery, so a peer that sent holds exactly the
-vector it sent, and a destination's merge is the max over the vectors of
-itself and of the senders it heard from: a function of that set of names.
-Each distinct set is merged once per round; under all-to-all every
-destination hears the same set, so a round costs one merge where it used to
-cost one per destination. A destination that did not send (a peer that
-recovered this round, or one with no destinations) brings its current
-vector, and its set can equal no other destination's, since nobody heard
-from it.
+Destinations share that max where it pays. Nothing writes a stamp vector
+between a round's send and the next round's delivery, so a peer that sent
+holds exactly the vector it sent, and a destination's merge is the max over
+the vectors of itself and of the senders it heard from. The senders it heard
+from are a subset of the round's senders, so a destination that sent and
+heard from every other sender merges the vectors of all senders: that max is
+folded once per round, on first use, and shared. Under all-to-all every
+destination that sent is such a one, so a round costs one merge. Every other
+destination folds its own vectors directly (a group strategy gives nearly
+every destination its own set, where a lookup key would cost without
+sharing). A destination that did not send (a peer that recovered this round,
+or one with no destinations) brings its current vector.
 
 Crashed peers neither send nor receive. Messages addressed to one are still
 counted as sent and then dropped, because the senders cannot know better
@@ -95,8 +101,9 @@ from .workloads import DEFAULT_EPS, Bpd, Gossip, Strategy, consensus_step, init_
 _CASCADE_CAP = 2_000_000
 
 # control message type -> name of the BpdNode method that handles it; the
-# method is looked up on the node at each delivery, so one replaced on
-# BpdNode (as bench/tracer.py does) is the one that runs
+# method is looked up on the class once per popped emission, so one replaced
+# on BpdNode (as bench/tracer.py does) is the one that runs from the next
+# emission on
 _HANDLERS = {
     DiscoverMsg: "on_discover",
     UpdateMsg: "on_update",
@@ -355,18 +362,21 @@ class World:
                     self._trace(f"deliver app {src} {dst}")
         stamps, receipts, packing = self.stamps, self.receipts, self.packing
         record, rnd = metrics.record_receipt, self.round
-        # {destination} | the senders it heard from -> their element-wise max
-        merges: dict[frozenset[NodeId], int] = {}
+        # heard <= sent, so a destination that sent and heard every other
+        # sender merges all of `sent`: folded once, on first use, and shared
+        everyone, n_sent = None, len(sent)
         for dst, heard in consensus_in.items():
             if not heard:
                 continue
             mine = stamps[dst]
-            key = frozenset(heard) | {dst}
-            merged = merges.get(key)
-            if merged is None:
+            if dst in sent and len(heard) + (dst not in heard) == n_sent:
+                if everyone is None:
+                    everyone = packing.max(sent.values())
+                merged = everyone
+            else:
                 vectors = [sent[src] for src in heard]
-                vectors.append(sent.get(dst, mine))
-                merged = merges[key] = packing.max(vectors)
+                vectors.append(mine)
+                merged = packing.max(vectors)
             stamps[dst] = merged
             receipts[dst] = record(receipts[dst], mine, merged, rnd, packing)
 
@@ -439,19 +449,23 @@ class World:
 
     def _drain_control(self, delivered: int = 0) -> int:
         """Deliver queued control traffic, fanning each emission out to its
-        destinations as it is popped; `delivered` carries the cascade's count."""
+        destinations as it is popped; `delivered` carries the cascade's count.
+
+        Each popped emission adds its destinations, dead ones included, to the
+        count and is checked against `_CASCADE_CAP` once, before any of its
+        deliveries; its handler is looked up once, on `BpdNode`."""
         ctrl, alive, nodes = self._ctrl, self.alive, self.nodes
         while ctrl:
             dsts, gid, msg = ctrl.popleft()
-            handler = _HANDLERS[type(msg)]
+            delivered += len(dsts)
+            if delivered > _CASCADE_CAP:
+                raise CascadeError(
+                    f"control cascade did not quiesce within {_CASCADE_CAP} deliveries"
+                )
+            handler = getattr(BpdNode, _HANDLERS[type(msg)])
             for dst in dsts:
-                delivered += 1
-                if delivered > _CASCADE_CAP:
-                    raise CascadeError(
-                        f"control cascade did not quiesce within {_CASCADE_CAP} deliveries"
-                    )
                 if dst in alive:
-                    res = getattr(nodes[dst], handler)(msg, gid)
+                    res = handler(nodes[dst], msg, gid)
                     if res is not _NOTHING:
                         self._apply_result(dst, res)
         return delivered

@@ -1,15 +1,16 @@
 import gc
 import hashlib
 import json
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from bpdsim import bpd, cli, simnet
-from bpdsim.bpd import BpdNode, DiscoverMsg, HandlerResult, default_threshold
+from bpdsim import bpd, cli, metrics, simnet
+from bpdsim.bpd import BpdNode, DiscoverMsg, GrpQry, HandlerResult, default_threshold
 from bpdsim.graph import hop_counts
 from bpdsim.groups import RECEIVER, join_group
 from bpdsim.metrics import NO_RECEIPT
@@ -292,15 +293,37 @@ def step_against_merge_oracle(w):
     """Run one round of `w` and check every stamp vector against the plain
     merge: each alive destination folds every snapshot it received into its
     own vector, `list(map(max, mine, *snapshots))`, then stamps its own slot
-    when it sends."""
+    when it sends.
+
+    Also check how many folds the round makes: one shared by every
+    destination that sent and heard from every other sender, and one for
+    each other destination. Returns the number of destinations of each
+    kind: (sharing, folding their own)."""
     before = {d: vec(w, v) for d, v in w.stamps.items()}
-    inflight = [(dsts, vec(w, snapshot)) for _src, _x, snapshot, dsts in w._app_inflight]
-    w.step_round()
-    got = {}
-    for dsts, snapshot in inflight:
+    inflight = [(src, dsts, vec(w, snapshot)) for src, _x, snapshot, dsts in w._app_inflight]
+    folds = 0
+    real_max = metrics.Packing.max
+
+    def counted_max(packing, vectors):
+        nonlocal folds
+        folds += 1
+        return real_max(packing, vectors)
+
+    metrics.Packing.max = counted_max
+    try:
+        w.step_round()
+    finally:
+        metrics.Packing.max = real_max
+    got, heard = {}, {}
+    for src, dsts, snapshot in inflight:
         for dst in dsts:
             if dst in w.alive:
                 got.setdefault(dst, []).append(snapshot)
+                heard.setdefault(dst, set()).add(src)
+    senders = {src for src, _dsts, _snapshot in inflight}
+    shared = [d for d in heard if d in senders and heard[d] | {d} == senders]
+    own = len(heard) - len(shared)
+    assert folds == own + bool(shared), w.round
     for d in w.roster:
         want = list(map(max, before[d], *got[d])) if d in got else before[d]
         if d in w.alive:
@@ -309,6 +332,7 @@ def step_against_merge_oracle(w):
     # vectors are immutable ints, so destinations that share a merge cannot
     # see each other's later writes
     assert all(type(v) is int for v in w.stamps.values())
+    return len(shared), own
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,7 +352,11 @@ def test_shared_merge_matches_the_per_destination_merge(data):
     faults = data.draw(_fault_schedules(g.nodes, rounds), "faults")
     w = World(g, strategy, cfg, faults=faults)
     for _ in range(rounds):
-        step_against_merge_oracle(w)
+        shared, own = step_against_merge_oracle(w)
+        if shared:
+            event("a shared merge of every sender")
+        if own:
+            event("a destination folding its own senders")
 
 
 @settings(max_examples=30, deadline=None)
@@ -385,7 +413,8 @@ def test_peer_recovering_into_an_all_to_all_round_keeps_what_only_it_holds():
     for _ in range(5):
         step_against_merge_oracle(w)
     assert [src for src, *_ in w._app_inflight] == ["a", "b"]
-    step_against_merge_oracle(w)
+    # a and b share the merge of both senders; c, which did not send, folds its own
+    assert step_against_merge_oracle(w) == (2, 1)
     d = w.pos["d"]
     assert vec(w, w.stamps["c"])[d] == 2
     assert vec(w, w.stamps["a"])[d] == vec(w, w.stamps["b"])[d] == 1
@@ -397,8 +426,10 @@ def test_receiver_in_two_send_groups_of_one_sender():
     g = make_graph([("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")], weights=[1, 2, 1, 1])
     w = World(g, Unmodified(), SimConfig(n_rounds=4))
     assert join_group(w.assignment, "b", "g.a.1", RECEIVER)
-    for _ in range(4):
-        step_against_merge_oracle(w)
+    for rnd in range(1, 5):
+        kinds = step_against_merge_oracle(w)
+        # from round 2 on, a hears b and c, every other sender; b and c hear only a
+        assert kinds == ((1, 2) if rnd > 1 else (0, 0))
         assert w.stats[-1].messages == 5
     src, _x, _snapshot, dsts = w._app_inflight[0]
     assert (src, dsts) == ("a", ["b", "b", "c"])
@@ -478,6 +509,61 @@ def test_group_destinations_frozen_at_emission(monkeypatch):
     w._apply_result("a", HandlerResult([("group", "g.a", stale)]))
     w._drain_control()
     assert got == ["b", "c", "d"]
+
+
+class _PoppedLog(deque):
+    """A control queue that logs the destinations of every emission popped."""
+
+    def __init__(self):
+        super().__init__()
+        self.popped = []
+
+    def popleft(self):
+        entry = super().popleft()
+        self.popped.append(entry[0])
+        return entry
+
+
+def test_cascade_cap_counts_deliveries_to_a_peer_not_yet_detected(monkeypatch):
+    def crashed_world():
+        w = mesh_world(rounds=0, strategy=Bpd(3), detection_rounds=5)
+        w.inject_fault("f", "crash")  # down, but addressed until it is detected
+        return w
+
+    w = crashed_world()
+    w._ctrl = log = _PoppedLog()
+    w._discover()
+    assert sum(dsts.count("f") for dsts in log.popped) > 0
+    # one delivery per destination of every emission popped, f's included
+    total = sum(map(len, log.popped))
+    monkeypatch.setattr(simnet, "_CASCADE_CAP", total)
+    assert crashed_world()._discover() == total
+    monkeypatch.setattr(simnet, "_CASCADE_CAP", total - 1)
+    with pytest.raises(simnet.CascadeError):
+        crashed_world()._discover()
+
+
+def test_handler_replaced_between_drains_runs_in_the_next(monkeypatch):
+    # the drain looks the handler up on BpdNode for each emission it pops, so
+    # a method replaced there, as bench/tracer.py does, runs from the next
+    # drain on, and the original again once it is put back
+    w = mesh_world(rounds=0, strategy=Bpd(3))
+    w._discover()
+    got = []
+
+    def replaced(node, msg, gid):
+        got.append(node.nid)
+        return bpd._NOTHING
+
+    query = HandlerResult([("multi", ("b", "c"), GrpQry("a", "g.a"))])
+    monkeypatch.setattr(BpdNode, "on_grp_qry", replaced)
+    w._apply_result("a", query)
+    w._drain_control()
+    assert got == ["b", "c"]
+    monkeypatch.undo()
+    w._apply_result("a", query)
+    w._drain_control()  # b and c answer a, whose query is not pending
+    assert got == ["b", "c"]
 
 
 # --- protocol state only for Bpd ----------------------------------------
