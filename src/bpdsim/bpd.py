@@ -29,10 +29,13 @@ its own references to the group dict, which is only ever updated in place,
 and to the frozen threshold (see `BpdNode`). A node writes only its own
 state. Every handler takes the message and the group it arrived on (None for
 a point-to-point repair message) and returns a `HandlerResult`: membership
-changes come back as intents for the world to apply, and messages as
-emission tuples: ``("group", gid, msg)`` broadcasts to the other alive
-members of a group, ``("multi", (dst, ...), msg)`` targets an explicit peer
-list.
+changes come back as intents for the world to apply, and messages as the
+control-queue entries themselves, ``(dsts, gid, msg)``, which the world
+enqueues unchanged. A group emission is ``(g.fanout(nid), g.gid, msg)``:
+every member of the group but the emitter, sorted, as the membership stands
+when the handler runs, so a crashed peer that is not yet detected is
+addressed too and the world drops the delivery. A point-to-point repair
+message is ``((dst, ...), None, msg)``.
 
 Wire convention: an update message's ``depth`` already includes the weight of
 the group it is riding, i.e. the receiver reads its own exact path cost from
@@ -198,7 +201,7 @@ class BpdNode:
         res = HandlerResult()
         msg = DiscoverMsg(self.nid, 0, self.epoch)
         for g in world.assignment.recv_groups(self.nid):
-            res.emissions.append(("group", g.gid, msg))
+            res.emissions.append((g.fanout(self.nid), g.gid, msg))
         return res
 
     def on_discover(self, msg: DiscoverMsg, gid: GroupId) -> HandlerResult:
@@ -215,7 +218,7 @@ class BpdNode:
         self.path[msg.origin] = PathEntry(depth, gid)
         fwd = DiscoverMsg(msg.origin, depth, msg.epoch)
         recv_groups = self.world.assignment.recv_groups(self.nid)
-        return HandlerResult([("group", g.gid, fwd) for g in recv_groups])
+        return HandlerResult([(g.fanout(self.nid), g.gid, fwd) for g in recv_groups])
 
     # --- stage 2: update -----------------------------------------------------
 
@@ -240,7 +243,7 @@ class BpdNode:
                 depth = g.weight
                 grp = g.gid if depth <= thresh else ""
                 msg = UpdateMsg(self.nid, target, depth, grp, self.epoch)
-                res.emissions.append(("group", g.gid, msg))
+                res.emissions.append((g.fanout(self.nid), g.gid, msg))
         return res
 
     def on_update(self, msg: UpdateMsg, gid: GroupId) -> HandlerResult:
@@ -274,7 +277,7 @@ class BpdNode:
             depth = msg.depth + g.weight
             grp = g.gid if depth <= thresh else msg.grp
             fwd = UpdateMsg(msg.requester, msg.target, depth, grp, msg.epoch)
-            res.emissions.append(("group", g.gid, fwd))
+            res.emissions.append((g.fanout(self.nid), g.gid, fwd))
         return res
 
     def _stamped_edge_missing(self, gid: GroupId) -> bool:
@@ -320,7 +323,7 @@ class BpdNode:
             return []
         if grp_type not in self.pending_join:
             self.pending_join[grp_type] = _Pending(frozenset(leaders), {}, self._deadline())
-        return [("multi", tuple(leaders), JoinReq(self.nid, grp_type))]
+        return [(tuple(leaders), None, JoinReq(self.nid, grp_type))]
 
     def _emit_grp_qry(self, group: Group) -> list[tuple]:
         members = sorted((group.members - {self.nid}) & self.world.detected_alive)
@@ -328,12 +331,12 @@ class BpdNode:
             self.pending_query[group.gid] = _Pending(frozenset(members), {}, self._deadline())
         if not members:
             return []  # settled by the next poll as all-empty
-        return [("multi", tuple(members), GrpQry(self.nid, group.gid))]
+        return [(tuple(members), None, GrpQry(self.nid, group.gid))]
 
     def on_grp_qry(self, msg: GrpQry, gid: None) -> HandlerResult:
         sends = self.nid in self.groups[msg.grp].senders
         ans = GrpAns(self.nid, msg.grp, self.nid if sends else "")
-        return HandlerResult([("multi", (msg.requester,), ans)])
+        return HandlerResult([((msg.requester,), None, ans)])
 
     def on_grp_ans(self, msg: GrpAns, gid: None) -> HandlerResult:
         pend = self.pending_query.get(msg.grp)
@@ -371,7 +374,7 @@ class BpdNode:
             if best is not None
             else JoinRep(self.nid, msg.grp_type, "", 0)
         )
-        return HandlerResult([("multi", (msg.requester,), rep)])
+        return HandlerResult([((msg.requester,), None, rep)])
 
     def on_join_rep(self, msg: JoinRep, gid: None) -> HandlerResult:
         pend = self.pending_join.get(msg.grp_type)

@@ -7,12 +7,14 @@ Three subcommands:
     bpdsim bpd-trace model.tl      run one overlay repair cycle and show it
 
 Exit codes: 0 on success; 1 for any input problem (bad file, bad scenario,
-unconnectable topology) and for a failure to write output; 2 when a run
-finishes but a runtime property was violated (the overlay lost strong
-connectivity or exceeded its path bound); and 2 when a `run` or `bpd-trace`
-is stopped because one round's control cascade ran past the simulator's
-delivery cap, which writes no CSVs. Every failure that stops a command is
-caught in one place, `main`, and printed as one `error:` line.
+unconnectable topology) and for a failure to write output; 2 when a command
+finishes but the property it checks does not hold: `run` checks that the
+overlay is strongly connected after each repair cycle (a path bound is not
+checked during a run), and `bpd-trace` that the overlay after its one cycle
+is connected and bounded; and 2 when a `run` or `bpd-trace` is stopped
+because one round's control cascade ran past the simulator's delivery cap,
+which writes no CSVs. Every failure that stops a command is caught in one
+place, `main`, and printed as one `error:` line.
 """
 from __future__ import annotations
 
@@ -190,7 +192,8 @@ def write_nodes_csv(path: Path, world: World) -> None:
 def write_summary_csv(path: Path, world: World) -> None:
     optimum = true_average(world.x0)
     if world.x_trace:
-        dev = metrics.deviation_pct(world.x_trace[-1], optimum)
+        # no peer alive in the last round: no deviation to report
+        dev = metrics.deviation_pct(world.x_trace[-1], optimum) if world.x_trace[-1] else None
         band = metrics.iterations_to_band(world.x_trace, optimum)
         msgs = world.stats[-1].messages
         kbps = metrics.bandwidth_kbps(
@@ -217,7 +220,7 @@ def write_summary_csv(path: Path, world: World) -> None:
         )
         w.writerow(
             [
-                _num(dev),
+                "" if dev is None else _num(dev),
                 "" if band is None else band,
                 msgs,
                 _num(kbps),

@@ -7,22 +7,24 @@ within the round that triggers it: those exchanges take a network round
 trip, which at a 10 ms iteration period is far below one round, so the
 simulator cascades control deliveries to quiescence inside the round.
 
-The control queue is a FIFO with one entry per emission: the message, the
-group it rides (None for a point-to-point one) and its destinations, frozen
-when it is emitted. A group emission goes to the group's members other than
-the emitter, in sorted order, as they stand at that moment; a peer that joins
-later does not get it. That destination tuple is the group's cached fan-out
-(`Group.fanout`), computed once per emitter and dropped when the group's
-membership changes, so an emission costs no sort. A popped entry fans out
-there and then, one delivery per destination in that order, and each
-delivery's own emissions go to the tail. The handler is looked up once per
-popped emission, on the `BpdNode` class, and called with the node, the
-message and the group; the messages are named tuples (see `bpd`). A handler
-that drops its message returns the shared `bpd._NOTHING` result, which the
-drain skips. Every member delivery, to a crashed peer too, counts toward the
-cascade's cap of `_CASCADE_CAP` (2,000,000) deliveries; a popped emission
-adds all of its destinations to the count at once, and one that takes the
-count past the cap raises before any of its deliveries runs.
+The control queue is a FIFO with one entry per emission: its destinations,
+the group it rides (None for a point-to-point one) and the message, frozen
+when it is emitted. The emitting `BpdNode` builds that entry itself (see
+`bpd`), and the world counts it and enqueues it as it is. A group emission
+goes to the group's members other than the emitter, in sorted order, as they
+stand at that moment; a peer that joins later does not get it. That
+destination tuple is the group's cached fan-out (`Group.fanout`), computed
+once per emitter and dropped when the group's membership changes, so an
+emission costs no sort. A popped entry fans out there and then, one delivery
+per destination in that order, and each delivery's own emissions go to the
+tail. The handler is looked up once per popped emission, on the `BpdNode`
+class, and called with the node, the message and the group; the messages are
+named tuples (see `bpd`). A handler that drops its message returns the shared
+`bpd._NOTHING` result, which the drain skips. Every member delivery, to a
+crashed peer too, counts toward the cascade's cap of `_CASCADE_CAP`
+(2,000,000) deliveries; a popped emission adds all of its destinations to the
+count at once, and one that takes the count past the cap raises before any of
+its deliveries runs.
 
 Protocol state exists only where the protocol runs: a world whose strategy is
 `Bpd` holds one `BpdNode` per peer in `World.nodes`, and any other world holds
@@ -96,7 +98,7 @@ from .groups import (
     join_group,
     leave_all,
 )
-from .workloads import DEFAULT_EPS, Bpd, Gossip, Strategy, consensus_step, init_values, strategy_emit
+from .workloads import Bpd, Gossip, Strategy, consensus_step, init_values, strategy_emit
 
 _CASCADE_CAP = 2_000_000
 
@@ -138,7 +140,7 @@ class SimConfig:
     control_bytes: int = 32
     detection_rounds: int = 1
     de_window_rounds: int | None = None  # default: 2 * roster size
-    eps: float = DEFAULT_EPS
+    eps: float = 0.5
 
     def __post_init__(self):
         for name, ok, rule in (
@@ -268,7 +270,6 @@ class World:
 
         self._app_sent = 0
         self._ctrl_sent = 0
-        self._bytes = 0
 
     # --- public driving --------------------------------------------------
 
@@ -280,7 +281,7 @@ class World:
         self.round += 1
         if self.round > self.packing.top:
             self._widen()
-        self._app_sent = self._ctrl_sent = self._bytes = 0
+        self._app_sent = self._ctrl_sent = 0
         consensus_in: dict[NodeId, dict[NodeId, float]] = {n: {} for n in self.roster}
 
         for ev in self.faults:
@@ -299,7 +300,6 @@ class World:
             self.x[n] = consensus_step(self.x[n], consensus_in[n], self.cfg.eps)
         self._send_app()
         self._ctrl_sent += len(self.alive)  # heartbeats
-        self._bytes += len(self.alive) * self.cfg.control_bytes
 
         return self._close_round()
 
@@ -403,22 +403,19 @@ class World:
         )
         if not due:
             return
-        affected: list[tuple[NodeId, str, str]] = []
+        # (departed, gid) pairs in order of first departure, each once
+        affected: dict[tuple[NodeId, str], None] = {}
         for n in due:
             self.detected_alive.discard(n)
             removed = leave_all(self.assignment, n)
             self.stash[n] = removed
             for gid, role in removed:
                 self.events.append(MembershipEvent("MemberLeft", gid, n, role, self.round))
-                affected.append((n, gid, role))
+                affected[n, gid] = None
                 self._trace(f"member-left {gid} {n} {role}")
         if not self.nodes:
             return
-        seen: set[tuple[NodeId, str]] = set()
-        for departed, gid, _role in affected:
-            if (departed, gid) in seen:
-                continue
-            seen.add((departed, gid))
+        for departed, gid in affected:
             grp = self.assignment.groups[gid]
             for m in sorted(grp.members & self.alive):
                 self._apply_result(m, self.nodes[m].on_member_left(grp, departed))
@@ -471,16 +468,8 @@ class World:
         return delivered
 
     def _apply_result(self, emitter: NodeId, res: HandlerResult) -> None:
-        emissions = res.emissions
-        if emissions:
-            self._ctrl_sent += len(emissions)
-            self._bytes += len(emissions) * self.cfg.control_bytes
-            groups, enqueue = self.assignment.groups, self._ctrl.append
-            for kind, target, msg in emissions:
-                if kind == "group":
-                    enqueue((groups[target].fanout(emitter), target, msg))
-                else:  # "multi": target is the destination tuple
-                    enqueue((target, None, msg))
+        self._ctrl_sent += len(res.emissions)
+        self._ctrl.extend(res.emissions)
         for intent in res.joins:
             ev = join_group(self.assignment, emitter, intent.gid, intent.role, round=self.round)
             if ev:
@@ -506,7 +495,6 @@ class World:
                 continue
             self._app_inflight.append((n, self.x[n], mine, dsts))
             self._app_sent += len(dsts)
-            self._bytes += len(dsts) * self.cfg.payload_bytes
 
     def _close_round(self) -> RoundStats:
         des: dict[NodeId, float] = {}
@@ -516,11 +504,12 @@ class World:
             receipts = self.receipts[n] = metrics.purge(self.receipts[n], rnd, self.window, packing)
             des[n] = metrics.dissemination_efficiency(receipts, origins_alive, self.pos[n], packing)
         xs = {n: self.x[n] for n in sorted(self.alive)}
+        cfg = self.cfg
         row = RoundStats(
             round=self.round,
             messages=self._app_sent,
             control_messages=self._ctrl_sent,
-            bytes=self._bytes,
+            bytes=self._app_sent * cfg.payload_bytes + self._ctrl_sent * cfg.control_bytes,
             mean_de=sum(des.values()) / len(des) if des else 1.0,
             min_de=min(des.values()) if des else 1.0,
             max_x=max(xs.values()) if xs else 0.0,

@@ -17,8 +17,6 @@ from operator import sub
 
 from .graph import NodeId, int_if_integral
 
-DEFAULT_EPS = 0.5
-
 
 @dataclass(frozen=True)
 class AllToAll:
@@ -94,7 +92,7 @@ def true_average(values: dict[NodeId, float]) -> float:
     return sum(values.values()) / len(values)
 
 
-def consensus_step(x_i: float, delivered: dict[NodeId, float], eps: float = DEFAULT_EPS) -> float:
+def consensus_step(x_i: float, delivered: dict[NodeId, float], eps: float) -> float:
     """One averaging update; a node that heard nobody keeps its value."""
     k = len(delivered)
     if k == 0:

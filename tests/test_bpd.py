@@ -65,9 +65,10 @@ def test_discovery_emits_depth_zero_on_recv_groups(base10):
     w = World(base10, Bpd(3), SimConfig(n_rounds=0, seed=0))
     res = w.nodes["a"].start_discovery()
     # a receives from b and c (edges b->a, c->a)
-    gids = sorted(e[1] for e in res.emissions)
+    gids = sorted(gid for _dsts, gid, _msg in res.emissions)
     assert gids == ["g.b", "g.c"]
-    for _, _, msg in res.emissions:
+    for dsts, gid, msg in res.emissions:
+        assert dsts == w.assignment.groups[gid].fanout("a")
         assert isinstance(msg, DiscoverMsg)
         assert msg.depth == 0 and msg.origin == "a"
 
@@ -228,7 +229,7 @@ def test_repeat_update_forward_returns_the_shared_empty_result():
     res = node.on_update(msg, "g.a")  # b receives on g.a
     assert res is bpd._NOTHING
     with pytest.raises(AttributeError):
-        res.emissions.append(("group", "g.b", msg))
+        res.emissions.append((w.assignment.groups["g.b"].fanout("b"), "g.b", msg))
 
 
 def test_overlay_only_adds_edges(base10):

@@ -233,6 +233,22 @@ def test_gossip_sends_to_every_peer_left_when_fewer_than_fanout(tmp_path, capsys
     assert [int(row.split(",")[1]) for row in rows[2:]] == [6] * 8
 
 
+@pytest.mark.parametrize("strategy", ["unmodified", "bpd"])
+def test_run_ending_with_every_peer_down_leaves_deviation_empty(strategy, tmp_path, capsys):
+    shutil.copy(SCENARIOS / "ring6.tl", tmp_path / "ring6.tl")
+    crashes = "".join(f"faults.{i + 1} = 3 crash n{i}\n" for i in range(6))
+    scn = tmp_path / "down.scn"
+    scn.write_text(f"topology = ring6.tl\nstrategy = {strategy}\nrounds = 10\n{crashes}")
+    code, _, err = run_cli(["run", str(scn), "--out", str(tmp_path / "out")], capsys)
+    assert code == 0, err
+    rows = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10 and (tmp_path / "out" / "nodes.csv").exists()
+    header, row = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["deviation_pct"] == ""
+    assert cells["iterations_to_band"] != ""  # the run had values before the crash
+
+
 @pytest.mark.parametrize(
     "line, code",
     [("repair.period.rounds = 0", 0), ("thresh = x", 1)],

@@ -128,11 +128,27 @@ def test_heartbeats_count_alive():
     assert all(s.control_messages == 6 for s in w.stats)
 
 
-def test_bytes_accounting():
-    w = mesh_world(rounds=2, strategy=Unmodified(), payload_bytes=100, control_bytes=10)
+@pytest.mark.parametrize(
+    "rounds, strategy, faults",
+    [
+        (2, Unmodified(), []),
+        # repair cycles in rounds 1 and 4; c's crash is detected in round 3,
+        # whose departure handlers send repair traffic and join
+        (6, Bpd(3, repair_period_rounds=3), [FaultEvent(2, "crash", "c")]),
+    ],
+    ids=["unmodified", "bpd-repair-and-crash"],
+)
+def test_bytes_accounting(rounds, strategy, faults):
+    w = mesh_world(
+        rounds=rounds, strategy=strategy, faults=faults, payload_bytes=100, control_bytes=10
+    )
     w.run()
-    s = w.stats[0]
-    assert s.bytes == s.messages * 100 + s.control_messages * 10
+    for s in w.stats:
+        assert s.bytes == s.messages * 100 + s.control_messages * 10
+    if isinstance(strategy, Bpd):
+        heartbeats = {1: 6, 3: 5, 4: 5}
+        assert all(w.stats[r - 1].control_messages > n for r, n in heartbeats.items())
+        assert any(e.round == 3 and e.kind == "MemberJoined" for e in w.events)
 
 
 def test_crashed_destination_counted_until_detected():
@@ -501,12 +517,13 @@ def test_group_destinations_frozen_at_emission(monkeypatch):
 
     monkeypatch.setattr(BpdNode, "on_discover", logged)
     stale = DiscoverMsg("a", 0, epoch=99)  # every node drops it
-    w._apply_result("a", HandlerResult([("group", "g.a", stale)]))
+    g_a = w.assignment.groups["g.a"]
+    w._apply_result("a", HandlerResult([(g_a.fanout("a"), "g.a", stale)]))
     assert join_group(w.assignment, "d", "g.a", RECEIVER, round=0)  # d joins before the drain
     w._drain_control()
     assert got == ["b", "c"]
     got.clear()
-    w._apply_result("a", HandlerResult([("group", "g.a", stale)]))
+    w._apply_result("a", HandlerResult([(g_a.fanout("a"), "g.a", stale)]))
     w._drain_control()
     assert got == ["b", "c", "d"]
 
@@ -555,7 +572,7 @@ def test_handler_replaced_between_drains_runs_in_the_next(monkeypatch):
         got.append(node.nid)
         return bpd._NOTHING
 
-    query = HandlerResult([("multi", ("b", "c"), GrpQry("a", "g.a"))])
+    query = HandlerResult([(("b", "c"), None, GrpQry("a", "g.a"))])
     monkeypatch.setattr(BpdNode, "on_grp_qry", replaced)
     w._apply_result("a", query)
     w._drain_control()

@@ -22,16 +22,16 @@ from conftest import BASE10_EDGES, make_graph
 
 def test_consensus_step_single_input():
     # eps=0.5, one neighbour: move halfway
-    assert consensus_step(0.0, {"b": 10.0}) == 5.0
+    assert consensus_step(0.0, {"b": 10.0}, eps=0.5) == 5.0
 
 
 def test_consensus_step_silence_keeps_value():
-    assert consensus_step(7.5, {}) == 7.5
+    assert consensus_step(7.5, {}, eps=0.5) == 7.5
 
 
 def test_consensus_step_multi_input():
     # k=2: each neighbour weighted eps/2 = 0.25
-    got = consensus_step(0.0, {"b": 8.0, "c": 4.0})
+    got = consensus_step(0.0, {"b": 8.0, "c": 4.0}, eps=0.5)
     assert got == pytest.approx(0.25 * 8.0 + 0.25 * 4.0)
 
 
@@ -45,7 +45,7 @@ def test_consensus_step_custom_eps():
 )
 def test_consensus_step_stays_in_hull(x, vals):
     delivered = {f"n{i}": v for i, v in enumerate(vals)}
-    got = consensus_step(x, delivered)
+    got = consensus_step(x, delivered, eps=0.5)
     lo, hi = min([x, *vals]), max([x, *vals])
     assert lo - 1e-9 <= got <= hi + 1e-9
 
