@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bpdsim import bpd, cli, metrics, simnet
 from bpdsim.bpd import BpdNode, DiscoverMsg, GrpQry, HandlerResult, default_threshold
 from bpdsim.graph import hop_counts
-from bpdsim.groups import RECEIVER, join_group
+from bpdsim.groups import RECEIVER, SENDER, join_group
 from bpdsim.metrics import NO_RECEIPT
 from bpdsim.simnet import (
     FaultError,
@@ -167,6 +167,28 @@ def test_detection_round_exact():
     lefts = [e for e in w.events if e.kind == "MemberLeft"]
     assert lefts and all(e.round == 5 for e in lefts)
     assert "f" not in w.detected_alive and "f" not in w.alive
+
+
+def test_departure_from_both_roles_of_a_group_is_handled_once(monkeypatch):
+    # b receives on g.a and also sends on it, so its detected crash leaves
+    # g.a twice; each member still reacts to that departure once
+    w = mesh_world(
+        rounds=3, strategy=Bpd(3, repair_period_rounds=1000), faults=[FaultEvent(2, "crash", "b")]
+    )
+    assert join_group(w.assignment, "b", "g.a", SENDER, round=0)
+    calls = []
+    on_member_left = BpdNode.on_member_left
+
+    def logged(node, group, departed):
+        calls.append((node.nid, group.gid, departed))
+        return on_member_left(node, group, departed)
+
+    monkeypatch.setattr(BpdNode, "on_member_left", logged)
+    w.run()
+    left = [(e.group, e.role) for e in w.events if e.kind == "MemberLeft"]
+    assert ("g.a", SENDER) in left and ("g.a", RECEIVER) in left
+    assert calls.count(("a", "g.a", "b")) == 1
+    assert len(calls) == len(set(calls))
 
 
 # --- fault injection guards ------------------------------------------------
