@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import importlib.util
 import json
+import sys
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +24,7 @@ from bpdsim.simnet import (
     World,
     validate_schedule,
 )
+from bpdsim.toplink import build_graph, parse_toplink
 from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified
 from conftest import BASE10_EDGES, DeOracle, make_graph, random_sc_digraph
 
@@ -494,19 +497,35 @@ def bpd_crash_run():
     cli.build_world(cli.parse_scenario(SCENARIOS / "bpd_crash.scn"), SCENARIOS).run()
 
 
-DELIVERY_CASES = {"ring12_cycle": ring12_cycle, "bpd_crash": bpd_crash_run}
+def random12_churn():
+    """A random(3) overlay of 12 peers at thresh 2, a repair cycle every 5
+    rounds and two crash/recover pairs: sibling receivers drop discovery
+    announcements and nodes drop repeated updates, under churn."""
+    names = ", ".join(f"p{i:02d}" for i in range(12))
+    g = build_graph(parse_toplink(f"topology random(3);\nnodes {{ {names} }};\n"), seed=3)
+    faults = [
+        FaultEvent(7, "crash", "p03"),
+        FaultEvent(12, "crash", "p08"),
+        FaultEvent(18, "recover", "p03"),
+        FaultEvent(24, "recover", "p08"),
+    ]
+    World(g, Bpd(2, repair_period_rounds=5), SimConfig(n_rounds=30, seed=3), faults).run()
 
 
-def delivery_record(monkeypatch, drive):
-    """Run drive() with every delivery handler logging one line per call:
-    round, destination, handler name, group and the message's repr."""
-    h, count = hashlib.sha256(), 0
+DELIVERY_CASES = {
+    "ring12_cycle": ring12_cycle,
+    "bpd_crash": bpd_crash_run,
+    "random12_churn": random12_churn,
+}
+
+
+def observe_deliveries(monkeypatch, drive, observe):
+    """Run drive() with every delivery handler calling observe(name, node, msg,
+    gid) before it handles the delivery."""
 
     def logged(name, handler):
         def deliver(node, msg, gid):
-            nonlocal count
-            count += 1
-            h.update(f"{node.world.round} {node.nid} {name} {gid} {msg!r}\n".encode())
+            observe(name, node, msg, gid)
             return handler(node, msg, gid)
 
         return deliver
@@ -515,12 +534,57 @@ def delivery_record(monkeypatch, drive):
         for name in simnet._HANDLERS.values():
             patched.setattr(BpdNode, name, logged(name, getattr(BpdNode, name)))
         drive()
+
+
+def delivery_record(monkeypatch, drive):
+    """Run drive() with every delivery handler logging one line per call:
+    round, destination, handler name, group and the message's repr."""
+    h, count = hashlib.sha256(), 0
+
+    def log(name, node, msg, gid):
+        nonlocal count
+        count += 1
+        h.update(f"{node.world.round} {node.nid} {name} {gid} {msg!r}\n".encode())
+
+    observe_deliveries(monkeypatch, drive, log)
     return {"sha256": h.hexdigest(), "deliveries": count}
 
 
 @pytest.mark.parametrize("case", sorted(DELIVERY_CASES))
 def test_control_delivery_sequence_is_pinned(case, monkeypatch):
     assert delivery_record(monkeypatch, DELIVERY_CASES[case]) == DELIVERY_DIGESTS[case]
+
+
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def _bench_scenarios(monkeypatch):
+    """bench/scenarios.py, loaded from its file without touching sys.path."""
+    spec = importlib.util.spec_from_file_location("bench_scenarios", BENCH / "scenarios.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["bpd-churn", "ring-cycle"])
+def test_delivery_calls_match_the_bench_golden_counts(workload, monkeypatch, tmp_path):
+    # the benchmark's traced runs must repeat these counts exactly; a change
+    # that moves one fails here, in the tier-1 suite, before the benchmark
+    scenarios = _bench_scenarios(monkeypatch)
+    inputs = scenarios.instances(workload, scenarios.DEFAULT_SEED)[0]
+    scn = scenarios.write_inputs(inputs, tmp_path)
+    calls = dict.fromkeys(simnet._HANDLERS.values(), 0)
+
+    def count(name, node, msg, gid):
+        calls[name] += 1
+
+    observe_deliveries(
+        monkeypatch, lambda: cli.build_world(cli.parse_scenario(scn), scn.parent).run(), count
+    )
+    golden = json.loads((BENCH / "golden.json").read_text())[workload]
+    assert calls == {name: golden[f"i0:count:bpd.{name}.calls"] for name in calls}
 
 
 def test_shared_empty_result_stays_empty_through_a_run():
