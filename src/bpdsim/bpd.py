@@ -37,6 +37,16 @@ when the handler runs, so a crashed peer that is not yet detected is
 addressed too and the world drops the delivery. A point-to-point repair
 message is ``((dst, ...), None, msg)``.
 
+A discovery or update handler runs its drop tests first, cheapest-to-pass
+first for the common case: discovery tests the receiving node's role (a
+sibling receiver that is no sender of the group drops the announcement),
+then the epoch, then whether the node is the origin, then whether the path
+improves; update tests the epoch, then whether the node already forwarded
+the (requester, target) pair, then its role, target and requester. Each
+handler reads the message's fields once, by unpacking it. No drop test writes
+state and every drop returns the same shared empty result, so the order of
+the tests decides no outcome: only which test turns a message away.
+
 Wire convention: an update message's ``depth`` already includes the weight of
 the group it is riding, i.e. the receiver reads its own exact path cost from
 the requester. Depths, weights and the threshold are exact: an integral one is
@@ -205,20 +215,25 @@ class BpdNode:
         return res
 
     def on_discover(self, msg: DiscoverMsg, gid: GroupId) -> HandlerResult:
-        if msg.epoch != self.epoch or msg.origin == self.nid:
-            return _NOTHING
+        # the role test runs first: most deliveries are sibling receivers
+        # overhearing an announcement, which is not an edge for them. Every
+        # drop test only reads, and each drop returns the same _NOTHING, so
+        # their order decides no outcome
+        nid = self.nid
         delivered_on = self.groups[gid]
-        if self.nid not in delivered_on.senders:
-            # sibling receiver overhears the announcement; not an edge for us
+        if nid not in delivered_on.senders:
             return _NOTHING
-        depth = msg.depth + delivered_on.weight
-        cur = self.path.get(msg.origin)
+        origin, depth, epoch = msg
+        if epoch != self.epoch or origin == nid:
+            return _NOTHING
+        depth += delivered_on.weight
+        cur = self.path.get(origin)
         if cur is not None and cur.depth <= depth:
             return _NOTHING
-        self.path[msg.origin] = PathEntry(depth, gid)
-        fwd = DiscoverMsg(msg.origin, depth, msg.epoch)
-        recv_groups = self.world.assignment.recv_groups(self.nid)
-        return HandlerResult([(g.fanout(self.nid), g.gid, fwd) for g in recv_groups])
+        self.path[origin] = PathEntry(depth, gid)
+        fwd = DiscoverMsg(origin, depth, epoch)
+        recv_groups = self.world.assignment.recv_groups(nid)
+        return HandlerResult([(g.fanout(nid), g.gid, fwd) for g in recv_groups])
 
     # --- stage 2: update -----------------------------------------------------
 
@@ -247,38 +262,42 @@ class BpdNode:
         return res
 
     def on_update(self, msg: UpdateMsg, gid: GroupId) -> HandlerResult:
-        if msg.epoch != self.epoch:
+        requester, target, depth, grp, epoch = msg
+        if epoch != self.epoch:
             return _NOTHING
         # each node forwards a (requester, target) pair once per epoch. A pair
         # is stored only after it passed the receiver, target and requester
-        # tests below, so a repeat would fail whichever of them ran first;
-        # testing it first skips the group lookup for every repeat
-        key = (msg.requester, msg.target)
+        # tests below, so a repeat would fail whichever of them ran first, and
+        # no drop test writes state; testing it first skips the group lookup
+        # for every repeat
+        key = (requester, target)
         if key in self._forwarded:
             return _NOTHING
-        if self.nid not in self.groups[gid].receivers:
+        nid = self.nid
+        if nid not in self.groups[gid].receivers:
             # co-senders hear the broadcast too, but only group receivers sit
             # at the far end of an edge; accepting here would shortcut depth
             return _NOTHING
-        if self.nid == msg.target:
-            if msg.grp and msg.requester not in self._joined_for:
-                self._joined_for.add(msg.requester)
-                if self._stamped_edge_missing(msg.grp):
-                    intent = JoinIntent(msg.grp, RECEIVER, f"update:{msg.requester}")
+        if nid == target:
+            if grp and requester not in self._joined_for:
+                self._joined_for.add(requester)
+                if self._stamped_edge_missing(grp):
+                    intent = JoinIntent(grp, RECEIVER, f"update:{requester}")
                     return HandlerResult(joins=[intent])
             return _NOTHING
         # the requester already sent its own pair
-        if self.nid == msg.requester:
+        if nid == requester:
             return _NOTHING
         self._forwarded.add(key)
-        res = HandlerResult()
         thresh = self.thresh
-        for g in self.world.assignment.send_groups(self.nid):
-            depth = msg.depth + g.weight
-            grp = g.gid if depth <= thresh else msg.grp
-            fwd = UpdateMsg(msg.requester, msg.target, depth, grp, msg.epoch)
-            res.emissions.append((g.fanout(self.nid), g.gid, fwd))
-        return res
+        emissions = []
+        for g in self.world.assignment.send_groups(nid):
+            fwd_depth = depth + g.weight
+            fwd = UpdateMsg(
+                requester, target, fwd_depth, g.gid if fwd_depth <= thresh else grp, epoch
+            )
+            emissions.append((g.fanout(nid), g.gid, fwd))
+        return HandlerResult(emissions)
 
     def _stamped_edge_missing(self, gid: GroupId) -> bool:
         """False when every alive sender of gid already reaches us as cheaply."""

@@ -143,16 +143,18 @@ def iterations_to_band(
 ) -> int | None:
     """First round index after which every traced value stays within the band.
 
-    `trace[k]` maps each node alive at round k to its value. Returns None if
-    some value strays beyond ±band_pct of the optimum for the rest of the
-    run; 0 if the trace starts inside the band and never leaves.
+    `trace[k]` maps each node alive at round k to its value. A round with no
+    alive peer holds no value inside the band, so it counts as outside it.
+    Returns None if the last round is outside the band; 0 if the trace starts
+    inside the band and never leaves.
     """
     if optimum == 0:
         raise ZeroOptimumError("optimum is zero")
     limit = abs(optimum) * band_pct / 100.0
     first_bad = None
     for k in range(len(trace) - 1, -1, -1):
-        if any(abs(v - optimum) > limit for v in trace[k].values()):
+        row = trace[k]
+        if not row or any(abs(v - optimum) > limit for v in row.values()):
             first_bad = k
             break
     if first_bad is None:

@@ -20,7 +20,9 @@ per destination in that order, and each delivery's own emissions go to the
 tail. The handler is looked up once per popped emission, on the `BpdNode`
 class, and called with the node, the message and the group; the messages are
 named tuples (see `bpd`). A handler that drops its message returns the shared
-`bpd._NOTHING` result, which the drain skips. Every member delivery, to a
+`bpd._NOTHING` result, which the drain skips; a result without joins is
+counted and enqueued by the drain itself, and only one with joins goes
+through `World._apply_result`. Every member delivery, to a
 crashed peer too, counts toward the cascade's cap of `_CASCADE_CAP`
 (2,000,000) deliveries; a popped emission adds all of its destinations to the
 count at once, and one that takes the count past the cap raises before any of
@@ -450,10 +452,14 @@ class World:
 
         Each popped emission adds its destinations, dead ones included, to the
         count and is checked against `_CASCADE_CAP` once, before any of its
-        deliveries; its handler is looked up once, on `BpdNode`."""
+        deliveries; its handler is looked up once, on `BpdNode`. A result
+        that only emits is enqueued inline, as `_apply_result` would: its
+        emissions are added to the control count and appended to the queue.
+        A result with joins goes through `_apply_result`."""
         ctrl, alive, nodes = self._ctrl, self.alive, self.nodes
+        popleft, enqueue, apply, nothing = ctrl.popleft, ctrl.extend, self._apply_result, _NOTHING
         while ctrl:
-            dsts, gid, msg = ctrl.popleft()
+            dsts, gid, msg = popleft()
             delivered += len(dsts)
             if delivered > _CASCADE_CAP:
                 raise CascadeError(
@@ -463,8 +469,14 @@ class World:
             for dst in dsts:
                 if dst in alive:
                     res = handler(nodes[dst], msg, gid)
-                    if res is not _NOTHING:
-                        self._apply_result(dst, res)
+                    if res is nothing:
+                        continue
+                    if res.joins:
+                        apply(dst, res)
+                    else:
+                        # what _apply_result does for a result without joins
+                        self._ctrl_sent += len(res.emissions)
+                        enqueue(res.emissions)
         return delivered
 
     def _apply_result(self, emitter: NodeId, res: HandlerResult) -> None:

@@ -246,6 +246,7 @@ def test_run_ending_with_every_peer_down_leaves_deviation_empty(strategy, tmp_pa
     header, row = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["deviation_pct"] == ""
+    assert cells["iterations_to_band"] == ""
 
 
 @pytest.mark.parametrize(

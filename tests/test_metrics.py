@@ -203,10 +203,11 @@ def test_deviation_pct_errors():
 
 
 def naive_iterations_to_band(trace, optimum, band_pct=5.0):
-    """Forward-scan reference: smallest k such that rounds k..end all fit."""
+    """Forward-scan reference: smallest k such that rounds k..end each have
+    a value and all fit."""
     limit = abs(optimum) * band_pct / 100.0
     for k in range(len(trace)):
-        if all(
+        if all(row for row in trace[k:]) and all(
             abs(v - optimum) <= limit for row in trace[k:] for v in row.values()
         ):
             return k
@@ -223,11 +224,17 @@ def test_iterations_to_band_cases():
     # re-excursion restarts the clock
     wobble = [{"a": 10.0}, {"a": 50.0}, {"a": 10.0}]
     assert iterations_to_band(wobble, 10.0) == 2
+    # a round with no alive peer is not inside the band
+    emptied = [{"a": 10.0}, {}, {"a": 10.0}]
+    assert iterations_to_band(emptied, 10.0) == 2
+    all_down = [{"a": 30.0}, {"a": 10.0}, {}]
+    assert iterations_to_band(all_down, 10.0) is None
 
 
 @given(
     st.lists(
-        st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3),
+        # an empty row is a round with no alive peer
+        st.lists(st.floats(0.0, 20.0), min_size=0, max_size=3),
         min_size=1,
         max_size=12,
     )
