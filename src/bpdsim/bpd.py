@@ -37,15 +37,15 @@ when the handler runs, so a crashed peer that is not yet detected is
 addressed too and the world drops the delivery. A point-to-point repair
 message is ``((dst, ...), None, msg)``.
 
-A discovery or update handler runs its drop tests first, cheapest-to-pass
-first for the common case: discovery tests the receiving node's role (a
-sibling receiver that is no sender of the group drops the announcement),
-then the epoch, then whether the node is the origin, then whether the path
-improves; update tests the epoch, then whether the node already forwarded
-the (requester, target) pair, then its role, target and requester. Each
-handler reads the message's fields once, by unpacking it. No drop test writes
-state and every drop returns the same shared empty result, so the order of
-the tests decides no outcome: only which test turns a message away.
+Discovery and update handlers run their drop tests before any other work,
+in the order that turns the common drop away soonest. Discovery tests the
+receiving node's role first (most deliveries reach a sibling receiver, which
+is no sender of the group), then the epoch, the origin and whether the path
+improves. Update tests the epoch, then whether the node already forwarded the
+(requester, target) pair (most deliveries are repeats), then its role, target
+and requester. Each reads the message's fields once, by unpacking it. No drop
+test writes state and every drop returns the same shared empty result, so
+the order decides no outcome, only which test turns a message away.
 
 Wire convention: an update message's ``depth`` already includes the weight of
 the group it is riding, i.e. the receiver reads its own exact path cost from
@@ -215,10 +215,9 @@ class BpdNode:
         return res
 
     def on_discover(self, msg: DiscoverMsg, gid: GroupId) -> HandlerResult:
-        # the role test runs first: most deliveries are sibling receivers
-        # overhearing an announcement, which is not an edge for them. Every
-        # drop test only reads, and each drop returns the same _NOTHING, so
-        # their order decides no outcome
+        # a sibling receiver overhears the announcement; not an edge for it.
+        # Most deliveries are such, so this test runs first: no drop test
+        # writes state, so their order decides no outcome
         nid = self.nid
         delivered_on = self.groups[gid]
         if nid not in delivered_on.senders:
