@@ -9,9 +9,9 @@ first in even pairs and the change first in odd ones, so drift in the host's
 speed falls on both sides alike. For every end-to-end metric of
 BENCHMARK.json the record keeps each run's value, each side's median and
 quartiles, and the number of pairs the change won (ties win for neither).
-One traced run per checkout and workload adds the exact delivery counts.
-Both checkouts must hold the same `bench/`; each writes its own
-`.bench_build/`.
+One traced run per checkout and workload adds the exact delivery and
+message counts. Both checkouts must hold the same `bench/`; each writes its
+own `.bench_build/`.
 
 Both sides run with the same bytecode caches. Each side's runs, workers
 included, read and write bytecode only under a fresh, empty directory of
@@ -30,7 +30,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-COUNTS = ("simnet.ctrl_deliveries", "bpd.on_update.calls", "bpd.on_discover.calls")
+COUNTS = (
+    "simnet.ctrl_deliveries",
+    "simnet.app_messages",
+    "simnet.ctrl_messages",
+    "bpd.on_update.calls",
+    "bpd.on_discover.calls",
+)
 PAIRS = 10
 SEED = 1
 

@@ -43,27 +43,33 @@ latest round whose information from that origin it has, -1 for never. Stamp
 and receipt vectors are ints in the packed layout of `metrics.Packing`, sized
 from `SimConfig.n_rounds`; a world stepped past that many rounds re-packs
 them at double width. A sender stamps its own slot with the round, and the
-round's application traffic is queued as one in-flight entry per sender: its
-value, its stamp vector as it stands (an int, so it cannot change under the
-entry) and its destinations, fanned out in order on delivery. Each
-destination then merges what it received with one element-wise max and
-records that round in its receipt vector at every origin whose stamp rose:
-one `metrics.record_receipt` call per destination per round. The max does not
-depend on arrival order, so the merged vectors, and with them the DE figures,
-are the same as folding the messages in one at a time.
+round's application traffic is queued as one in-flight entry per sender, in
+sender order: its value, its stamp vector as it stands (an int, so it cannot
+change under the entry) and the destinations `strategy_emit` named. No peer
+is ever delivered or counted a message of its own: all-to-all names every
+detected-alive peer, the sender included, in one shared tuple
+(`World.detected_peers`), and the world skips the sender there; every other
+strategy's list leaves the sender out. Each destination's consensus input is
+one value per distinct sender it heard, in sender order. It merges what it
+received with one element-wise max and records that round in its receipt
+vector at every origin whose stamp rose: one `metrics.record_receipt` call
+per destination per round. The max does not depend on arrival order, so the
+merged vectors, and with them the DE figures, are the same as folding the
+messages in one at a time.
 
-Destinations share that max where it pays. Nothing writes a stamp vector
-between a round's send and the next round's delivery, so a peer that sent
-holds exactly the vector it sent, and a destination's merge is the max over
-the vectors of itself and of the senders it heard from. The senders it heard
-from are a subset of the round's senders, so a destination that sent and
-heard from every other sender merges the vectors of all senders: that max is
-folded once per round, on first use, and shared. Under all-to-all every
-destination that sent is such a one, so a round costs one merge. Every other
-destination folds its own vectors directly (a group strategy gives nearly
-every destination its own set, where a lookup key would cost without
-sharing). A destination that did not send (a peer that recovered this round,
-or one with no destinations) brings its current vector.
+Sharing lives only where the destinations declare it. When every in-flight
+entry holds the one detected-peers tuple, as after an all-to-all round, the
+round is delivered by destination: each alive peer in the tuple hears every
+sender but itself, so its input is the senders' values with its own sliced
+out. Nothing writes a stamp vector between a round's send and the next
+round's delivery, so a peer that sent holds exactly the vector it sent, and
+its merge is the max over the vectors of all senders: folded once per round
+and shared. A destination that did not send (a peer that recovered this
+round) folds that max with its current vector. Any other round, group or
+gossip, is delivered message by message, and each destination folds the
+vectors of the senders it heard with its own: a group strategy gives nearly
+every destination its own sender set, where sharing would cost without
+paying.
 
 Crashed peers neither send nor receive. Messages addressed to one are still
 counted as sent and then dropped, because the senders cannot know better
@@ -77,6 +83,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from . import metrics
@@ -239,6 +246,8 @@ class World:
         self.alive: set[NodeId] = set(self.roster)
         # alive <= detected_alive: a crashed peer stays in it until detected
         self.detected_alive: set[NodeId] = set(self.roster)
+        # detected_alive sorted, built on first use (see detected_peers)
+        self._peers: tuple[NodeId, ...] | None = None
         self.crashed_at: dict[NodeId, int] = {}
         self.stash: dict[NodeId, list[tuple[str, str]]] = {}
 
@@ -258,9 +267,10 @@ class World:
         self.round = 0
         self.epoch = 0
         self._ctrl: deque = deque()
-        # (src, x, stamp snapshot, destinations) per peer that sent last round;
-        # until its delivery, each such peer's stamp vector equals its snapshot
-        self._app_inflight: list[tuple[NodeId, float, int, list[NodeId]]] = []
+        # (src, x, stamp snapshot, destinations) per peer that sent last round,
+        # in sender order; until its delivery, each such peer's stamp vector
+        # equals its snapshot
+        self._app_inflight: list[tuple[NodeId, float, int, Sequence[NodeId]]] = []
         self.stats: list[RoundStats] = []
         self.x_trace: list[dict[NodeId, float]] = []
         self.de_trace: list[dict[NodeId, float]] = []
@@ -284,13 +294,18 @@ class World:
         if self.round > self.packing.top:
             self._widen()
         self._app_sent = self._ctrl_sent = 0
-        consensus_in: dict[NodeId, dict[NodeId, float]] = {n: {} for n in self.roster}
+        # the destination tuple last round's all-to-all senders shared, if any:
+        # nothing changes detected_alive between their sends and these faults
+        shared = self._peers
 
         for ev in self.faults:
             if ev.round == self.round:
                 self.inject_fault(ev.node, ev.action)
+        # only inject_fault changes alive, so it holds from here to the end of
+        # the round: detection, the handlers and the sends read it, never write it
+        order = sorted(self.alive)
 
-        self._deliver_app(consensus_in)
+        inputs = self._deliver_app(shared)
         self._detect()
         if isinstance(self.strategy, Bpd) and (self.round - 1) % self.strategy.repair_period_rounds == 0:
             self._start_cycle()
@@ -298,12 +313,13 @@ class World:
             self._drain_control()
         self._poll_timeouts()
 
-        for n in sorted(self.alive):
-            self.x[n] = consensus_step(self.x[n], consensus_in[n], self.cfg.eps)
-        self._send_app()
-        self._ctrl_sent += len(self.alive)  # heartbeats
+        x, eps = self.x, self.cfg.eps
+        for n, heard in inputs.items():
+            x[n] = consensus_step(x[n], heard, eps)
+        self._send_app(order)
+        self._ctrl_sent += len(order)  # heartbeats
 
-        return self._close_round()
+        return self._close_round(order)
 
     def inject_fault(self, node: NodeId, action: str) -> None:
         if node not in self.pos:
@@ -322,6 +338,7 @@ class World:
             # a peer that came back before anyone noticed never left its groups
             if node not in self.detected_alive:
                 self.detected_alive.add(node)
+                self._peers = None
                 for gid, role in self.stash.pop(node, []):
                     ev = join_group(self.assignment, node, gid, role, round=self.round)
                     if ev:
@@ -345,42 +362,87 @@ class World:
     def alive_effective_graph(self) -> DirectedGraph:
         return effective_graph(self.assignment, set(self.alive))
 
+    def detected_peers(self) -> tuple[NodeId, ...]:
+        """The detected-alive peers, sorted: the destinations of every
+        all-to-all message and the pool of every gossip sample.
+
+        One tuple, built on first use and kept until `detected_alive` next
+        changes (`inject_fault` and `_detect` drop it), so every sender of a
+        round gets the same object."""
+        if self._peers is None:
+            self._peers = tuple(sorted(self.detected_alive))
+        return self._peers
+
     # --- internals --------------------------------------------------------
 
-    def _deliver_app(self, consensus_in) -> None:
+    def _deliver_app(self, shared: tuple[NodeId, ...] | None) -> dict[NodeId, Collection[float]]:
+        """Deliver last round's application traffic to the alive peers it
+        names, never to its sender, and merge their stamp vectors; return
+        each destination's consensus input: one value per distinct sender, in
+        sender order. A round whose in-flight entries all hold the tuple
+        `shared` is delivered by destination, any other message by message."""
         inflight, self._app_inflight = self._app_inflight, []
+        if shared is not None and inflight and all(entry[3] is shared for entry in inflight):
+            return self._deliver_by_destination(inflight, shared)
         alive = self.alive
         tracing = self.trace_fn is not None
-        # consensus_in is filled in message order: the float sums of
-        # consensus_step follow its insertion order
+        # heard is filled in message order: the float sums of consensus_step
+        # follow its insertion order
         sent: dict[NodeId, int] = {}
+        heard: dict[NodeId, dict[NodeId, float]] = {}
         for src, x, snapshot, dsts in inflight:
             sent[src] = snapshot
             for dst in dsts:
-                if dst not in alive:
+                if dst == src or dst not in alive:
                     continue
-                consensus_in[dst][src] = x
+                into = heard.get(dst)
+                if into is None:
+                    into = heard[dst] = {}
+                into[src] = x
                 if tracing:
                     self._trace(f"deliver app {src} {dst}")
         stamps, receipts, packing = self.stamps, self.receipts, self.packing
         record, rnd = metrics.record_receipt, self.round
-        # heard <= sent, so a destination that sent and heard every other
-        # sender merges all of `sent`: folded once, on first use, and shared
-        everyone, n_sent = None, len(sent)
-        for dst, heard in consensus_in.items():
-            if not heard:
+        for dst, into in heard.items():
+            mine = stamps[dst]
+            vectors = [sent[src] for src in into]
+            vectors.append(mine)
+            merged = stamps[dst] = packing.max(vectors)
+            receipts[dst] = record(receipts[dst], mine, merged, rnd, packing)
+        return {dst: into.values() for dst, into in heard.items()}
+
+    def _deliver_by_destination(self, inflight, shared) -> dict[NodeId, list[float]]:
+        """`_deliver_app` for a round whose senders all addressed `shared`, a
+        tuple that names each peer once, the senders among them: each alive
+        destination in it hears every sender but itself, and every sender's
+        merge is the one fold of all senders (see the module docstring)."""
+        alive, stamps, receipts, packing = self.alive, self.stamps, self.receipts, self.packing
+        record, rnd = metrics.record_receipt, self.round
+        if self.trace_fn is not None:
+            for src, *_ in inflight:
+                for dst in shared:
+                    if dst != src and dst in alive:
+                        self._trace(f"deliver app {src} {dst}")
+        xs = [entry[1] for entry in inflight]
+        index = {entry[0]: i for i, entry in enumerate(inflight)}
+        everyone = packing.max([entry[2] for entry in inflight])
+        inputs: dict[NodeId, list[float]] = {}
+        for dst in shared:
+            if dst not in alive:
                 continue
             mine = stamps[dst]
-            if dst in sent and len(heard) + (dst not in heard) == n_sent:
-                if everyone is None:
-                    everyone = packing.max(sent.values())
+            i = index.get(dst)
+            if i is None:
+                inputs[dst] = xs
+                merged = packing.max((everyone, mine))
+            elif len(xs) > 1:
+                inputs[dst] = xs[:i] + xs[i + 1 :]
                 merged = everyone
             else:
-                vectors = [sent[src] for src in heard]
-                vectors.append(mine)
-                merged = packing.max(vectors)
+                continue  # the only sender: it hears nobody
             stamps[dst] = merged
             receipts[dst] = record(receipts[dst], mine, merged, rnd, packing)
+        return inputs
 
     def _widen(self) -> None:
         """Re-pack every stamp, receipt and in-flight snapshot at double width,
@@ -407,6 +469,7 @@ class World:
             return
         # (departed, gid) pairs in order of first departure, each once
         affected: dict[tuple[NodeId, str], None] = {}
+        self._peers = None
         for n in due:
             self.detected_alive.discard(n)
             removed = leave_all(self.assignment, n)
@@ -498,24 +561,28 @@ class World:
                 self._apply_result(n, node.poll())
         self._drain_control()
 
-    def _send_app(self) -> None:
-        stamps, packing = self.stamps, self.packing
-        for n in sorted(self.alive):
-            mine = stamps[n] = packing.put(stamps[n], self.pos[n], self.round)
-            dsts = strategy_emit(self.strategy, n, self)
-            if not dsts:
-                continue
-            self._app_inflight.append((n, self.x[n], mine, dsts))
-            self._app_sent += len(dsts)
+    def _send_app(self, order: list[NodeId]) -> None:
+        """Queue this round's application message of each alive peer, in the
+        sorted `order`, and count its destinations but the sender: only the
+        shared detected-peers tuple names it, once, since alive <= detected_alive."""
+        stamps, packing, pos, rnd = self.stamps, self.packing, self.pos, self.round
+        strategy, x, inflight = self.strategy, self.x, self._app_inflight
+        for n in order:
+            mine = stamps[n] = packing.put(stamps[n], pos[n], rnd)
+            dsts = strategy_emit(strategy, n, self)
+            count = len(dsts) - (dsts is self._peers)
+            if count:
+                inflight.append((n, x[n], mine, dsts))
+                self._app_sent += count
 
-    def _close_round(self) -> RoundStats:
+    def _close_round(self, order: list[NodeId]) -> RoundStats:
         des: dict[NodeId, float] = {}
         detected, packing, rnd = self.detected_alive, self.packing, self.round
         origins_alive = packing.guard_bits(n in detected for n in self.roster)
-        for n in sorted(self.alive):
+        for n in order:
             receipts = self.receipts[n] = metrics.purge(self.receipts[n], rnd, self.window, packing)
             des[n] = metrics.dissemination_efficiency(receipts, origins_alive, self.pos[n], packing)
-        xs = {n: self.x[n] for n in sorted(self.alive)}
+        xs = {n: self.x[n] for n in order}
         cfg = self.cfg
         row = RoundStats(
             round=self.round,

@@ -10,6 +10,7 @@ bounded-path protocol.
 from __future__ import annotations
 
 import random
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -92,35 +93,44 @@ def true_average(values: dict[NodeId, float]) -> float:
     return sum(values.values()) / len(values)
 
 
-def consensus_step(x_i: float, delivered: dict[NodeId, float], eps: float) -> float:
-    """One averaging update; a node that heard nobody keeps its value."""
+def consensus_step(x_i: float, delivered: Collection[float], eps: float) -> float:
+    """One averaging update over the values delivered this round, one per
+    distinct sender in sender order; a node that heard nobody keeps its value.
+
+    The deviations are summed in the order given, so one input in one order
+    gives one float."""
     k = len(delivered)
     if k == 0:
         return x_i
     a = eps / k
-    return x_i + a * sum(map(sub, delivered.values(), repeat(x_i)))
+    return x_i + a * sum(map(sub, delivered, repeat(x_i)))
 
 
 def select_gossip_peers(
-    node: NodeId, alive: set[NodeId], fanout: int, rng: random.Random
+    node: NodeId, peers: Sequence[NodeId], fanout: int, rng: random.Random
 ) -> list[NodeId]:
-    """Uniform sample of fanout distinct alive peers (never the node itself), or
-    every one of them when fewer are left."""
-    pool = sorted(alive - {node})
+    """Uniform sample of fanout distinct peers from the sorted `peers` (never
+    the node itself), or every one of them when fewer are left."""
+    pool = [p for p in peers if p != node]
     return sorted(rng.sample(pool, min(fanout, len(pool))))
 
 
-def strategy_emit(strategy: Strategy, node: NodeId, world) -> list[NodeId]:
+def strategy_emit(strategy: Strategy, node: NodeId, world) -> Sequence[NodeId]:
     """Destinations for this node's application message this round.
+
+    All-to-all returns the world's one tuple of sorted detected-alive peers
+    (`World.detected_peers`), shared by every sender of the round; it names
+    the sender too, which the world never delivers to or counts. Every other
+    strategy returns a list of its own that never names the sender.
 
     Group-based strategies enumerate current group receivers, so peers that
     died but are not yet detected still get (dropped) messages, as on a real
     deployment.
     """
     if isinstance(strategy, AllToAll):
-        return sorted(world.detected_alive - {node})
+        return world.detected_peers()
     if isinstance(strategy, Gossip):
-        return select_gossip_peers(node, world.detected_alive, strategy.fanout, world.gossip_rng)
+        return select_gossip_peers(node, world.detected_peers(), strategy.fanout, world.gossip_rng)
     dsts: list[NodeId] = []
     for g in world.assignment.send_groups(node):
         for r in g.sorted_receivers():

@@ -25,7 +25,7 @@ from bpdsim.simnet import (
     validate_schedule,
 )
 from bpdsim.toplink import build_graph, parse_toplink
-from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified
+from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified, consensus_step
 from conftest import BASE10_EDGES, DeOracle, make_graph, random_sc_digraph
 
 
@@ -111,6 +111,36 @@ def test_all_to_all_message_count():
     w = mesh_world(rounds=4)
     w.run()
     assert all(s.messages == 30 for s in w.stats)
+
+
+def test_all_to_all_message_count_under_faults():
+    # each alive sender counts every detected-alive peer but itself: f's
+    # crash at round 2 goes undetected until round 4, so rounds 2 and 3 still
+    # count messages to f; e crashes at 6 and recovers at 7, before detection
+    faults = [
+        FaultEvent(2, "crash", "f"),
+        FaultEvent(5, "recover", "f"),
+        FaultEvent(6, "crash", "e"),
+        FaultEvent(7, "recover", "e"),
+    ]
+    w = mesh_world(rounds=7, faults=faults, detection_rounds=2)
+    lines = []
+    w.trace_fn = lines.append
+    counts = []
+    for _ in range(7):
+        inflight = [(src, dsts) for src, _x, _snapshot, dsts in w._app_inflight]
+        lines.clear()
+        counts.append(w.step_round().messages)
+        assert counts[-1] == len(w.alive) * (len(w.detected_alive) - 1)
+        # traced deliveries in message order, none to the sender or a peer down
+        want = [
+            f"round={w.round} deliver app {src} {dst}"
+            for src, dsts in inflight
+            for dst in dsts
+            if dst != src and dst in w.alive
+        ]
+        assert [line for line in lines if " deliver app " in line] == want
+    assert counts == [30, 25, 25, 20, 30, 25, 30]
 
 
 def test_gossip_message_count():
@@ -331,17 +361,23 @@ def test_de_matches_the_dict_oracle(data):
 
 
 def step_against_merge_oracle(w):
-    """Run one round of `w` and check every stamp vector against the plain
-    merge: each alive destination folds every snapshot it received into its
-    own vector, `list(map(max, mine, *snapshots))`, then stamps its own slot
-    when it sends.
+    """Run one round of `w` and check it against delivery message by message.
 
-    Also check how many folds the round makes: one shared by every
-    destination that sent and heard from every other sender, and one for
-    each other destination. Returns the number of destinations of each
-    kind: (sharing, folding their own)."""
+    A message reaches each alive destination it names other than its sender:
+    a peer never hears itself. Each alive destination then folds every
+    snapshot it received into its own vector, `list(map(max, mine,
+    *snapshots))`, and stamps its own slot when it sends; its new value is
+    `consensus_step` over one value per distinct sender, in sender order,
+    compared with `==`.
+
+    Also check how many folds the round makes. An all-to-all round with
+    traffic in flight is delivered by destination: one fold of every sender,
+    shared by the destinations that sent, and one more for each destination
+    that did not. Every other round folds once per destination. Returns the
+    number of destinations of each kind: (sharing, folding their own)."""
     before = {d: vec(w, v) for d, v in w.stamps.items()}
-    inflight = [(src, dsts, vec(w, snapshot)) for src, _x, snapshot, dsts in w._app_inflight]
+    x_before = dict(w.x)
+    inflight = [(src, x, dsts, vec(w, snapshot)) for src, x, snapshot, dsts in w._app_inflight]
     folds = 0
     real_max = metrics.Packing.max
 
@@ -356,20 +392,29 @@ def step_against_merge_oracle(w):
     finally:
         metrics.Packing.max = real_max
     got, heard = {}, {}
-    for src, dsts, snapshot in inflight:
+    for src, x, dsts, snapshot in inflight:
         for dst in dsts:
-            if dst in w.alive:
+            if dst != src and dst in w.alive:
                 got.setdefault(dst, []).append(snapshot)
-                heard.setdefault(dst, set()).add(src)
-    senders = {src for src, _dsts, _snapshot in inflight}
-    shared = [d for d in heard if d in senders and heard[d] | {d} == senders]
-    own = len(heard) - len(shared)
-    assert folds == own + bool(shared), w.round
+                heard.setdefault(dst, {}).setdefault(src, x)
+    if isinstance(w.strategy, AllToAll) and inflight:
+        senders = {src for src, *_ in inflight}
+        shared = [d for d in heard if d in senders]
+        own = len(heard) - len(shared)
+        assert folds == 1 + own, w.round
+    else:
+        shared, own = [], len(heard)
+        assert folds == own, w.round
     for d in w.roster:
         want = list(map(max, before[d], *got[d])) if d in got else before[d]
         if d in w.alive:
             want[w.pos[d]] = w.round
         assert vec(w, w.stamps[d]) == want, (w.round, d)
+        if d in heard:
+            want_x = consensus_step(x_before[d], list(heard[d].values()), w.cfg.eps)
+        else:
+            want_x = x_before[d]
+        assert w.x[d] == want_x, (w.round, d)
     # vectors are immutable ints, so destinations that share a merge cannot
     # see each other's later writes
     assert all(type(v) is int for v in w.stamps.values())
@@ -469,8 +514,9 @@ def test_receiver_in_two_send_groups_of_one_sender():
     assert join_group(w.assignment, "b", "g.a.1", RECEIVER)
     for rnd in range(1, 5):
         kinds = step_against_merge_oracle(w)
-        # from round 2 on, a hears b and c, every other sender; b and c hear only a
-        assert kinds == ((1, 2) if rnd > 1 else (0, 0))
+        # from round 2 on, a hears b and c and they hear a; a group round
+        # shares no merge, even for a, which heard every other sender
+        assert kinds == ((0, 3) if rnd > 1 else (0, 0))
         assert w.stats[-1].messages == 5
     src, _x, _snapshot, dsts = w._app_inflight[0]
     assert (src, dsts) == ("a", ["b", "b", "c"])

@@ -22,21 +22,21 @@ from conftest import BASE10_EDGES, make_graph
 
 def test_consensus_step_single_input():
     # eps=0.5, one neighbour: move halfway
-    assert consensus_step(0.0, {"b": 10.0}, eps=0.5) == 5.0
+    assert consensus_step(0.0, [10.0], eps=0.5) == 5.0
 
 
 def test_consensus_step_silence_keeps_value():
-    assert consensus_step(7.5, {}, eps=0.5) == 7.5
+    assert consensus_step(7.5, [], eps=0.5) == 7.5
 
 
 def test_consensus_step_multi_input():
     # k=2: each neighbour weighted eps/2 = 0.25
-    got = consensus_step(0.0, {"b": 8.0, "c": 4.0}, eps=0.5)
+    got = consensus_step(0.0, [8.0, 4.0], eps=0.5)
     assert got == pytest.approx(0.25 * 8.0 + 0.25 * 4.0)
 
 
 def test_consensus_step_custom_eps():
-    assert consensus_step(0.0, {"b": 10.0}, eps=1.0) == 10.0
+    assert consensus_step(0.0, [10.0], eps=1.0) == 10.0
 
 
 @given(
@@ -44,8 +44,7 @@ def test_consensus_step_custom_eps():
     vals=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
 )
 def test_consensus_step_stays_in_hull(x, vals):
-    delivered = {f"n{i}": v for i, v in enumerate(vals)}
-    got = consensus_step(x, delivered, eps=0.5)
+    got = consensus_step(x, vals, eps=0.5)
     lo, hi = min([x, *vals]), max([x, *vals])
     assert lo - 1e-9 <= got <= hi + 1e-9
 
@@ -68,21 +67,21 @@ def test_true_average():
 
 def test_gossip_peer_selection():
     rng = random.Random(0)
-    alive = {"a", "b", "c", "d"}
-    picks = select_gossip_peers("a", alive, 2, rng)
+    peers = ("a", "b", "c", "d")
+    picks = select_gossip_peers("a", peers, 2, rng)
     assert len(picks) == 2 and "a" not in picks
-    assert set(picks) <= alive
+    assert set(picks) <= set(peers)
 
 
 def test_gossip_fanout_too_big():
     # fewer peers left than the fanout: the sample takes every one of them
-    assert select_gossip_peers("a", {"a", "b"}, 2, random.Random(0)) == ["b"]
-    assert select_gossip_peers("a", {"a"}, 2, random.Random(0)) == []
+    assert select_gossip_peers("a", ("a", "b"), 2, random.Random(0)) == ["b"]
+    assert select_gossip_peers("a", ("a",), 2, random.Random(0)) == []
 
 
 def test_gossip_selection_seeded():
-    a = select_gossip_peers("a", set("abcdef"), 3, random.Random("s"))
-    b = select_gossip_peers("a", set("abcdef"), 3, random.Random("s"))
+    a = select_gossip_peers("a", tuple("abcdef"), 3, random.Random("s"))
+    b = select_gossip_peers("a", tuple("abcdef"), 3, random.Random("s"))
     assert a == b
 
 
@@ -102,7 +101,11 @@ def test_parse_strategy_names():
 def test_emit_shapes():
     g = make_graph(BASE10_EDGES)
     w = World(g, Unmodified(), SimConfig(n_rounds=1, seed=0))
-    assert strategy_emit(AllToAll(), "a", w) == ["b", "c", "d", "e", "f"]
+    # all-to-all: every sender gets the one sorted tuple of detected-alive
+    # peers, itself included; the world skips the sender
+    everyone = strategy_emit(AllToAll(), "a", w)
+    assert everyone == ("a", "b", "c", "d", "e", "f")
+    assert strategy_emit(AllToAll(), "c", w) is everyone
     # declared out-edges of f
     assert strategy_emit(Unmodified(), "f", w) == ["c", "d", "e"]
     assert strategy_emit(Unmodified(), "b", w) == ["a"]
