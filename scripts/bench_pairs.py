@@ -36,6 +36,9 @@ COUNTS = (
     "simnet.ctrl_messages",
     "bpd.on_update.calls",
     "bpd.on_discover.calls",
+    "bpd.joins.update",
+    "bpd.joins.repair",
+    "simnet.edges_after",
 )
 PAIRS = 10
 SEED = 1

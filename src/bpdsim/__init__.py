@@ -5,7 +5,7 @@ from .graph import DirectedGraph, all_pairs_costs, dijkstra, is_strongly_connect
 from .groups import Group, GroupAssignment, effective_graph, form_groups
 from .simnet import FaultEvent, SimConfig, World
 from .toplink import TopologySpec, build_graph, parse_toplink, parse_toplink_file, pretty_print
-from .workloads import AllToAll, Bpd, Gossip, Unmodified, parse_strategy
+from .workloads import AllToAll, Bpd, Gossip, Unmodified
 
 __all__ = [
     "AllToAll",
@@ -27,7 +27,6 @@ __all__ = [
     "effective_graph",
     "form_groups",
     "is_strongly_connected",
-    "parse_strategy",
     "parse_toplink",
     "parse_toplink_file",
     "pretty_print",

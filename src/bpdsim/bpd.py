@@ -191,7 +191,6 @@ class BpdNode:
         self.thresh = world.strategy.thresh
         self.epoch = -1
         self.path: dict[NodeId, PathEntry] = {}
-        self.roster_view: tuple[NodeId, ...] = ()
         self._joined_for: set[NodeId] = set()  # requesters already served this epoch
         self._forwarded: set[tuple[NodeId, NodeId]] = set()
         self.pending_join: dict[str, _Pending] = {}  # by request kind
@@ -207,7 +206,6 @@ class BpdNode:
         self.path = {}
         self._joined_for = set()
         self._forwarded = set()
-        self.roster_view = tuple(sorted(world.detected_alive))
         res = HandlerResult()
         msg = DiscoverMsg(self.nid, 0, self.epoch)
         for g in world.assignment.recv_groups(self.nid):
@@ -237,10 +235,14 @@ class BpdNode:
     # --- stage 2: update -----------------------------------------------------
 
     def update_targets(self) -> list[NodeId]:
-        """Peers (from the roster seen at discovery) beyond thresh or unknown."""
+        """Detected-alive peers beyond thresh or unknown.
+
+        They are the peers detected alive when this cycle's discovery began:
+        nothing changes `detected_alive` between a cycle's discovery and
+        update stages."""
         thresh = self.thresh
         out = []
-        for peer in self.roster_view:
+        for peer in self.world.detected_peers():
             if peer == self.nid:
                 continue
             entry = self.path.get(peer)

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 from . import metrics
 from .bpd import default_threshold
-from .graph import NodeId, all_pairs_costs, is_strongly_connected
+from .graph import NodeId, all_pairs_costs
 from .groups import form_groups
 from .simnet import CascadeError, FaultEvent, SimConfig, UnknownNodeError, World
 from .toplink import (
@@ -309,7 +309,8 @@ def cmd_bpd_trace(args) -> int:
         row = " ".join(f"{v}={dists[u].get(v, 'inf')}" for v in sorted(eff.nodes) if v != u)
         print(f"dist {u}: {row}")
 
-    connected = is_strongly_connected(eff)
+    # strongly connected exactly when every node's row holds every node
+    connected = all(len(costs) == eff.n_nodes for costs in dists.values())
     bounded = connected and all(
         cost <= thresh for costs in dists.values() for cost in costs.values()
     )

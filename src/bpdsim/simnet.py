@@ -20,13 +20,12 @@ per destination in that order, and each delivery's own emissions go to the
 tail. The handler is looked up once per popped emission, on the `BpdNode`
 class, and called with the node, the message and the group; the messages are
 named tuples (see `bpd`). A handler that drops its message returns the shared
-`bpd._NOTHING` result, which the drain skips; a result without joins is
-counted and enqueued by the drain itself, and only one with joins goes
-through `World._apply_result`. Every member delivery, to a
-crashed peer too, counts toward the cascade's cap of `_CASCADE_CAP`
-(2,000,000) deliveries; a popped emission adds all of its destinations to the
-count at once, and one that takes the count past the cap raises before any of
-its deliveries runs.
+`bpd._NOTHING` result, which the drain skips; every other result goes
+through `World._apply_result`, which counts and enqueues its emissions and
+applies its joins. Every member delivery, to a crashed peer too, counts
+toward the cascade's cap of `_CASCADE_CAP` (2,000,000) deliveries; a popped
+emission adds all of its destinations to the count at once, and one that
+takes the count past the cap raises before any of its deliveries runs.
 
 Protocol state exists only where the protocol runs: a world whose strategy is
 `Bpd` holds one `BpdNode` per peer in `World.nodes`, and any other world holds
@@ -47,29 +46,27 @@ round's application traffic is queued as one in-flight entry per sender, in
 sender order: its value, its stamp vector as it stands (an int, so it cannot
 change under the entry) and the destinations `strategy_emit` named. No peer
 is ever delivered or counted a message of its own: all-to-all names every
-detected-alive peer, the sender included, in one shared tuple
-(`World.detected_peers`), and the world skips the sender there; every other
-strategy's list leaves the sender out. Each destination's consensus input is
-one value per distinct sender it heard, in sender order. It merges what it
-received with one element-wise max and records that round in its receipt
-vector at every origin whose stamp rose: one `metrics.record_receipt` call
-per destination per round. The max does not depend on arrival order, so the
-merged vectors, and with them the DE figures, are the same as folding the
-messages in one at a time.
+detected-alive peer, the sender included (`World.detected_peers`), and the
+world skips the sender there; every other strategy's list leaves the sender
+out. Each destination's consensus input is one value per distinct sender it
+heard, in sender order. It merges what it received with one element-wise max
+and records that round in its receipt vector at every origin whose stamp rose:
+one `metrics.record_receipt` call per destination per round. The max does not
+depend on arrival order, so the merged vectors, and with them the DE figures,
+are the same as folding the messages in one at a time.
 
-Sharing lives only where the destinations declare it. When every in-flight
-entry holds the one detected-peers tuple, as after an all-to-all round, the
-round is delivered by destination: each alive peer in the tuple hears every
-sender but itself, so its input is the senders' values with its own sliced
-out. Nothing writes a stamp vector between a round's send and the next
-round's delivery, so a peer that sent holds exactly the vector it sent, and
-its merge is the max over the vectors of all senders: folded once per round
-and shared. A destination that did not send (a peer that recovered this
-round) folds that max with its current vector. Any other round, group or
-gossip, is delivered message by message, and each destination folds the
-vectors of the senders it heard with its own: a group strategy gives nearly
-every destination its own sender set, where sharing would cost without
-paying.
+The strategy decides where sharing lives. An all-to-all round is delivered by
+destination: nothing changes `detected_alive` while a round's senders emit, so
+every one of them named the same peers, and each alive peer among them hears
+every sender but itself; its input is the senders' values with its own sliced
+out. Nothing writes a stamp vector between a round's send and the next round's
+delivery, so a peer that sent holds exactly the vector it sent, and its merge
+is the max over the vectors of all senders: folded once per round and shared.
+A destination that did not send (a peer that recovered this round) folds that
+max with its current vector. Any other round, group or gossip, is delivered
+message by message, and each destination folds the vectors of the senders it
+heard with its own: a group strategy gives nearly every destination its own
+sender set, where sharing would cost without paying.
 
 Crashed peers neither send nor receive. Messages addressed to one are still
 counted as sent and then dropped, because the senders cannot know better
@@ -107,7 +104,7 @@ from .groups import (
     join_group,
     leave_all,
 )
-from .workloads import Bpd, Gossip, Strategy, consensus_step, init_values, strategy_emit
+from .workloads import AllToAll, Bpd, Gossip, Strategy, consensus_step, init_values, strategy_emit
 
 _CASCADE_CAP = 2_000_000
 
@@ -258,8 +255,8 @@ class World:
         # vectors packed into ints (metrics.Packing); each node starts out
         # holding round 0 of itself and nothing else
         self.packing = metrics.Packing.for_rounds(len(self.roster), cfg.n_rounds)
-        width = self.packing.width
-        self.stamps: dict[NodeId, int] = {n: 1 << width * i for n, i in self.pos.items()}
+        put = self.packing.put
+        self.stamps: dict[NodeId, int] = {n: put(0, i, 0) for n, i in self.pos.items()}
         # last round each origin's stamp rose at each node, all NO_RECEIPT
         self.receipts: dict[NodeId, int] = dict.fromkeys(self.roster, 0)
         self.gossip_rng = random.Random(f"{cfg.seed}:gossip")
@@ -294,9 +291,6 @@ class World:
         if self.round > self.packing.top:
             self._widen()
         self._app_sent = self._ctrl_sent = 0
-        # the destination tuple last round's all-to-all senders shared, if any:
-        # nothing changes detected_alive between their sends and these faults
-        shared = self._peers
 
         for ev in self.faults:
             if ev.round == self.round:
@@ -305,7 +299,7 @@ class World:
         # the round: detection, the handlers and the sends read it, never write it
         order = sorted(self.alive)
 
-        inputs = self._deliver_app(shared)
+        inputs = self._deliver_app()
         self._detect()
         if isinstance(self.strategy, Bpd) and (self.round - 1) % self.strategy.repair_period_rounds == 0:
             self._start_cycle()
@@ -335,7 +329,8 @@ class World:
             if node in self.alive:
                 return
             self.alive.add(node)
-            # a peer that came back before anyone noticed never left its groups
+            # a peer whose crash was detected rejoins the groups it was stashed
+            # from; one that came back before anyone noticed never left them
             if node not in self.detected_alive:
                 self.detected_alive.add(node)
                 self._peers = None
@@ -364,26 +359,29 @@ class World:
 
     def detected_peers(self) -> tuple[NodeId, ...]:
         """The detected-alive peers, sorted: the destinations of every
-        all-to-all message and the pool of every gossip sample.
+        all-to-all message, the pool of every gossip sample and the peers a
+        `BpdNode` checks for update targets.
 
-        One tuple, built on first use and kept until `detected_alive` next
-        changes (`inject_fault` and `_detect` drop it), so every sender of a
-        round gets the same object."""
+        A cache, built on first use and dropped where `detected_alive`
+        changes (`inject_fault` and `_detect`), so the sort runs once per
+        change, not once per sender."""
         if self._peers is None:
             self._peers = tuple(sorted(self.detected_alive))
         return self._peers
 
     # --- internals --------------------------------------------------------
 
-    def _deliver_app(self, shared: tuple[NodeId, ...] | None) -> dict[NodeId, Collection[float]]:
+    def _deliver_app(self) -> dict[NodeId, Collection[float]]:
         """Deliver last round's application traffic to the alive peers it
         names, never to its sender, and merge their stamp vectors; return
         each destination's consensus input: one value per distinct sender, in
-        sender order. A round whose in-flight entries all hold the tuple
-        `shared` is delivered by destination, any other message by message."""
+        sender order. An all-to-all round is delivered by destination, through
+        the peers its first sender named, which every sender of the round
+        named; any other round message by message, where no sender names
+        itself."""
         inflight, self._app_inflight = self._app_inflight, []
-        if shared is not None and inflight and all(entry[3] is shared for entry in inflight):
-            return self._deliver_by_destination(inflight, shared)
+        if inflight and isinstance(self.strategy, AllToAll):
+            return self._deliver_by_destination(inflight, inflight[0][3])
         alive = self.alive
         tracing = self.trace_fn is not None
         # heard is filled in message order: the float sums of consensus_step
@@ -393,7 +391,7 @@ class World:
         for src, x, snapshot, dsts in inflight:
             sent[src] = snapshot
             for dst in dsts:
-                if dst == src or dst not in alive:
+                if dst not in alive:
                     continue
                 into = heard.get(dst)
                 if into is None:
@@ -412,10 +410,10 @@ class World:
         return {dst: into.values() for dst, into in heard.items()}
 
     def _deliver_by_destination(self, inflight, shared) -> dict[NodeId, list[float]]:
-        """`_deliver_app` for a round whose senders all addressed `shared`, a
-        tuple that names each peer once, the senders among them: each alive
-        destination in it hears every sender but itself, and every sender's
-        merge is the one fold of all senders (see the module docstring)."""
+        """`_deliver_app` for a round whose senders all named the peers in
+        `shared`, each once, the senders among them: each alive destination
+        in it hears every sender but itself, and every sender's merge is the
+        one fold of all senders (see the module docstring)."""
         alive, stamps, receipts, packing = self.alive, self.stamps, self.receipts, self.packing
         record, rnd = metrics.record_receipt, self.round
         if self.trace_fn is not None:
@@ -515,12 +513,10 @@ class World:
 
         Each popped emission adds its destinations, dead ones included, to the
         count and is checked against `_CASCADE_CAP` once, before any of its
-        deliveries; its handler is looked up once, on `BpdNode`. A result
-        that only emits is enqueued inline, as `_apply_result` would: its
-        emissions are added to the control count and appended to the queue.
-        A result with joins goes through `_apply_result`."""
+        deliveries; its handler is looked up once, on `BpdNode`. Every result
+        but the shared `_NOTHING` goes through `_apply_result`."""
         ctrl, alive, nodes = self._ctrl, self.alive, self.nodes
-        popleft, enqueue, apply, nothing = ctrl.popleft, ctrl.extend, self._apply_result, _NOTHING
+        popleft, apply, nothing = ctrl.popleft, self._apply_result, _NOTHING
         while ctrl:
             dsts, gid, msg = popleft()
             delivered += len(dsts)
@@ -532,14 +528,8 @@ class World:
             for dst in dsts:
                 if dst in alive:
                     res = handler(nodes[dst], msg, gid)
-                    if res is nothing:
-                        continue
-                    if res.joins:
+                    if res is not nothing:
                         apply(dst, res)
-                    else:
-                        # what _apply_result does for a result without joins
-                        self._ctrl_sent += len(res.emissions)
-                        enqueue(res.emissions)
         return delivered
 
     def _apply_result(self, emitter: NodeId, res: HandlerResult) -> None:
@@ -563,14 +553,15 @@ class World:
 
     def _send_app(self, order: list[NodeId]) -> None:
         """Queue this round's application message of each alive peer, in the
-        sorted `order`, and count its destinations but the sender: only the
-        shared detected-peers tuple names it, once, since alive <= detected_alive."""
+        sorted `order`, and count its destinations but the sender: only
+        all-to-all names it, once, since alive <= detected_alive."""
         stamps, packing, pos, rnd = self.stamps, self.packing, self.pos, self.round
         strategy, x, inflight = self.strategy, self.x, self._app_inflight
+        to_all = isinstance(strategy, AllToAll)
         for n in order:
             mine = stamps[n] = packing.put(stamps[n], pos[n], rnd)
             dsts = strategy_emit(strategy, n, self)
-            count = len(dsts) - (dsts is self._peers)
+            count = len(dsts) - to_all
             if count:
                 inflight.append((n, x[n], mine, dsts))
                 self._app_sent += count

@@ -76,11 +76,6 @@ def strategy_class(name: str) -> type[Strategy]:
     return cls
 
 
-def parse_strategy(name: str, **params) -> Strategy:
-    """The named strategy, built from its own parameters."""
-    return strategy_class(name)(**params)
-
-
 def init_values(roster: list[NodeId], seed: int) -> dict[NodeId, float]:
     """Per-node initial readings, uniform over [0, 100), seeded."""
     rng = random.Random(f"{seed}:init")
@@ -118,10 +113,10 @@ def select_gossip_peers(
 def strategy_emit(strategy: Strategy, node: NodeId, world) -> Sequence[NodeId]:
     """Destinations for this node's application message this round.
 
-    All-to-all returns the world's one tuple of sorted detected-alive peers
-    (`World.detected_peers`), shared by every sender of the round; it names
-    the sender too, which the world never delivers to or counts. Every other
-    strategy returns a list of its own that never names the sender.
+    All-to-all returns the world's sorted detected-alive peers
+    (`World.detected_peers`), the same for every sender of the round; they
+    name the sender too, which the world never delivers to or counts. Every
+    other strategy returns a list of its own that never names the sender.
 
     Group-based strategies enumerate current group receivers, so peers that
     died but are not yet detected still get (dropped) messages, as on a real

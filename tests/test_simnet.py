@@ -506,6 +506,19 @@ def test_peer_recovering_into_an_all_to_all_round_keeps_what_only_it_holds():
     assert vec(w, w.stamps["a"])[d] == vec(w, w.stamps["b"])[d] == 1
 
 
+def test_direct_recovery_between_all_to_all_rounds_keeps_the_shared_merge():
+    # d's crash at round 2 is detected at round 3; a recovery injected between
+    # rounds 3 and 4 adds d back to the peers the next senders name, while the
+    # round-3 messages in flight still name a, b and c only
+    g = make_graph([(u, v) for u in "abcd" for v in "abcd" if u != v])
+    faults = [FaultEvent(2, "crash", "d")]
+    w = World(g, AllToAll(), SimConfig(n_rounds=5, detection_rounds=1), faults=faults)
+    for _ in range(3):
+        step_against_merge_oracle(w)
+    w.inject_fault("d", "recover")
+    assert [step_against_merge_oracle(w) for _ in range(2)] == [(3, 0), (4, 0)]
+
+
 def test_receiver_in_two_send_groups_of_one_sender():
     # a sends on g.a.0 (to b) and g.a.1 (to c); b also joins g.a.1, so a's
     # message reaches b twice, and b and c hear the same sender set {a}

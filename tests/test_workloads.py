@@ -12,8 +12,8 @@ from bpdsim.workloads import (
     Unmodified,
     consensus_step,
     init_values,
-    parse_strategy,
     select_gossip_peers,
+    strategy_class,
     strategy_emit,
     true_average,
 )
@@ -86,16 +86,16 @@ def test_gossip_selection_seeded():
 
 
 def test_parse_strategy_names():
-    assert parse_strategy("all-to-all") == AllToAll()
-    assert parse_strategy("ALLTOALL") == AllToAll()
-    assert parse_strategy("gossip", fanout=5) == Gossip(5)
-    assert parse_strategy("unmodified") == Unmodified()
-    assert parse_strategy(" bpd ", thresh=3) == Bpd(3)
+    assert strategy_class("all-to-all")() == AllToAll()
+    assert strategy_class("ALLTOALL")() == AllToAll()
+    assert strategy_class("gossip")(fanout=5) == Gossip(5)
+    assert strategy_class("unmodified")() == Unmodified()
+    assert strategy_class(" bpd ")(thresh=3) == Bpd(3)
     with pytest.raises(ValueError):
-        parse_strategy("carrier-pigeon")
+        strategy_class("carrier-pigeon")
     # each strategy takes only its own parameters
     with pytest.raises(TypeError):
-        parse_strategy("all-to-all", fanout=3)
+        strategy_class("all-to-all")(fanout=3)
 
 
 def test_emit_shapes():
