@@ -10,8 +10,9 @@ speed falls on both sides alike. For every end-to-end metric of
 BENCHMARK.json the record keeps each run's value, each side's median and
 quartiles, and the number of pairs the change won (ties win for neither).
 One traced run per checkout and workload adds the exact delivery and
-message counts. Both checkouts must hold the same `bench/`; each writes its
-own `.bench_build/`.
+message counts. Both checkouts must hold the same `bench/`, byte for byte
+(`__pycache__` aside): the script stops before any run, naming the first file
+that differs, if they do not. Each checkout writes its own `.bench_build/`.
 
 Both sides run with the same bytecode caches. Each side's runs, workers
 included, read and write bytecode only under a fresh, empty directory of
@@ -63,6 +64,21 @@ def bench(checkout: Path, env: dict, workload: str, seconds: float, trace: bool)
     return result
 
 
+def first_bench_difference(parent: Path, change: Path) -> str | None:
+    """The first path, in sorted order, under `bench/` that the two checkouts
+    do not hold byte for byte alike (missing on one side counts); None if none."""
+    def files(root: Path) -> set[Path]:
+        return {f.relative_to(root) for f in root.rglob("*")
+                if f.is_file() and "__pycache__" not in f.relative_to(root).parts}
+
+    a, b = parent / "bench", change / "bench"
+    for rel in sorted(files(a) | files(b)):
+        if not ((a / rel).is_file() and (b / rel).is_file()
+                and (a / rel).read_bytes() == (b / rel).read_bytes()):
+            return f"bench/{rel.as_posix()}"
+    return None
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -80,6 +96,10 @@ def main() -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
+    differs = first_bench_difference(args.parent, args.change)
+    if differs is not None:
+        raise SystemExit(f"{args.parent} and {args.change} differ in {differs}:"
+                         " both must hold the same bench/")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]

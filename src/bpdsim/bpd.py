@@ -26,16 +26,16 @@ Each node is bound to the world that drives it and reads the shared state
 from there: the group assignment, the set of peers not yet detected as down,
 the current round and epoch, the threshold and the reply timeout; it keeps
 its own references to the group dict, which is only ever updated in place,
-and to the frozen threshold (see `BpdNode`). A node writes only its own
-state. Every handler takes the message and the group it arrived on (None for
-a point-to-point repair message) and returns a `HandlerResult`: membership
-changes come back as intents for the world to apply, and messages as the
-control-queue entries themselves, ``(dsts, gid, msg)``, which the world
-enqueues unchanged. A group emission is ``(g.fanout(nid), g.gid, msg)``:
-every member of the group but the emitter, sorted, as the membership stands
-when the handler runs, so a crashed peer that is not yet detected is
-addressed too and the world drops the delivery. A point-to-point repair
-message is ``((dst, ...), None, msg)``.
+to the frozen threshold and to the roster positions (see `BpdNode`). A node
+writes only its own state. Every handler takes the message and the group it
+arrived on (None for a point-to-point repair message) and returns a
+`HandlerResult`: membership changes come back as intents for the world to
+apply, and messages as the control-queue entries themselves,
+``(dsts, gid, msg)``, which the world enqueues unchanged. A group emission
+is ``(g.fanout(nid), g.gid, msg)``: every member of the group but the
+emitter, sorted, as the membership stands when the handler runs, so a
+crashed peer that is not yet detected is addressed too and the world drops
+the delivery. A point-to-point repair message is ``((dst, ...), None, msg)``.
 
 Discovery and update handlers run their drop tests before any other work,
 in the order that turns the common drop away soonest. Discovery tests the
@@ -43,9 +43,13 @@ receiving node's role first (most deliveries reach a sibling receiver, which
 is no sender of the group), then the epoch, the origin and whether the path
 improves. Update tests the epoch, then whether the node already forwarded the
 (requester, target) pair (most deliveries are repeats), then its role, target
-and requester. Each reads the message's fields once, by unpacking it. No drop
-test writes state and every drop returns the same shared empty result, so
-the order decides no outcome, only which test turns a message away.
+and requester. The node remembers its forwarded pairs as one int per
+requester, a mask with the roster-position bit of each target it forwarded
+for that requester this epoch, so the repeat test is one dict lookup and one
+bit test, and a node holds at most one int per peer however many pairs it
+forwards. Each handler reads the message's fields once, by unpacking it. No
+drop test writes state and every drop returns the same shared empty result,
+so the order decides no outcome, only which test turns a message away.
 
 Wire convention: an update message's ``depth`` already includes the weight of
 the group it is riding, i.e. the receiver reads its own exact path cost from
@@ -174,12 +178,13 @@ class BpdNode:
 
     The node reads the world's assignment, detected-alive set, round, epoch,
     and its `Bpd` strategy's threshold and reply timeout, and never writes
-    them. It keeps two of them itself, because the drop tests of every
+    them. It keeps three of them itself, because the drop tests of every
     discovery and update delivery read them: the assignment's group dict,
-    which the assignment updates in place and never rebinds, and the
-    threshold of the frozen `Bpd`. Only a world whose strategy is `Bpd`
-    builds nodes, so only such a world and its nodes form a reference cycle,
-    which the cyclic collector frees. The cycle stays: the nodes read the
+    which the assignment updates in place and never rebinds, the threshold
+    of the frozen `Bpd`, and the world's roster positions, which never change
+    and give each target its bit in the forwarded masks. Only a world whose
+    strategy is `Bpd` builds nodes, so only such a world and its nodes form a
+    reference cycle, which the cyclic collector frees. The cycle stays: the nodes read the
     live round and epoch, and a weak reference would cost a dereference on
     every handler call.
     """
@@ -189,10 +194,13 @@ class BpdNode:
         self.world = world
         self.groups = world.assignment.groups
         self.thresh = world.strategy.thresh
+        self.pos = world.pos
         self.epoch = -1
         self.path: dict[NodeId, PathEntry] = {}
         self._joined_for: set[NodeId] = set()  # requesters already served this epoch
-        self._forwarded: set[tuple[NodeId, NodeId]] = set()
+        # requester -> mask of the roster positions of the targets forwarded
+        # for it this epoch
+        self._forwarded: dict[NodeId, int] = {}
         self.pending_join: dict[str, _Pending] = {}  # by request kind
         self.pending_query: dict[GroupId, _Pending] = {}  # by queried group
         self.retry_kinds: set[str] = set()
@@ -205,7 +213,7 @@ class BpdNode:
         self.epoch = world.epoch
         self.path = {}
         self._joined_for = set()
-        self._forwarded = set()
+        self._forwarded = {}
         res = HandlerResult()
         msg = DiscoverMsg(self.nid, 0, self.epoch)
         for g in world.assignment.recv_groups(self.nid):
@@ -271,8 +279,9 @@ class BpdNode:
         # tests below, so a repeat would fail whichever of them ran first, and
         # no drop test writes state; testing it first skips the group lookup
         # for every repeat
-        key = (requester, target)
-        if key in self._forwarded:
+        bit = 1 << self.pos[target]
+        done = self._forwarded.get(requester, 0)
+        if done & bit:
             return _NOTHING
         nid = self.nid
         if nid not in self.groups[gid].receivers:
@@ -289,7 +298,7 @@ class BpdNode:
         # the requester already sent its own pair
         if nid == requester:
             return _NOTHING
-        self._forwarded.add(key)
+        self._forwarded[requester] = done | bit
         thresh = self.thresh
         emissions = []
         for g in self.world.assignment.send_groups(nid):

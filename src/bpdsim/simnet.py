@@ -218,6 +218,9 @@ class World:
         self.strategy = strategy
         self.cfg = cfg
         self.roster: list[NodeId] = list(graph.nodes)
+        # roster position of each node: its slot in every stamp and receipt
+        # vector and its bit in every BpdNode's forwarded-target masks
+        self.pos: dict[NodeId, int] = {n: i for i, n in enumerate(self.roster)}
         self.window = cfg.de_window_rounds or 2 * len(self.roster)
         self.faults = list(faults or [])
         validate_schedule(self.faults, set(self.roster))
@@ -250,8 +253,6 @@ class World:
 
         self.x: dict[NodeId, float] = init_values(self.roster, cfg.seed)
         self.x0 = dict(self.x)
-        # roster position of each node: its slot in every stamp and receipt vector
-        self.pos: dict[NodeId, int] = {n: i for i, n in enumerate(self.roster)}
         # vectors packed into ints (metrics.Packing); each node starts out
         # holding round 0 of itself and nothing else
         self.packing = metrics.Packing.for_rounds(len(self.roster), cfg.n_rounds)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -224,12 +225,63 @@ def test_repeat_update_forward_returns_the_shared_empty_result():
     g = make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     w = cycle_world(g, thresh=2)
     node = w.nodes["b"]
-    requester, target = min(node._forwarded)  # b forwarded this pair in the cycle
+    requester = min(node._forwarded)  # b forwarded a pair for it in the cycle
+    mask = node._forwarded[requester]
+    target = w.roster[(mask & -mask).bit_length() - 1]  # its lowest set bit
     msg = UpdateMsg(requester, target, 1, "", w.epoch)
     res = node.on_update(msg, "g.a")  # b receives on g.a
     assert res is bpd._NOTHING
     with pytest.raises(AttributeError):
         res.emissions.append((w.assignment.groups["g.b"].fanout("b"), "g.b", msg))
+
+
+def forwarded_pairs(world):
+    """(node, requester, target) for every bit of every node's forwarded masks."""
+    return {
+        (nid, requester, world.roster[i])
+        for nid, node in world.nodes.items()
+        for requester, mask in node._forwarded.items()
+        for i in range(mask.bit_length())
+        if mask >> i & 1
+    }
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_update_forwards_each_pair_once_and_the_masks_name_exactly_those(seed):
+    n = 3 + seed % 14
+    g = random_sc_digraph(n, seed, weights=(Fraction(1, 2), 1, Fraction(3, 2)))
+    th = max(default_threshold(n) - Fraction(seed % 2, 2), g.max_weight())
+    forwards = []
+    on_update = BpdNode.on_update
+
+    def recorded(node, msg, gid):
+        res = on_update(node, msg, gid)
+        if res.emissions:
+            forwards.append((node.nid, msg.requester, msg.target))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BpdNode, "on_update", recorded)
+        w = cycle_world(g, thresh=th)
+    assert len(forwards) == len(set(forwards))
+    assert forwarded_pairs(w) == set(forwards)
+
+
+def test_repair_cycle_peak_memory_on_a_32_ring():
+    # the repeat test remembers at most one int per requester at each node,
+    # a mask of its forwarded targets, not one tuple per forwarded pair: a
+    # 32-ring cycle peaks near 0.6 MB, against 2.3 MB with one tuple per pair
+    names = [f"n{i:02d}" for i in range(32)]
+    g = make_graph([(names[i], names[(i + 1) % 32]) for i in range(32)])
+    w = World(g, Bpd(default_threshold(32)), SimConfig(n_rounds=0, seed=0))
+    tracemalloc.start()
+    try:
+        w.run_repair_cycle()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 def test_overlay_only_adds_edges(base10):

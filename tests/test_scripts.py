@@ -41,3 +41,34 @@ def test_readme_library_example_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.split()) == 2
+
+
+def test_bench_pairs_stops_before_any_run_when_bench_differs(tmp_path):
+    marker = tmp_path / "ran"
+    spec = (ROOT / "BENCHMARK.json").read_text()
+    for side, golden in (("parent", "{}\n"), ("change", "{ }\n")):
+        bench = tmp_path / side / "bench"
+        (bench / "__pycache__").mkdir(parents=True)
+        # a cache that differs between the sides does not count
+        (bench / "__pycache__" / "run.pyc").write_text(side)
+        (bench / "run.py").write_text(f"open({str(marker)!r}, 'w').close()\n")
+        (bench / "golden.json").write_text(golden)
+        (tmp_path / side / "BENCHMARK.json").write_text(spec)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "scripts" / "bench_pairs.py"),
+            str(tmp_path / "parent"),
+            str(tmp_path / "change"),
+            "--out", str(tmp_path / "out.json"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines() == [
+        f"{tmp_path / 'parent'} and {tmp_path / 'change'} differ in bench/golden.json:"
+        " both must hold the same bench/"
+    ]
+    assert not marker.exists() and not (tmp_path / "out.json").exists()
