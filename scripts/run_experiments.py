@@ -19,12 +19,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
 
-from bpdsim import metrics
 from bpdsim.bpd import default_threshold
 from bpdsim.graph import all_pairs_costs, random_sc_digraph
 from bpdsim.simnet import FaultEvent, SimConfig, World
 from bpdsim.toplink import build_graph, parse_toplink_file
-from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified, true_average
+from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified
 
 BASE_TL = Path(__file__).parents[1] / "scenarios" / "base10.tl"
 
@@ -49,16 +48,11 @@ def strategy_table(graph, seeds, rounds):
     for name, strategy in STRATEGIES:
         msgs, kbps, devs, bands = [], [], [], []
         for seed in range(seeds):
-            w = run_world(graph, strategy, seed, rounds)
-            opt = true_average(w.x0)
-            msgs.append(w.stats[-1].messages)
-            kbps.append(
-                metrics.bandwidth_kbps(
-                    sum(s.bytes for s in w.stats), rounds, w.cfg.round_period_ms, len(w.roster)
-                )
-            )
-            devs.append(metrics.deviation_pct(w.x_trace[-1], opt))
-            band = metrics.iterations_to_band(w.x_trace, opt)
+            s = run_world(graph, strategy, seed, rounds).summary()
+            msgs.append(s.messages_per_round)
+            kbps.append(s.bandwidth_kbps)
+            devs.append(s.deviation_pct)
+            band = s.iterations_to_band
             bands.append(rounds if band is None else band)
         print(
             f"{name:<12} {statistics.mean(msgs):>8.1f} {statistics.mean(kbps):>10.2f}"

@@ -23,15 +23,17 @@ import csv
 import re
 import sys
 from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import metrics
 from .bpd import default_threshold
 from .graph import NodeId, all_pairs_costs
 from .groups import form_groups
-from .simnet import CascadeError, FaultEvent, SimConfig, UnknownNodeError, World
+from .simnet import (
+    CascadeError, FaultEvent, RoundStats, SimConfig, Summary, UnknownNodeError, World
+)
 from .toplink import (
     NotConnectableError,
     TopLinkError,
@@ -40,7 +42,7 @@ from .toplink import (
     parse_toplink_file,
     pretty_print,
 )
-from .workloads import Bpd, Gossip, strategy_class, true_average
+from .workloads import Bpd, Gossip, strategy_class
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -153,81 +155,32 @@ def build_world(data: dict[str, str], base_dir: Path) -> World:
 
 
 # --- CSV output ------------------------------------------------------------
+# The csv module writes an int as str, a float as its repr and None as an
+# empty cell, so every figure is printed the same way on every run.
 
 
-def _num(v) -> str:
-    return str(int(v)) if isinstance(v, int) else str(float(v))
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_rounds_csv(path: Path, world: World) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["round", "messages", "control_messages", "bytes", "mean_de", "min_de", "max_x", "min_x"]
-        )
-        for s in world.stats:
-            w.writerow(
-                [
-                    s.round,
-                    s.messages,
-                    s.control_messages,
-                    s.bytes,
-                    _num(s.mean_de),
-                    _num(s.min_de),
-                    _num(s.max_x),
-                    _num(s.min_x),
-                ]
-            )
+    _write_csv(path, RoundStats._fields, world.stats)
 
 
 def write_nodes_csv(path: Path, world: World) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "node", "x", "de"])
-        for i, (xs, des) in enumerate(zip(world.x_trace, world.de_trace), 1):
-            for n in sorted(xs):
-                w.writerow([i, n, _num(xs[n]), _num(des[n])])
+    rows = (
+        (i, n, xs[n], des[n])
+        for i, (xs, des) in enumerate(zip(world.x_trace, world.de_trace), 1)
+        for n in sorted(xs)
+    )
+    _write_csv(path, ("round", "node", "x", "de"), rows)
 
 
 def write_summary_csv(path: Path, world: World) -> None:
-    optimum = true_average(world.x0)
-    if world.x_trace:
-        # no peer alive in the last round: no deviation to report
-        dev = metrics.deviation_pct(world.x_trace[-1], optimum) if world.x_trace[-1] else None
-        band = metrics.iterations_to_band(world.x_trace, optimum)
-        msgs = world.stats[-1].messages
-        kbps = metrics.bandwidth_kbps(
-            sum(s.bytes for s in world.stats),
-            len(world.stats),
-            world.cfg.round_period_ms,
-            len(world.roster),
-        )
-    else:
-        dev = metrics.deviation_pct(world.x0, optimum)
-        band, msgs, kbps = None, 0, 0.0
-    edges_final = world.effective_edge_count()
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "deviation_pct",
-                "iterations_to_band",
-                "messages_per_round",
-                "bandwidth_kbps",
-                "edges_initial",
-                "edges_added",
-            ]
-        )
-        w.writerow(
-            [
-                "" if dev is None else _num(dev),
-                "" if band is None else band,
-                msgs,
-                _num(kbps),
-                world.edges_initial,
-                edges_final - world.edges_initial,
-            ]
-        )
+    _write_csv(path, Summary._fields, [world.summary()])
 
 
 # --- subcommands -----------------------------------------------------------

@@ -77,11 +77,13 @@ handlers run.
 """
 from __future__ import annotations
 
+import copy
 import math
 import random
 from collections import deque
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import metrics
 from .bpd import (
@@ -104,7 +106,9 @@ from .groups import (
     join_group,
     leave_all,
 )
-from .workloads import AllToAll, Bpd, Gossip, Strategy, consensus_step, init_values, strategy_emit
+from .workloads import (
+    AllToAll, Bpd, Gossip, Strategy, consensus_step, init_values, strategy_emit, true_average
+)
 
 _CASCADE_CAP = 2_000_000
 
@@ -180,6 +184,8 @@ def validate_schedule(faults: list[FaultEvent], roster: set[NodeId]) -> None:
     for ev in faults:
         if ev.node not in roster:
             raise UnknownNodeError(ev.node)
+        if ev.round < 1:  # the first step is round 1: an earlier fault never fires
+            raise FaultError(f"fault round must be >= 1, got {ev.round}")
         if ev.round < last:
             raise FaultError("fault schedule must be sorted by round")
         last = ev.round
@@ -195,8 +201,9 @@ def validate_schedule(faults: list[FaultEvent], roster: set[NodeId]) -> None:
             raise FaultError(f"unknown fault action {ev.action!r}")
 
 
-@dataclass
-class RoundStats:
+class RoundStats(NamedTuple):
+    """One row of `rounds.csv`, whose columns are these fields in order."""
+
     round: int
     messages: int
     control_messages: int
@@ -205,6 +212,17 @@ class RoundStats:
     min_de: float
     max_x: float
     min_x: float
+
+
+class Summary(NamedTuple):
+    """The one row of `summary.csv`, made by `World.summary`; None is an empty cell."""
+
+    deviation_pct: float | None
+    iterations_to_band: int | None
+    messages_per_round: int
+    bandwidth_kbps: float
+    edges_initial: int
+    edges_added: int
 
 
 class World:
@@ -353,7 +371,32 @@ class World:
         return self.assignment
 
     def effective_edge_count(self) -> int:
-        return effective_graph(self.assignment, set(self.roster)).n_edges
+        """Edges of the overlay over the whole roster, each detected-down
+        peer's stashed memberships included: a departure removes no edge, so
+        only a join moves the count."""
+        assignment = self.assignment
+        if self.stash:
+            assignment = copy.deepcopy(assignment)
+            for n, removed in self.stash.items():
+                for gid, role in removed:
+                    join_group(assignment, n, gid, role)
+        return effective_graph(assignment, set(self.roster)).n_edges
+
+    def summary(self) -> Summary:
+        """The run's figures as the world stands, against the true mean of
+        the initial values."""
+        optimum, initial = true_average(self.x0), self.edges_initial
+        added = self.effective_edge_count() - initial
+        if not self.stats:
+            return Summary(metrics.deviation_pct(self.x0, optimum), None, 0, 0.0, initial, added)
+        last, stats = self.x_trace[-1], self.stats
+        kbps = metrics.bandwidth_kbps(
+            sum(s.bytes for s in stats), len(stats), self.cfg.round_period_ms, len(self.roster)
+        )
+        # no peer alive in the last round: no deviation to report
+        dev = metrics.deviation_pct(last, optimum) if last else None
+        band = metrics.iterations_to_band(self.x_trace, optimum)
+        return Summary(dev, band, stats[-1].messages, kbps, initial, added)
 
     def alive_effective_graph(self) -> DirectedGraph:
         return effective_graph(self.assignment, set(self.alive))

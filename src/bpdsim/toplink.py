@@ -363,12 +363,6 @@ def parse_toplink_file(path) -> TopologySpec:
         return parse_toplink(fh.read())
 
 
-def _fmt_weight(w: Fraction) -> str:
-    if w.denominator == 1:
-        return str(w.numerator)
-    return f"{w.numerator}/{w.denominator}"
-
-
 def pretty_print(spec: TopologySpec) -> str:
     """Canonical text form; parse(pretty_print(s)) == s."""
     out: list[str] = []
@@ -390,7 +384,7 @@ def pretty_print(spec: TopologySpec) -> str:
             if ln.weight == 1:
                 out.append(f"    {ln.src} -> {ln.dst};")
             else:
-                out.append(f"    {ln.src} -> {ln.dst} weight {_fmt_weight(ln.weight)};")
+                out.append(f"    {ln.src} -> {ln.dst} weight {ln.weight};")
         out.append("};")
     out.append(f"leaders {'on' if spec.leaders_enabled else 'off'};")
     return "\n".join(out) + "\n"
@@ -471,7 +465,7 @@ def export_manifest(assignment, spec: TopologySpec) -> str:
         grp = assignment.groups[gid]
         lines.append("")
         lines.append(f"group {gid}")
-        lines.append(f"  weight {_fmt_weight(grp.weight)}")
+        lines.append(f"  weight {grp.weight}")
         if grp.senders:
             lines.append("  senders " + " ".join(sorted(grp.senders)))
         if grp.receivers:

@@ -249,6 +249,33 @@ def test_run_ending_with_every_peer_down_leaves_deviation_empty(strategy, tmp_pa
     assert cells["iterations_to_band"] == ""
 
 
+@pytest.mark.parametrize("strategy, edges", [("unmodified", ["6", "0"]), ("bpd", ["6", "12"])])
+def test_edges_added_counts_joins_not_departures(strategy, edges, tmp_path, capsys):
+    shutil.copy(SCENARIOS / "ring6.tl", tmp_path / "ring6.tl")
+    crashes = "".join(f"faults.{i + 1} = 3 crash n{i}\n" for i in range(6))
+    got = {}
+    for name, faults in (("up", ""), ("down", crashes)):
+        scn = tmp_path / f"{name}.scn"
+        scn.write_text(f"topology = ring6.tl\nstrategy = {strategy}\nrounds = 10\n{faults}")
+        code, _, err = run_cli(["run", str(scn), "--out", str(tmp_path / name)], capsys)
+        assert code == 0, err
+        row = (tmp_path / name / "summary.csv").read_text().splitlines()[1]
+        got[name] = row.split(",")[-2:]
+    # every peer down by round 4 leaves the edge cells as they are with none down
+    assert got["down"] == got["up"] == edges
+
+
+def test_gossip_scenario_adds_no_edges(tmp_path, capsys):
+    # a gossip world never joins; its one unrecovered crash removes no edge
+    code, _, err = run_cli(
+        ["run", str(SCENARIOS / "gossip.scn"), "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 0, err
+    header, row = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["edges_initial"], cells["edges_added"]) == ("10", "0")
+
+
 @pytest.mark.parametrize(
     "line, code",
     [("repair.period.rounds = 0", 0), ("thresh = x", 1)],

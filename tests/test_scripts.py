@@ -6,8 +6,7 @@ from pathlib import Path
 ROOT = Path(__file__).parents[1]
 
 
-def test_run_experiments_smoke():
-    # drives World, run_repair_cycle and the config defaults through the library API
+def _run_experiments() -> list[str]:
     proc = subprocess.run(
         [
             sys.executable,
@@ -23,8 +22,25 @@ def test_run_experiments_smoke():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = [line.strip() for line in proc.stdout.splitlines()]
+    return proc.stdout.splitlines()
+
+
+def test_run_experiments_smoke():
+    # drives World, run_repair_cycle and the config defaults through the library API
+    lines = [line.strip() for line in _run_experiments()]
     assert "connected and bounded after repair: 5/5" in lines
+
+
+def test_run_experiments_strategy_table_is_pinned():
+    # the figures summary.csv reports, per strategy, for one seed of 30 rounds
+    assert _run_experiments()[:6] == [
+        "strategy comparison, 1 seeds x 30 rounds",
+        "strategy      msgs/rd  kB/s/node    dev %  to-band",
+        "all-to-all       30.0      35.20    0.000      4.0",
+        "gossip(3)        18.0      22.40    0.088      4.0",
+        "unmodified       10.0      13.87   24.764     30.0",
+        "bpd              15.0      20.69   31.358     30.0",
+    ]
 
 
 def test_readme_library_example_runs():

@@ -71,6 +71,13 @@ def test_schedule_rejects_unsorted():
         validate_schedule(evs, {"a", "b"})
 
 
+@pytest.mark.parametrize("rnd", [0, -1])
+def test_schedule_rejects_round_below_1(rnd):
+    # round 0 would never fire; round -1 is not a sorting problem
+    with pytest.raises(FaultError, match=rf"^fault round must be >= 1, got {rnd}$"):
+        validate_schedule([FaultEvent(rnd, "crash", "a")], {"a"})
+
+
 # --- determinism ---------------------------------------------------------
 
 
@@ -255,6 +262,21 @@ def test_effective_edges_track_joins():
     w.run()
     assert w.effective_edge_count() > 10
     assert w.stats[-1].messages == w.effective_edge_count()
+
+
+def test_recovering_detected_peers_keeps_the_edge_count():
+    # a detected-down peer's stashed memberships are counted, so its recovery,
+    # which rejoins them, adds no edge
+    faults = [FaultEvent(2, "crash", "c"), FaultEvent(2, "crash", "e")]
+    w = mesh_world(rounds=4, strategy=Bpd(3, repair_period_rounds=2), faults=faults)
+    w.run()
+    assert sorted(w.stash) == ["c", "e"]
+    before = w.effective_edge_count()
+    assert before > w.edges_initial
+    for n in ("c", "e"):
+        w.inject_fault(n, "recover")
+    assert not w.stash
+    assert w.effective_edge_count() == before
 
 
 def test_not_connected_flag_on_split_topology():
