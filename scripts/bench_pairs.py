@@ -8,7 +8,18 @@ seed 1 and the run length of BENCHMARK.json. The parent runs
 first in even pairs and the change first in odd ones, so drift in the host's
 speed falls on both sides alike. For every end-to-end metric of
 BENCHMARK.json the record keeps each run's value, each side's median and
-quartiles, and the number of pairs the change won (ties win for neither).
+quartiles, the number of pairs the change won (ties win for neither) and a
+verdict, the first of these that holds:
+
+- `gain`: the change won at least 9 of the 10 pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+- `worse`: the change's median is worse than the parent's by more than the
+  metric's relative `bound` in BENCHMARK.json;
+- `unresolved`: the parent's interquartile range is wider than that bound
+  (relative to the parent's median), and some change run does not beat
+  every parent run;
+- `within bound`: any other case.
+
 One traced run per checkout and workload adds the exact delivery and
 message counts. Both checkouts must hold the same `bench/`, byte for byte
 (`__pycache__` aside): the script stops before any run, naming the first file
@@ -42,6 +53,8 @@ COUNTS = (
     "simnet.edges_after",
 )
 PAIRS = 10
+# pairs the change must win for a gain
+GAIN_WINS = 9
 SEED = 1
 
 
@@ -84,10 +97,30 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """Both sides' spread and the pairs the change won, pair i against pair i."""
+def verdict(parent: dict, change: dict, won: int, better: str, bound: float) -> str:
+    """How the record reads one metric (see the module docstring), from both
+    sides' `spread` and the pairs the change won."""
+    sign = 1 if better == "lower" else -1
+    base = parent["median"]
+    gain = sign * (base - change["median"])  # > 0: the change's median is better
+    iqr = parent["q3"] - parent["q1"]
+    if won >= GAIN_WINS and gain > iqr:
+        return "gain"
+    if -gain > bound * base:
+        return "worse"
+    beats_all = max(sign * v for v in change["runs"]) < min(sign * v for v in parent["runs"])
+    if iqr > bound * base and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Both sides' spread, the pairs the change won, pair i against pair i,
+    and the verdict."""
     won = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
-    return {"parent": spread(parent), "change": spread(change), "change_better_in": won}
+    sides = {"parent": spread(parent), "change": spread(change)}
+    return {**sides, "change_better_in": won,
+            "verdict": verdict(sides["parent"], sides["change"], won, better, bound)}
 
 
 def main() -> int:
@@ -131,11 +164,10 @@ def main() -> int:
     for w in workloads:
         record["workloads"][w] = {
             "end_to_end": {
-                m["name"]: {"unit": m["unit"], "better": m["better"], **summarize(
-                    [r[m["name"]] for r in runs[w]["parent"]],
-                    [r[m["name"]] for r in runs[w]["change"]],
-                    m["better"],
-                )}
+                m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                            **summarize([r[m["name"]] for r in runs[w]["parent"]],
+                                        [r[m["name"]] for r in runs[w]["change"]],
+                                        m["better"], m["bound"])}
                 for m in spec["end_to_end"]
             },
             "counts": {side: {c: traced[w][side][c]["value"] for c in COUNTS} for side in sides},

@@ -25,17 +25,21 @@ added.
 Each node is bound to the world that drives it and reads the shared state
 from there: the group assignment, the set of peers not yet detected as down,
 the current round and epoch, the threshold and the reply timeout; it keeps
-its own references to the group dict, which is only ever updated in place,
-to the frozen threshold and to the roster positions (see `BpdNode`). A node
-writes only its own state. Every handler takes the message and the group it
-arrived on (None for a point-to-point repair message) and returns a
-`HandlerResult`: membership changes come back as intents for the world to
-apply, and messages as the control-queue entries themselves,
-``(dsts, gid, msg)``, which the world enqueues unchanged. A group emission
-is ``(g.fanout(nid), g.gid, msg)``: every member of the group but the
-emitter, sorted, as the membership stands when the handler runs, so a
-crashed peer that is not yet detected is addressed too and the world drops
-the delivery. A point-to-point repair message is ``((dst, ...), None, msg)``.
+its own references to the assignment and its group dict, which are only ever
+updated in place, to the frozen threshold and to the roster positions (see
+`BpdNode`). A node writes only its own state. Every handler takes the message
+and the `Group` it arrived on (None for a point-to-point repair message) and
+returns a `HandlerResult`, a named tuple ``(emissions, joins)``: membership
+changes come back as intents for the world to apply, and messages as the
+control-queue entries themselves, ``(dsts, group, msg)``, which the world
+enqueues unchanged. A group emission is ``(g.fanout(nid), g, msg)``: every
+member of the group but the emitter, sorted, as the membership stands when
+the handler runs, so a crashed peer that is not yet detected is addressed too
+and the world drops the delivery. The entry carries the `Group` object
+itself, and the receiving handler reads its senders, receivers, weight and
+id from it. That is the object ``groups[g.gid]`` holds at delivery too,
+because groups are only ever changed in place, never replaced. A
+point-to-point repair message is ``((dst, ...), None, msg)``.
 
 Discovery and update handlers run their drop tests before any other work,
 in the order that turns the common drop away soonest. Discovery tests the
@@ -51,6 +55,13 @@ forwards. Each handler reads the message's fields once, by unpacking it. No
 drop test writes state and every drop returns the same shared empty result,
 so the order decides no outcome, only which test turns a message away.
 
+The forwards of both handlers run once per useful delivery, hundreds of
+thousands of times in one cycle on a large ring, so they build their
+messages, path entries and results with ``tuple.__new__(Type, fields)``: the
+same named-tuple object, type, fields and repr as ``Type(*fields)``, without
+the Python-level ``__new__`` a named tuple's constructor runs. That call
+checks no arity, so those few lines pass every field, in order.
+
 Wire convention: an update message's ``depth`` already includes the weight of
 the group it is riding, i.e. the receiver reads its own exact path cost from
 the requester. Depths, weights and the threshold are exact: an integral one is
@@ -60,7 +71,8 @@ exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -162,15 +174,22 @@ class _Pending:
         return self.replies.keys() >= self.expected
 
 
-@dataclass
-class HandlerResult:
-    emissions: list[tuple] = field(default_factory=list)
-    joins: list[JoinIntent] = field(default_factory=list)
+class HandlerResult(NamedTuple):
+    """What a handler returns: control-queue entries to enqueue, in order,
+    and membership intents for the world to apply. Code that builds one
+    step by step starts from ``HandlerResult([], [])``."""
+
+    emissions: Sequence[tuple]
+    joins: Sequence[JoinIntent] = ()
 
 
 # what a handler returns when it drops its message: one shared result, never
 # mutated, with tuples so that an accidental append on it raises
 _NOTHING = HandlerResult((), ())
+
+# builds a named tuple from its fields without its Python-level __new__ (see
+# the module docstring); every call passes all of the type's fields, in order
+_new = tuple.__new__
 
 
 class BpdNode:
@@ -178,11 +197,13 @@ class BpdNode:
 
     The node reads the world's assignment, detected-alive set, round, epoch,
     and its `Bpd` strategy's threshold and reply timeout, and never writes
-    them. It keeps three of them itself, because the drop tests of every
-    discovery and update delivery read them: the assignment's group dict,
-    which the assignment updates in place and never rebinds, the threshold
-    of the frozen `Bpd`, and the world's roster positions, which never change
-    and give each target its bit in the forwarded masks. Only a world whose
+    them. It keeps four of them itself, because every discovery and update
+    delivery reads them: the world's assignment and its group dict, which are
+    updated in place and never rebound, the threshold of the frozen `Bpd`,
+    and the world's roster positions, which never change and give each
+    target its bit in the forwarded masks. Each handler takes the `Group` a
+    message arrived on, carried by its control-queue entry, and reads the
+    group's members and weight from it without a lookup. Only a world whose
     strategy is `Bpd` builds nodes, so only such a world and its nodes form a
     reference cycle, which the cyclic collector frees. The cycle stays: the nodes read the
     live round and epoch, and a weak reference would cost a dereference on
@@ -192,6 +213,7 @@ class BpdNode:
     def __init__(self, nid: NodeId, world: World):
         self.nid = nid
         self.world = world
+        self.assignment = world.assignment
         self.groups = world.assignment.groups
         self.thresh = world.strategy.thresh
         self.pos = world.pos
@@ -209,36 +231,32 @@ class BpdNode:
 
     def start_discovery(self) -> HandlerResult:
         """New epoch: drop the old table and announce on every receive group."""
-        world = self.world
-        self.epoch = world.epoch
+        self.epoch = self.world.epoch
         self.path = {}
         self._joined_for = set()
         self._forwarded = {}
-        res = HandlerResult()
         msg = DiscoverMsg(self.nid, 0, self.epoch)
-        for g in world.assignment.recv_groups(self.nid):
-            res.emissions.append((g.fanout(self.nid), g.gid, msg))
-        return res
+        recv_groups = self.assignment.recv_groups(self.nid)
+        return HandlerResult([(g.fanout(self.nid), g, msg) for g in recv_groups])
 
-    def on_discover(self, msg: DiscoverMsg, gid: GroupId) -> HandlerResult:
+    def on_discover(self, msg: DiscoverMsg, group: Group | None) -> HandlerResult:
         # a sibling receiver overhears the announcement; not an edge for it.
         # Most deliveries are such, so this test runs first: no drop test
         # writes state, so their order decides no outcome
         nid = self.nid
-        delivered_on = self.groups[gid]
-        if nid not in delivered_on.senders:
+        if nid not in group.senders:
             return _NOTHING
         origin, depth, epoch = msg
         if epoch != self.epoch or origin == nid:
             return _NOTHING
-        depth += delivered_on.weight
+        depth += group.weight
         cur = self.path.get(origin)
         if cur is not None and cur.depth <= depth:
             return _NOTHING
-        self.path[origin] = PathEntry(depth, gid)
-        fwd = DiscoverMsg(origin, depth, epoch)
-        recv_groups = self.world.assignment.recv_groups(nid)
-        return HandlerResult([(g.fanout(nid), g.gid, fwd) for g in recv_groups])
+        self.path[origin] = _new(PathEntry, (depth, group.gid))
+        fwd = _new(DiscoverMsg, (origin, depth, epoch))
+        recv_groups = self.assignment.recv_groups(nid)
+        return _new(HandlerResult, ([(g.fanout(nid), g, fwd) for g in recv_groups], ()))
 
     # --- stage 2: update -----------------------------------------------------
 
@@ -259,18 +277,18 @@ class BpdNode:
         return out
 
     def start_update(self, targets: list[NodeId]) -> HandlerResult:
-        res = HandlerResult()
-        send_groups = self.world.assignment.send_groups(self.nid)
+        res = HandlerResult([], [])
+        send_groups = self.assignment.send_groups(self.nid)
         thresh = self.thresh
         for target in targets:
             for g in send_groups:
                 depth = g.weight
                 grp = g.gid if depth <= thresh else ""
                 msg = UpdateMsg(self.nid, target, depth, grp, self.epoch)
-                res.emissions.append((g.fanout(self.nid), g.gid, msg))
+                res.emissions.append((g.fanout(self.nid), g, msg))
         return res
 
-    def on_update(self, msg: UpdateMsg, gid: GroupId) -> HandlerResult:
+    def on_update(self, msg: UpdateMsg, group: Group | None) -> HandlerResult:
         requester, target, depth, grp, epoch = msg
         if epoch != self.epoch:
             return _NOTHING
@@ -284,7 +302,7 @@ class BpdNode:
         if done & bit:
             return _NOTHING
         nid = self.nid
-        if nid not in self.groups[gid].receivers:
+        if nid not in group.receivers:
             # co-senders hear the broadcast too, but only group receivers sit
             # at the far end of an edge; accepting here would shortcut depth
             return _NOTHING
@@ -293,7 +311,7 @@ class BpdNode:
                 self._joined_for.add(requester)
                 if self._stamped_edge_missing(grp):
                     intent = JoinIntent(grp, RECEIVER, f"update:{requester}")
-                    return HandlerResult(joins=[intent])
+                    return HandlerResult((), (intent,))
             return _NOTHING
         # the requester already sent its own pair
         if nid == requester:
@@ -301,17 +319,18 @@ class BpdNode:
         self._forwarded[requester] = done | bit
         thresh = self.thresh
         emissions = []
-        for g in self.world.assignment.send_groups(nid):
+        for g in self.assignment.send_groups(nid):
             fwd_depth = depth + g.weight
-            fwd = UpdateMsg(
-                requester, target, fwd_depth, g.gid if fwd_depth <= thresh else grp, epoch
+            fwd = _new(
+                UpdateMsg,
+                (requester, target, fwd_depth, g.gid if fwd_depth <= thresh else grp, epoch),
             )
-            emissions.append((g.fanout(nid), g.gid, fwd))
-        return HandlerResult(emissions)
+            emissions.append((g.fanout(nid), g, fwd))
+        return _new(HandlerResult, (emissions, ()))
 
     def _stamped_edge_missing(self, gid: GroupId) -> bool:
         """False when every alive sender of gid already reaches us as cheaply."""
-        assignment, alive = self.world.assignment, self.world.detected_alive
+        assignment, alive = self.assignment, self.world.detected_alive
         grp = self.groups[gid]
         if self.nid in grp.receivers:
             return False
@@ -327,7 +346,7 @@ class BpdNode:
 
     def on_member_left(self, group: Group, departed: NodeId) -> HandlerResult:
         """React to a detected departure from one of our groups."""
-        res = HandlerResult()
+        res = HandlerResult([], [])
         alive = self.world.detected_alive
         if self.nid in group.senders:
             others = (group.members - {self.nid}) & alive
@@ -343,8 +362,7 @@ class BpdNode:
         return self.world.round + self.world.strategy.reply_timeout_rounds
 
     def _emit_join_req(self, grp_type: str) -> list[tuple]:
-        world = self.world
-        leaders = sorted(leader_group(world.assignment, world.detected_alive) - {self.nid})
+        leaders = sorted(leader_group(self.assignment, self.world.detected_alive) - {self.nid})
         if not leaders:
             # nobody to ask; flag for retry at the next repair cycle
             self.pending_join.pop(grp_type, None)
@@ -362,12 +380,12 @@ class BpdNode:
             return []  # settled by the next poll as all-empty
         return [(tuple(members), None, GrpQry(self.nid, group.gid))]
 
-    def on_grp_qry(self, msg: GrpQry, gid: None) -> HandlerResult:
+    def on_grp_qry(self, msg: GrpQry, group: None) -> HandlerResult:
         sends = self.nid in self.groups[msg.grp].senders
         ans = GrpAns(self.nid, msg.grp, self.nid if sends else "")
         return HandlerResult([((msg.requester,), None, ans)])
 
-    def on_grp_ans(self, msg: GrpAns, gid: None) -> HandlerResult:
+    def on_grp_ans(self, msg: GrpAns, group: None) -> HandlerResult:
         pend = self.pending_query.get(msg.grp)
         if pend is None:
             return _NOTHING
@@ -384,9 +402,9 @@ class BpdNode:
 
     # --- repair: join negotiation ---------------------------------------------
 
-    def on_join_req(self, msg: JoinReq, gid: None) -> HandlerResult:
+    def on_join_req(self, msg: JoinReq, group: None) -> HandlerResult:
         """Leader side: offer the smallest group the requester can usefully join."""
-        assignment, alive = self.world.assignment, self.world.detected_alive
+        assignment, alive = self.assignment, self.world.detected_alive
         mine = (
             assignment.recv_groups(self.nid)
             if msg.grp_type == SEND_KIND
@@ -405,14 +423,14 @@ class BpdNode:
         )
         return HandlerResult([((msg.requester,), None, rep)])
 
-    def on_join_rep(self, msg: JoinRep, gid: None) -> HandlerResult:
+    def on_join_rep(self, msg: JoinRep, group: None) -> HandlerResult:
         pend = self.pending_join.get(msg.grp_type)
         if pend is None:
             return _NOTHING
         pend.replies[msg.responder] = msg
         if not pend.complete():
             return _NOTHING
-        return HandlerResult(joins=self._finalize_join(msg.grp_type))
+        return HandlerResult((), self._finalize_join(msg.grp_type))
 
     def _finalize_join(self, grp_type: str) -> list[JoinIntent]:
         pend = self.pending_join.pop(grp_type)
@@ -432,7 +450,7 @@ class BpdNode:
     def poll(self) -> HandlerResult:
         """Settle open requests that are complete or past their deadline
         (checked once per round)."""
-        res = HandlerResult()
+        res = HandlerResult([], [])
         rnd = self.world.round
         for queried in sorted(self.pending_query):
             pend = self.pending_query[queried]
@@ -446,8 +464,8 @@ class BpdNode:
 
     def take_retries(self) -> HandlerResult:
         """Re-issue flagged join requests if the need still exists."""
-        res = HandlerResult()
-        assignment, alive = self.world.assignment, self.world.detected_alive
+        res = HandlerResult([], [])
+        assignment, alive = self.assignment, self.world.detected_alive
         kinds, self.retry_kinds = sorted(self.retry_kinds), set()
         for kind in kinds:
             if _needs_repair(self.nid, kind, assignment, alive):

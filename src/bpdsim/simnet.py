@@ -8,21 +8,28 @@ trip, which at a 10 ms iteration period is far below one round, so the
 simulator cascades control deliveries to quiescence inside the round.
 
 The control queue is a FIFO with one entry per emission: its destinations,
-the group it rides (None for a point-to-point one) and the message, frozen
-when it is emitted. The emitting `BpdNode` builds that entry itself (see
-`bpd`), and the world counts it and enqueues it as it is. A group emission
-goes to the group's members other than the emitter, in sorted order, as they
-stand at that moment; a peer that joins later does not get it. That
-destination tuple is the group's cached fan-out (`Group.fanout`), computed
-once per emitter and dropped when the group's membership changes, so an
-emission costs no sort. A popped entry fans out there and then, one delivery
+the `Group` object it rides (None for a point-to-point one) and the message,
+the destinations frozen when it is emitted. The emitting `BpdNode` builds
+that entry itself (see `bpd`), and the world enqueues it as it is. A group
+emission goes to the group's members other than the emitter, in sorted
+order, as they stand at that moment; a peer that joins later does not get
+it. That destination tuple is the group's cached fan-out (`Group.fanout`),
+computed once per emitter and dropped when the group's membership changes,
+so an emission costs no sort. Groups are only ever changed in place, so the
+group an entry carries is the one the assignment holds under its id when
+the entry is delivered. A popped entry fans out there and then, one delivery
 per destination in that order, and each delivery's own emissions go to the
 tail. The handler is looked up once per popped emission, on the `BpdNode`
 class, and called with the node, the message and the group; the messages are
 named tuples (see `bpd`). A handler that drops its message returns the shared
-`bpd._NOTHING` result, which the drain skips; every other result goes
-through `World._apply_result`, which counts and enqueues its emissions and
-applies its joins. Every member delivery, to a crashed peer too, counts
+`bpd._NOTHING` result, which the drain skips; for every other result the
+drain extends the queue with its emissions itself and hands any joins to
+`World._apply_joins`. Results made outside a drain (stage starts, departures,
+polls) go through `World._apply_result`, which takes the same two steps.
+Every queued emission is popped by a drain within the round that queued it,
+so a round's control messages are counted where its drains pop them: one per
+popped emission, plus one heartbeat per alive peer. Every member delivery, to
+a crashed peer too, counts
 toward the cascade's cap of `_CASCADE_CAP` (2,000,000) deliveries; a popped
 emission adds all of its destinations to the count at once, and one that
 takes the count past the cap raises before any of its deliveries runs.
@@ -93,6 +100,7 @@ from .bpd import (
     GrpAns,
     GrpQry,
     HandlerResult,
+    JoinIntent,
     JoinRep,
     JoinReq,
     UpdateMsg,
@@ -555,14 +563,21 @@ class World:
         """Deliver queued control traffic, fanning each emission out to its
         destinations as it is popped; `delivered` carries the cascade's count.
 
-        Each popped emission adds its destinations, dead ones included, to the
+        Each entry carries the group it rides, or None, and its handler is
+        called with it. Each popped emission counts as one control message of
+        the round, adds its destinations, dead ones included, to the cascade
         count and is checked against `_CASCADE_CAP` once, before any of its
-        deliveries; its handler is looked up once, on `BpdNode`. Every result
-        but the shared `_NOTHING` goes through `_apply_result`."""
+        deliveries; its handler is looked up once, on `BpdNode`. The drain
+        skips the shared `_NOTHING`, extends the queue with every other
+        result's emissions itself and hands its joins, if any, to
+        `_apply_joins`."""
         ctrl, alive, nodes = self._ctrl, self.alive, self.nodes
-        popleft, apply, nothing = ctrl.popleft, self._apply_result, _NOTHING
+        popleft, extend, nothing = ctrl.popleft, ctrl.extend, _NOTHING
+        apply_joins = self._apply_joins
+        popped = 0
         while ctrl:
-            dsts, gid, msg = popleft()
+            dsts, group, msg = popleft()
+            popped += 1
             delivered += len(dsts)
             if delivered > _CASCADE_CAP:
                 raise CascadeError(
@@ -571,15 +586,24 @@ class World:
             handler = getattr(BpdNode, _HANDLERS[type(msg)])
             for dst in dsts:
                 if dst in alive:
-                    res = handler(nodes[dst], msg, gid)
+                    res = handler(nodes[dst], msg, group)
                     if res is not nothing:
-                        apply(dst, res)
+                        emissions, joins = res
+                        extend(emissions)
+                        if joins:
+                            apply_joins(dst, joins)
+        self._ctrl_sent += popped
         return delivered
 
     def _apply_result(self, emitter: NodeId, res: HandlerResult) -> None:
-        self._ctrl_sent += len(res.emissions)
+        """Enqueue a result made outside a drain and apply its joins; the
+        next drain pops, and so counts, its emissions."""
         self._ctrl.extend(res.emissions)
-        for intent in res.joins:
+        if res.joins:
+            self._apply_joins(emitter, res.joins)
+
+    def _apply_joins(self, emitter: NodeId, joins: Sequence[JoinIntent]) -> None:
+        for intent in joins:
             ev = join_group(self.assignment, emitter, intent.gid, intent.role, round=self.round)
             if ev:
                 self.events.append(ev)

@@ -66,10 +66,10 @@ def test_discovery_emits_depth_zero_on_recv_groups(base10):
     w = World(base10, Bpd(3), SimConfig(n_rounds=0, seed=0))
     res = w.nodes["a"].start_discovery()
     # a receives from b and c (edges b->a, c->a)
-    gids = sorted(gid for _dsts, gid, _msg in res.emissions)
+    gids = sorted(g.gid for _dsts, g, _msg in res.emissions)
     assert gids == ["g.b", "g.c"]
-    for dsts, gid, msg in res.emissions:
-        assert dsts == w.assignment.groups[gid].fanout("a")
+    for dsts, g, msg in res.emissions:
+        assert dsts == w.assignment.groups[g.gid].fanout("a")
         assert isinstance(msg, DiscoverMsg)
         assert msg.depth == 0 and msg.origin == "a"
 
@@ -92,7 +92,7 @@ def test_stale_epoch_discovery_ignored(base10):
     before = dict(node.path)
     g = w.assignment.groups["g.a"]  # a is the sender of g.a
     stale = DiscoverMsg("f", Fraction(0), epoch=0)
-    res = node.on_discover(stale, g.gid)
+    res = node.on_discover(stale, g)
     assert res is bpd._NOTHING and node.path == before
 
 
@@ -217,7 +217,7 @@ def test_update_back_at_its_requester_is_dropped():
     w = cycle_world(g, thresh=2)
     node = w.nodes["a"]
     msg = UpdateMsg("a", "c", 4, "g.b", w.epoch)
-    res = node.on_update(msg, "g.d")  # a receives on g.d
+    res = node.on_update(msg, w.assignment.groups["g.d"])  # a receives on g.d
     assert res is bpd._NOTHING
 
 
@@ -229,7 +229,7 @@ def test_repeat_update_forward_returns_the_shared_empty_result():
     mask = node._forwarded[requester]
     target = w.roster[(mask & -mask).bit_length() - 1]  # its lowest set bit
     msg = UpdateMsg(requester, target, 1, "", w.epoch)
-    res = node.on_update(msg, "g.a")  # b receives on g.a
+    res = node.on_update(msg, w.assignment.groups["g.a"])  # b receives on g.a
     assert res is bpd._NOTHING
     with pytest.raises(AttributeError):
         res.emissions.append((w.assignment.groups["g.b"].fanout("b"), "g.b", msg))
@@ -255,8 +255,8 @@ def test_update_forwards_each_pair_once_and_the_masks_name_exactly_those(seed):
     forwards = []
     on_update = BpdNode.on_update
 
-    def recorded(node, msg, gid):
-        res = on_update(node, msg, gid)
+    def recorded(node, msg, group):
+        res = on_update(node, msg, group)
         if res.emissions:
             forwards.append((node.nid, msg.requester, msg.target))
         return res

@@ -1,7 +1,10 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parents[1]
 
@@ -88,3 +91,55 @@ def test_bench_pairs_stops_before_any_run_when_bench_differs(tmp_path):
         " both must hold the same bench/"
     ]
     assert not marker.exists() and not (tmp_path / "out.json").exists()
+
+
+def _bench_pairs():
+    """scripts/bench_pairs.py as a module, loaded from its file."""
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TIGHT = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]  # IQR 0.15
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, expected",
+    [
+        # 10/10 pairs won and the medians 1.0 apart, past the IQR of 0.15
+        (TIGHT, [v - 1 for v in TIGHT], "lower", "gain"),
+        (TIGHT, [v + 1 for v in TIGHT], "higher", "gain"),
+        # 9/10 pairs are enough
+        (TIGHT, [v - 1 for v in TIGHT[:9]] + [11.0], "lower", "gain"),
+        # 8/10 pairs are not, and 1.0 better is within a 0.25 bound
+        (TIGHT, [v - 1 for v in TIGHT[:8]] + [11.0, 11.0], "lower", "within bound"),
+        # 10/10 pairs won by less than the IQR
+        (TIGHT, [v - 0.1 for v in TIGHT], "lower", "within bound"),
+        # the change's median 30 % worse, past the 25 % bound
+        (TIGHT, [v * 1.3 for v in TIGHT], "lower", "worse"),
+        (TIGHT, [v * 0.7 for v in TIGHT], "higher", "worse"),
+        # 20 % worse stays within the bound
+        (TIGHT, [v * 1.2 for v in TIGHT], "lower", "within bound"),
+        # the parent's IQR (5.5 around a median of 10) is wider than the bound
+        (
+            [5.0, 15.0, 7.0, 13.0, 6.0, 14.0, 8.0, 12.0, 10.0, 10.0],
+            [14.0, 6.0, 12.0, 8.0, 15.0, 5.0, 10.0, 10.0, 13.0, 7.0],
+            "lower",
+            "unresolved",
+        ),
+        # an IQR of 7.5, but every change run beats every parent run: 0.1 better
+        # than the parent's fastest run is no gain, but it is resolved
+        (
+            [10.0] * 7 + [20.0, 30.0, 40.0],
+            [9.9] * 10,
+            "lower",
+            "within bound",
+        ),
+    ],
+)
+def test_bench_pairs_verdicts(parent, change, better, expected):
+    bench_pairs = _bench_pairs()
+    summary = bench_pairs.summarize(parent, change, better, 0.25)
+    assert summary["verdict"] == expected

@@ -12,7 +12,15 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from bpdsim import bpd, cli, metrics, simnet
-from bpdsim.bpd import BpdNode, DiscoverMsg, GrpQry, HandlerResult, default_threshold
+from bpdsim.bpd import (
+    BpdNode,
+    DiscoverMsg,
+    GrpQry,
+    HandlerResult,
+    PathEntry,
+    UpdateMsg,
+    default_threshold,
+)
 from bpdsim.graph import hop_counts
 from bpdsim.groups import RECEIVER, SENDER, join_group
 from bpdsim.metrics import NO_RECEIPT
@@ -602,12 +610,12 @@ DELIVERY_CASES = {
 
 def observe_deliveries(monkeypatch, drive, observe):
     """Run drive() with every delivery handler calling observe(name, node, msg,
-    gid) before it handles the delivery."""
+    group) before it handles the delivery."""
 
     def logged(name, handler):
-        def deliver(node, msg, gid):
-            observe(name, node, msg, gid)
-            return handler(node, msg, gid)
+        def deliver(node, msg, group):
+            observe(name, node, msg, group)
+            return handler(node, msg, group)
 
         return deliver
 
@@ -622,9 +630,10 @@ def delivery_record(monkeypatch, drive):
     round, destination, handler name, group and the message's repr."""
     h, count = hashlib.sha256(), 0
 
-    def log(name, node, msg, gid):
+    def log(name, node, msg, group):
         nonlocal count
         count += 1
+        gid = None if group is None else group.gid
         h.update(f"{node.world.round} {node.nid} {name} {gid} {msg!r}\n".encode())
 
     observe_deliveries(monkeypatch, drive, log)
@@ -658,7 +667,7 @@ def test_delivery_calls_match_the_bench_golden_counts(workload, monkeypatch, tmp
     scn = scenarios.write_inputs(inputs, tmp_path)
     calls = dict.fromkeys(simnet._HANDLERS.values(), 0)
 
-    def count(name, node, msg, gid):
+    def count(name, node, msg, group):
         calls[name] += 1
 
     observe_deliveries(
@@ -678,19 +687,19 @@ def test_group_destinations_frozen_at_emission(monkeypatch):
     got = []
     on_discover = BpdNode.on_discover
 
-    def logged(node, msg, gid):
+    def logged(node, msg, group):
         got.append(node.nid)
-        return on_discover(node, msg, gid)
+        return on_discover(node, msg, group)
 
     monkeypatch.setattr(BpdNode, "on_discover", logged)
     stale = DiscoverMsg("a", 0, epoch=99)  # every node drops it
     g_a = w.assignment.groups["g.a"]
-    w._apply_result("a", HandlerResult([(g_a.fanout("a"), "g.a", stale)]))
+    w._apply_result("a", HandlerResult([(g_a.fanout("a"), g_a, stale)]))
     assert join_group(w.assignment, "d", "g.a", RECEIVER, round=0)  # d joins before the drain
     w._drain_control()
     assert got == ["b", "c"]
     got.clear()
-    w._apply_result("a", HandlerResult([(g_a.fanout("a"), "g.a", stale)]))
+    w._apply_result("a", HandlerResult([(g_a.fanout("a"), g_a, stale)]))
     w._drain_control()
     assert got == ["b", "c", "d"]
 
@@ -735,7 +744,7 @@ def test_handler_replaced_between_drains_runs_in_the_next(monkeypatch):
     w._discover()
     got = []
 
-    def replaced(node, msg, gid):
+    def replaced(node, msg, group):
         got.append(node.nid)
         return bpd._NOTHING
 
@@ -748,6 +757,77 @@ def test_handler_replaced_between_drains_runs_in_the_next(monkeypatch):
     w._apply_result("a", query)
     w._drain_control()  # b and c answer a, whose query is not pending
     assert got == ["b", "c"]
+
+
+@pytest.mark.parametrize("case", sorted(DELIVERY_CASES))
+def test_delivered_messages_are_whole_and_ride_the_live_group(case, monkeypatch):
+    # the forwards build messages and path entries with tuple.__new__, which
+    # checks no arity, and the entry carries the Group object in place of
+    # its id, which is exact only while groups are changed in place
+    msg_type = {name: t for t, name in simnet._HANDLERS.items()}
+    seen = dict.fromkeys(simnet._HANDLERS.values(), 0)
+
+    def check(name, node, msg, group):
+        seen[name] += 1
+        assert isinstance(msg, msg_type[name]) and len(msg) == len(type(msg)._fields)
+        if isinstance(msg, (DiscoverMsg, UpdateMsg)):
+            assert group is node.world.assignment.groups[group.gid]
+        else:
+            assert group is None
+        if isinstance(msg, DiscoverMsg):
+            entry = node.path.get(msg.origin)  # written by an earlier delivery
+            assert entry is None or (type(entry) is PathEntry and len(entry) == 2)
+
+    observe_deliveries(monkeypatch, DELIVERY_CASES[case], check)
+    assert seen["on_discover"] and seen["on_update"]
+
+
+class _EnqueuedLog(deque):
+    """A control queue that counts the emissions enqueued on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.enqueued = 0
+
+    def extend(self, entries):
+        entries = list(entries)
+        self.enqueued += len(entries)
+        super().extend(entries)
+
+
+@pytest.mark.parametrize("case", sorted(DELIVERY_CASES))
+def test_every_round_drains_what_it_enqueues_and_counts_it(case, monkeypatch):
+    # control messages are counted as the drains pop them, which is the count
+    # enqueued only because no round ends with an emission still queued
+    init, step_round, repair_cycle = World.__init__, World.step_round, World.run_repair_cycle
+    checked = []
+
+    def init_logged(world, *args, **kwargs):
+        init(world, *args, **kwargs)
+        world._ctrl = _EnqueuedLog()
+
+    def step_checked(world):
+        world._ctrl.enqueued = 0
+        row = step_round(world)
+        assert not world._ctrl
+        heartbeats = len(world.alive)  # the alive peers of the round just closed
+        assert row.control_messages == world._ctrl.enqueued + heartbeats
+        checked.append(row.round)
+        return row
+
+    def cycle_checked(world):
+        sent, world._ctrl.enqueued = world._ctrl_sent, 0
+        out = repair_cycle(world)
+        assert not world._ctrl
+        assert world._ctrl_sent - sent == world._ctrl.enqueued > 0
+        checked.append("cycle")
+        return out
+
+    monkeypatch.setattr(World, "__init__", init_logged)
+    monkeypatch.setattr(World, "step_round", step_checked)
+    monkeypatch.setattr(World, "run_repair_cycle", cycle_checked)
+    DELIVERY_CASES[case]()
+    assert checked
 
 
 # --- protocol state only for Bpd ----------------------------------------
