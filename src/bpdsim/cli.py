@@ -19,7 +19,6 @@ place, `main`, and printed as one `error:` line.
 from __future__ import annotations
 
 import argparse
-import csv
 import re
 import sys
 from collections import defaultdict
@@ -155,15 +154,50 @@ def build_world(data: dict[str, str], base_dir: Path) -> World:
 
 
 # --- CSV output ------------------------------------------------------------
-# The csv module writes an int as str, a float as its repr and None as an
-# empty cell, so every figure is printed the same way on every run.
+# Every cell prints by one rule, the text `csv.writer` gives it with the
+# default dialect: None is an empty cell, a float its `repr`, anything else
+# its `str`, and a text holding a comma, a quote or a line break is quoted
+# with its quotes doubled. So every figure is printed the same way on every
+# run. Rows end in "\r\n"; every table has more than one column, so no row is
+# a lone empty cell, which the csv module would quote.
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+# types whose equal values print alike, zero aside: 0.0 == -0.0
+_MEMO_TYPES = (str, int, float)
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return repr(value)  # never a comma, a quote or a line break
+    if value is None:
+        return ""
+    text = str(value)
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _line(row: Iterable) -> str:
+    return ",".join(map(_cell, row)) + "\r\n"
+
+
+class _Texts(dict):
+    """The `_cell` text of each distinct value of one type, made once. A
+    value is kept only if its type is in `_MEMO_TYPES` and it is not zero,
+    so 0.0 and -0.0, one key, each get their own text."""
+
+    def __missing__(self, value) -> str:
+        text = _cell(value)
+        if type(value) in _MEMO_TYPES and value:
+            self[value] = text
+        return text
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(_line(header))
+        fh.writelines(map(_line, rows))
 
 
 def write_rounds_csv(path: Path, world: World) -> None:
@@ -171,12 +205,20 @@ def write_rounds_csv(path: Path, world: World) -> None:
 
 
 def write_nodes_csv(path: Path, world: World) -> None:
-    rows = (
-        (i, n, xs[n], des[n])
-        for i, (xs, des) in enumerate(zip(world.x_trace, world.de_trace), 1)
-        for n in sorted(xs)
-    )
-    _write_csv(path, ("round", "node", "x", "de"), rows)
+    """One row per node alive in a round, in node order, written one round at
+    a time. Each node name and each distinct x and DE value is rendered once,
+    through a memo per type (`_Texts`), so 1 and 1.0 never share a text."""
+    texts: defaultdict[type, _Texts] = defaultdict(_Texts)
+    with path.open("w", newline="") as fh:
+        fh.write(_line(("round", "node", "x", "de")))
+        for i, (xs, des) in enumerate(zip(world.x_trace, world.de_trace), 1):
+            rows = []
+            for n in sorted(xs):
+                x, de = xs[n], des[n]
+                rows.append(
+                    f"{i},{texts[type(n)][n]},{texts[type(x)][x]},{texts[type(de)][de]}\r\n"
+                )
+            fh.write("".join(rows))
 
 
 def write_summary_csv(path: Path, world: World) -> None:

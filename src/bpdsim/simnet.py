@@ -60,20 +60,26 @@ heard, in sender order. It merges what it received with one element-wise max
 and records that round in its receipt vector at every origin whose stamp rose:
 one `metrics.record_receipt` call per destination per round. The max does not
 depend on arrival order, so the merged vectors, and with them the DE figures,
-are the same as folding the messages in one at a time.
+are the same as folding the messages in one at a time. A node's DE counts the
+origins not detected as down, as the guard bits of their slots; the world
+caches those bits beside its sorted detected-alive peers, drops both where
+`detected_alive` changes and drops the bits again when the vectors widen,
+since the guard bits move with the width.
 
 The strategy decides where sharing lives. An all-to-all round is delivered by
 destination: nothing changes `detected_alive` while a round's senders emit, so
-every one of them named the same peers, and each alive peer among them hears
-every sender but itself; its input is the senders' values with its own sliced
-out. Nothing writes a stamp vector between a round's send and the next round's
-delivery, so a peer that sent holds exactly the vector it sent, and its merge
-is the max over the vectors of all senders: folded once per round and shared.
-A destination that did not send (a peer that recovered this round) folds that
-max with its current vector. Any other round, group or gossip, is delivered
-message by message, and each destination folds the vectors of the senders it
-heard with its own: a group strategy gives nearly every destination its own
-sender set, where sharing would cost without paying.
+every one of them names the same peers. The world asks `strategy_emit` for
+them once per round and every sender shares that tuple. Each alive peer among
+them hears every sender but itself; its input is the senders' values with its
+own sliced out. Nothing writes a stamp vector between a round's send and the
+next round's delivery, so a peer that sent holds exactly the vector it sent,
+and its merge is the max over the vectors of all senders: folded once per
+round and shared. A destination that did not send (a peer that recovered this
+round) folds that max with its current vector. Any other round, group or
+gossip, is delivered message by message, and each destination folds the
+vectors of the senders it heard with its own: a group strategy gives nearly
+every destination its own sender set, where sharing would cost without
+paying.
 
 Crashed peers neither send nor receive. Messages addressed to one are still
 counted as sent and then dropped, because the senders cannot know better
@@ -272,8 +278,10 @@ class World:
         self.alive: set[NodeId] = set(self.roster)
         # alive <= detected_alive: a crashed peer stays in it until detected
         self.detected_alive: set[NodeId] = set(self.roster)
-        # detected_alive sorted, built on first use (see detected_peers)
+        # detected_alive sorted, and the guard bits of its roster slots, each
+        # built on first use (see detected_peers and _detected_guards)
         self._peers: tuple[NodeId, ...] | None = None
+        self._guards: int | None = None
         self.crashed_at: dict[NodeId, int] = {}
         self.stash: dict[NodeId, list[tuple[str, str]]] = {}
 
@@ -360,7 +368,7 @@ class World:
             # from; one that came back before anyone noticed never left them
             if node not in self.detected_alive:
                 self.detected_alive.add(node)
-                self._peers = None
+                self._peers = self._guards = None
                 for gid, role in self.stash.pop(node, []):
                     ev = join_group(self.assignment, node, gid, role, round=self.round)
                     if ev:
@@ -420,6 +428,18 @@ class World:
         if self._peers is None:
             self._peers = tuple(sorted(self.detected_alive))
         return self._peers
+
+    def _detected_guards(self) -> int:
+        """The guard bits (`Packing.guard_bits`) of the detected-alive peers'
+        roster slots: the origins every DE figure counts.
+
+        A cache beside `detected_peers`, dropped with it and also by
+        `_widen`, since where the guard bits sit depends on the packing
+        width; so it is built once per change, not once per round."""
+        if self._guards is None:
+            detected = self.detected_alive
+            self._guards = self.packing.guard_bits(n in detected for n in self.roster)
+        return self._guards
 
     # --- internals --------------------------------------------------------
 
@@ -499,6 +519,7 @@ class World:
         for a world stepped past the largest round its slots hold."""
         old = self.packing
         new = self.packing = metrics.Packing(old.size, 2 * old.width)
+        self._guards = None
 
         def repack(packed: int) -> int:
             return new.pack(old.unpack(packed))
@@ -519,7 +540,7 @@ class World:
             return
         # (departed, gid) pairs in order of first departure, each once
         affected: dict[tuple[NodeId, str], None] = {}
-        self._peers = None
+        self._peers = self._guards = None
         for n in due:
             self.detected_alive.discard(n)
             removed = leave_all(self.assignment, n)
@@ -622,13 +643,19 @@ class World:
     def _send_app(self, order: list[NodeId]) -> None:
         """Queue this round's application message of each alive peer, in the
         sorted `order`, and count its destinations but the sender: only
-        all-to-all names it, once, since alive <= detected_alive."""
+        all-to-all names it, once, since alive <= detected_alive.
+
+        Every all-to-all sender of a round names the same peers, so
+        `strategy_emit` is asked for them once per round, for the first
+        sender, and every sender shares that tuple; any other strategy is
+        asked once per sender."""
         stamps, packing, pos, rnd = self.stamps, self.packing, self.pos, self.round
         strategy, x, inflight = self.strategy, self.x, self._app_inflight
         to_all = isinstance(strategy, AllToAll)
+        shared = strategy_emit(strategy, order[0], self) if to_all and order else None
         for n in order:
             mine = stamps[n] = packing.put(stamps[n], pos[n], rnd)
-            dsts = strategy_emit(strategy, n, self)
+            dsts = shared if to_all else strategy_emit(strategy, n, self)
             count = len(dsts) - to_all
             if count:
                 inflight.append((n, x[n], mine, dsts))
@@ -636,11 +663,16 @@ class World:
 
     def _close_round(self, order: list[NodeId]) -> RoundStats:
         des: dict[NodeId, float] = {}
-        detected, packing, rnd = self.detected_alive, self.packing, self.round
-        origins_alive = packing.guard_bits(n in detected for n in self.roster)
+        receipts, pos, packing, rnd, window = (
+            self.receipts, self.pos, self.packing, self.round, self.window
+        )
+        origins_alive = self._detected_guards()
+        # looked up here, once per round, so a function replaced on `metrics`
+        # is the one that runs
+        purge, efficiency = metrics.purge, metrics.dissemination_efficiency
         for n in order:
-            receipts = self.receipts[n] = metrics.purge(self.receipts[n], rnd, self.window, packing)
-            des[n] = metrics.dissemination_efficiency(receipts, origins_alive, self.pos[n], packing)
+            kept = receipts[n] = purge(receipts[n], rnd, window, packing)
+            des[n] = efficiency(kept, origins_alive, pos[n], packing)
         xs = {n: self.x[n] for n in order}
         cfg = self.cfg
         row = RoundStats(
