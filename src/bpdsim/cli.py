@@ -206,17 +206,21 @@ def write_rounds_csv(path: Path, world: World) -> None:
 
 def write_nodes_csv(path: Path, world: World) -> None:
     """One row per node alive in a round, in node order, written one round at
-    a time. Each node name and each distinct x and DE value is rendered once,
-    through a memo per type (`_Texts`), so 1 and 1.0 never share a text."""
-    texts: defaultdict[type, _Texts] = defaultdict(_Texts)
+    a time. Each node name is rendered once per run and each distinct x and DE
+    value once per round, through memos keyed by type and then value
+    (`_Texts`), so 1 and 1.0 never share a text. The value memo lasts one
+    round: a run-long one would hold a text per distinct value of the whole
+    run and raise the peak memory of the write."""
+    names: defaultdict[type, _Texts] = defaultdict(_Texts)
     with path.open("w", newline="") as fh:
         fh.write(_line(("round", "node", "x", "de")))
         for i, (xs, des) in enumerate(zip(world.x_trace, world.de_trace), 1):
+            texts: defaultdict[type, _Texts] = defaultdict(_Texts)
             rows = []
             for n in sorted(xs):
                 x, de = xs[n], des[n]
                 rows.append(
-                    f"{i},{texts[type(n)][n]},{texts[type(x)][x]},{texts[type(de)][de]}\r\n"
+                    f"{i},{names[type(n)][n]},{texts[type(x)][x]},{texts[type(de)][de]}\r\n"
                 )
             fh.write("".join(rows))
 

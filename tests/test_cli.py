@@ -1,15 +1,20 @@
+import csv
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from bpdsim import cli, simnet
 from bpdsim.bpd import default_threshold
-from bpdsim.simnet import SimConfig
-from bpdsim.workloads import Bpd
+from bpdsim.simnet import RoundStats, SimConfig, Summary, World
+from bpdsim.workloads import AllToAll, Bpd
+from conftest import make_graph
 
 DATA = Path(__file__).parent / "data" / "toplink"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -363,6 +368,129 @@ def test_bundled_scenario_matches_golden_digests(name, tmp_path, capsys):
         assert got == golden["csv"], f"traced={traced}"
         if traced:
             assert _sha256(out_dir / "trace.log") == golden["trace.file"]
+
+
+# the scenarios of the hash-seed test: a bundled one and a random(3) churn case
+SCN_CHURN = """\
+topology = net.tl
+strategy = bpd
+rounds = 60
+seed = 5
+repair.period.rounds = 10
+faults.1 = 12 crash p03
+faults.2 = 15 crash p07
+faults.3 = 33 recover p03
+faults.4 = 41 recover p07
+trace.file = trace.log
+"""
+TL_CHURN = "topology random(3);\nnodes { %s };\n" % ", ".join(f"p{i:02d}" for i in range(12))
+
+
+def _run_under_hash_seed(scn, out_dir, hash_seed):
+    proc = subprocess.run(
+        [sys.executable, "-m", "bpdsim.cli", "run", str(scn), "--out", str(out_dir)],
+        capture_output=True,
+        text=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+            "PYTHONHASHSEED": str(hash_seed),
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        name: (out_dir / name).read_bytes()
+        for name in ("rounds.csv", "nodes.csv", "summary.csv", "trace.log")
+    }
+
+
+@pytest.mark.parametrize("case", ["bpd_crash", "random3-churn"])
+def test_outputs_do_not_depend_on_the_hash_seed(case, tmp_path):
+    # str hashes differ between the two processes, so an output order taken
+    # from iterating a set of names would differ too; the CSV writer's memos
+    # are keyed by names and floats and must not order anything
+    if case == "bpd_crash":
+        shutil.copy(SCENARIOS / "base10.tl", tmp_path / "base10.tl")
+        text = (SCENARIOS / "bpd_crash.scn").read_text() + "trace.file = trace.log\n"
+        scn = tmp_path / "case.scn"
+        scn.write_text(text)
+    else:
+        scn = write_scenario(tmp_path, SCN_CHURN, TL_CHURN)
+    runs = [_run_under_hash_seed(scn, tmp_path / f"out{h}", h) for h in (0, 1)]
+    assert runs[0] == runs[1]
+    assert b"join" in runs[0]["trace.log"] and b"fault crash" in runs[0]["trace.log"]
+
+
+# --- CSV cells ---------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _csv_module_bytes(path, header, rows):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def _odd_world():
+    # World does not check peer names, so they can hold a comma, a quote and a
+    # line break; the columns hold both zeros, nan, inf, an exponent, None,
+    # and 1 beside 1.0, in both orders
+    names = ("a,b", 'q"x', "p", "two\nlines")
+    w = World(
+        make_graph([(names[i], names[(i + 1) % 4]) for i in range(4)]),
+        AllToAll(),
+        SimConfig(n_rounds=0),
+    )
+    xs = [
+        (0.0, -0.0, 1, 1.0),
+        (-0.0, 0.0, 1.0, 1),
+        (NAN, INF, -INF, 1e-05),
+        (None, True, 2.5, -0.0),
+        (1e-05, NAN, 0.0, None),
+    ]
+    des = [row[::-1] for row in xs[1:]] + [xs[0]]
+    w.x_trace = [dict(zip(names, row)) for row in xs]
+    w.de_trace = [dict(zip(names, row)) for row in des]
+    # a round in which some peers are down
+    w.x_trace.append({"p": 1.0, "a,b": 0})
+    w.de_trace.append({"p": 1, "a,b": -0.0})
+    w.stats = [
+        RoundStats(1, 0, 1, 2, 0.0, -0.0, 1.0, 1),
+        RoundStats(2, True, 3, 4, NAN, -INF, 1e-05, None),
+    ]
+    return w
+
+
+def test_csv_cells_are_the_csv_modules_text(tmp_path, monkeypatch):
+    # each table is written by cli's one cell rule, the nodes table through
+    # its memo of texts, and must hold the very bytes csv.writer gives
+    w = _odd_world()
+    summary = Summary(None, None, 1, -0.0, 1.0, 0)
+    monkeypatch.setattr(w, "summary", lambda: summary)
+    nodes_rows = [
+        (i, n, xs[n], des[n])
+        for i, (xs, des) in enumerate(zip(w.x_trace, w.de_trace), 1)
+        for n in sorted(xs)
+    ]
+    cases = (
+        (cli.write_nodes_csv, ("round", "node", "x", "de"), nodes_rows),
+        (cli.write_rounds_csv, RoundStats._fields, w.stats),
+        (cli.write_summary_csv, Summary._fields, [summary]),
+    )
+    for write, header, rows in cases:
+        got = tmp_path / f"{write.__name__}.csv"
+        write(got, w)
+        assert got.read_bytes() == _csv_module_bytes(tmp_path / "want.csv", header, rows), got
+    lines = (tmp_path / "write_nodes_csv.csv").read_bytes().split(b"\r\n")
+    assert lines[1:5] == [
+        b'1,"a,b",0.0,1',
+        b"1,p,1,0.0",
+        b'1,"q""x",-0.0,1.0',
+        b'1,"two\nlines",1.0,-0.0',
+    ]
 
 
 def test_run_unconnectable_overlay_exits_2(tmp_path, capsys):

@@ -390,6 +390,28 @@ def test_de_matches_the_dict_oracle(data):
         assert w.de_trace[-1] == want
 
 
+def test_de_counts_the_origins_detected_alive_as_the_round_ends():
+    # the world caches the guard bits of the detected-alive origins: a world
+    # built for 0 rounds widens its vectors at rounds 1 and 7 (and its guard
+    # bits move), c's crash is detected at round 4 and it recovers at round
+    # 10; every round's DE must equal DE over freshly computed guard bits
+    w = mesh_world(
+        rounds=0, faults=[FaultEvent(3, "crash", "c"), FaultEvent(10, "recover", "c")]
+    )
+    widths = set()
+    for _ in range(12):
+        w.step_round()
+        widths.add(w.packing.width)
+        packing = w.packing
+        fresh = packing.guard_bits(n in w.detected_alive for n in w.roster)
+        want = {
+            n: metrics.dissemination_efficiency(w.receipts[n], fresh, w.pos[n], packing)
+            for n in sorted(w.alive)
+        }
+        assert w.de_trace[-1] == want, w.round
+    assert widths == {4, 8}
+
+
 def step_against_merge_oracle(w):
     """Run one round of `w` and check it against delivery message by message.
 
