@@ -261,14 +261,15 @@ class BpdNode:
     # --- stage 2: update -----------------------------------------------------
 
     def update_targets(self) -> list[NodeId]:
-        """Detected-alive peers beyond thresh or unknown.
+        """Detected-alive peers beyond thresh or unknown, in sorted order
+        (`World.detected_sorted`).
 
         They are the peers detected alive when this cycle's discovery began:
-        nothing changes `detected_alive` between a cycle's discovery and
+        nothing changes who is detected down between a cycle's discovery and
         update stages."""
         thresh = self.thresh
         out = []
-        for peer in self.world.detected_peers():
+        for peer in self.world.detected_sorted:
             if peer == self.nid:
                 continue
             entry = self.path.get(peer)

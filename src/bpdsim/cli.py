@@ -109,7 +109,9 @@ def parse_scenario(path: Path) -> dict[str, str]:
     return data
 
 
-def _parse_faults(data: dict, peers: tuple[NodeId, ...]) -> list[FaultEvent]:
+def _parse_faults(data: dict, peers: tuple[NodeId, ...], last: int) -> list[FaultEvent]:
+    """The faults.N entries, sorted by round then N; a round past `last`,
+    the run's last round, would never fire, so it is an error."""
     entries = []
     for key, value in data.items():
         m = _FAULT_KEY_RE.match(key)
@@ -124,6 +126,8 @@ def _parse_faults(data: dict, peers: tuple[NodeId, ...]) -> list[FaultEvent]:
             raise ScenarioError(f"{key}: bad round {parts[0]!r}") from None
         if rnd < 1:
             raise ScenarioError(f"{key}: round must be >= 1")
+        if rnd > last:
+            raise ScenarioError(f"{key}: round {rnd} is after the last round ({last})")
         if parts[1] not in ("crash", "recover"):
             raise ScenarioError(f"{key}: action must be crash or recover")
         if parts[2] not in peers:
@@ -149,7 +153,7 @@ def build_world(data: dict[str, str], base_dir: Path) -> World:
     graph = build_graph(parse_toplink_file(base_dir / conf["cli"]["topology"]), seed=cfg.seed)
     cls = strategy_class(conf["cli"]["strategy"])
     strategy = cls(**{f: v(graph.n_nodes) if callable(v) else v for f, v in conf[cls].items()})
-    faults = _parse_faults(data, graph.nodes)
+    faults = _parse_faults(data, graph.nodes, cfg.n_rounds)
     return World(graph, strategy, cfg, faults=faults)
 
 

@@ -29,10 +29,10 @@ polls) go through `World._apply_result`, which takes the same two steps.
 Every queued emission is popped by a drain within the round that queued it,
 so a round's control messages are counted where its drains pop them: one per
 popped emission, plus one heartbeat per alive peer. Every member delivery, to
-a crashed peer too, counts
-toward the cascade's cap of `_CASCADE_CAP` (2,000,000) deliveries; a popped
-emission adds all of its destinations to the count at once, and one that
-takes the count past the cap raises before any of its deliveries runs.
+a crashed peer too, counts toward the cascade's cap of `_CASCADE_CAP`
+deliveries; a popped emission adds all of its destinations to the count at
+once, and one that takes the count past the cap raises before any of its
+deliveries runs.
 
 Protocol state exists only where the protocol runs: a world whose strategy is
 `Bpd` holds one `BpdNode` per peer in `World.nodes`, and any other world holds
@@ -53,7 +53,7 @@ round's application traffic is queued as one in-flight entry per sender, in
 sender order: its value, its stamp vector as it stands (an int, so it cannot
 change under the entry) and the destinations `strategy_emit` named. No peer
 is ever delivered or counted a message of its own: all-to-all names every
-detected-alive peer, the sender included (`World.detected_peers`), and the
+detected-alive peer, the sender included (`World.detected_sorted`), and the
 world skips the sender there; every other strategy's list leaves the sender
 out. Each destination's consensus input is one value per distinct sender it
 heard, in sender order. It merges what it received with one element-wise max
@@ -61,10 +61,8 @@ and records that round in its receipt vector at every origin whose stamp rose:
 one `metrics.record_receipt` call per destination per round. The max does not
 depend on arrival order, so the merged vectors, and with them the DE figures,
 are the same as folding the messages in one at a time. A node's DE counts the
-origins not detected as down, as the guard bits of their slots; the world
-caches those bits beside its sorted detected-alive peers, drops both where
-`detected_alive` changes and drops the bits again when the vectors widen,
-since the guard bits move with the width.
+origins not detected as down, as the guard bits of their slots
+(`World.detected_guards`).
 
 The strategy decides where sharing lives. An all-to-all round is delivered by
 destination: nothing changes `detected_alive` while a round's senders emit, so
@@ -87,6 +85,11 @@ until the missed-heartbeat detector fires: a crash in round r is detected in
 exactly round r + detection_rounds, at which point the peer leaves its
 groups (kept stashed so a later recovery can rejoin them) and the repair
 handlers run.
+
+Who is down is recorded once: `World.crashed_at` holds the round each crashed
+peer went down and `World.stash` the memberships each detected-down peer
+left, so an undetected crash is a key of the first that is not in the second.
+`World._liveness_changed` rebuilds every view of who is up from the two.
 """
 from __future__ import annotations
 
@@ -275,13 +278,7 @@ class World:
                 f" got {strategy.fanout}"
             )
 
-        self.alive: set[NodeId] = set(self.roster)
-        # alive <= detected_alive: a crashed peer stays in it until detected
-        self.detected_alive: set[NodeId] = set(self.roster)
-        # detected_alive sorted, and the guard bits of its roster slots, each
-        # built on first use (see detected_peers and _detected_guards)
-        self._peers: tuple[NodeId, ...] | None = None
-        self._guards: int | None = None
+        # who is down; the views of who is up are built from these two
         self.crashed_at: dict[NodeId, int] = {}
         self.stash: dict[NodeId, list[tuple[str, str]]] = {}
 
@@ -314,6 +311,7 @@ class World:
 
         self._app_sent = 0
         self._ctrl_sent = 0
+        self._liveness_changed()
 
     # --- public driving --------------------------------------------------
 
@@ -330,9 +328,7 @@ class World:
         for ev in self.faults:
             if ev.round == self.round:
                 self.inject_fault(ev.node, ev.action)
-        # only inject_fault changes alive, so it holds from here to the end of
-        # the round: detection, the handlers and the sends read it, never write it
-        order = sorted(self.alive)
+        order = self.alive_sorted
 
         inputs = self._deliver_app()
         self._detect()
@@ -354,26 +350,22 @@ class World:
         if node not in self.pos:
             raise UnknownNodeError(node)
         if action == "crash":
-            if node not in self.alive:
+            if node in self.crashed_at:
                 raise FaultError(f"{node} is already down")
-            self.alive.discard(node)
-            self.crashed_at[node] = self.round
-            self.last_crash_round = self.round
+            self.crashed_at[node] = self.last_crash_round = self.round
+            self._liveness_changed()
             self._trace(f"fault crash {node}")
         elif action == "recover":
-            if node in self.alive:
+            if node not in self.crashed_at:
                 return
-            self.alive.add(node)
+            del self.crashed_at[node]
             # a peer whose crash was detected rejoins the groups it was stashed
             # from; one that came back before anyone noticed never left them
-            if node not in self.detected_alive:
-                self.detected_alive.add(node)
-                self._peers = self._guards = None
-                for gid, role in self.stash.pop(node, []):
-                    ev = join_group(self.assignment, node, gid, role, round=self.round)
-                    if ev:
-                        self.events.append(ev)
-            self.crashed_at.pop(node, None)
+            for gid, role in self.stash.pop(node, []):
+                ev = join_group(self.assignment, node, gid, role, round=self.round)
+                if ev:
+                    self.events.append(ev)
+            self._liveness_changed()
             self._trace(f"fault recover {node}")
         else:
             raise FaultError(f"unknown fault action {action!r}")
@@ -415,33 +407,26 @@ class World:
         return Summary(dev, band, stats[-1].messages, kbps, initial, added)
 
     def alive_effective_graph(self) -> DirectedGraph:
-        return effective_graph(self.assignment, set(self.alive))
-
-    def detected_peers(self) -> tuple[NodeId, ...]:
-        """The detected-alive peers, sorted: the destinations of every
-        all-to-all message, the pool of every gossip sample and the peers a
-        `BpdNode` checks for update targets.
-
-        A cache, built on first use and dropped where `detected_alive`
-        changes (`inject_fault` and `_detect`), so the sort runs once per
-        change, not once per sender."""
-        if self._peers is None:
-            self._peers = tuple(sorted(self.detected_alive))
-        return self._peers
-
-    def _detected_guards(self) -> int:
-        """The guard bits (`Packing.guard_bits`) of the detected-alive peers'
-        roster slots: the origins every DE figure counts.
-
-        A cache beside `detected_peers`, dropped with it and also by
-        `_widen`, since where the guard bits sit depends on the packing
-        width; so it is built once per change, not once per round."""
-        if self._guards is None:
-            detected = self.detected_alive
-            self._guards = self.packing.guard_bits(n in detected for n in self.roster)
-        return self._guards
+        return effective_graph(self.assignment, self.alive)
 
     # --- internals --------------------------------------------------------
+
+    def _liveness_changed(self) -> None:
+        """Rebuild every view of who is up from `crashed_at` and `stash`, in
+        roster order, which is sorted: the alive peers (`alive_sorted`, the
+        order a round runs them in, and `alive`), the detected-alive peers
+        (`detected_sorted`, which every all-to-all sender of a round shares,
+        and `detected_alive`) and the guard bits (`Packing.guard_bits`) of the
+        detected-alive slots (`detected_guards`), the origins every DE figure
+        counts. Runs where either record changes (`inject_fault`, `_detect`)
+        and where the guard bits move (`_widen`); the views are rebound, never
+        changed in place, and no other code writes one."""
+        roster, crashed, stash = self.roster, self.crashed_at, self.stash
+        self.alive_sorted = [n for n in roster if n not in crashed]
+        self.alive = set(self.alive_sorted)
+        self.detected_sorted = tuple(n for n in roster if n not in stash)
+        self.detected_alive = set(self.detected_sorted)
+        self.detected_guards = self.packing.guard_bits(n not in stash for n in roster)
 
     def _deliver_app(self) -> dict[NodeId, Collection[float]]:
         """Deliver last round's application traffic to the alive peers it
@@ -519,7 +504,7 @@ class World:
         for a world stepped past the largest round its slots hold."""
         old = self.packing
         new = self.packing = metrics.Packing(old.size, 2 * old.width)
-        self._guards = None
+        self._liveness_changed()
 
         def repack(packed: int) -> int:
             return new.pack(old.unpack(packed))
@@ -533,22 +518,20 @@ class World:
     def _detect(self) -> None:
         due = sorted(
             n
-            for n in self.detected_alive - self.alive
-            if self.round - self.crashed_at[n] >= self.cfg.detection_rounds
+            for n, at in self.crashed_at.items()
+            if n not in self.stash and self.round - at >= self.cfg.detection_rounds
         )
         if not due:
             return
         # (departed, gid) pairs in order of first departure, each once
         affected: dict[tuple[NodeId, str], None] = {}
-        self._peers = self._guards = None
         for n in due:
-            self.detected_alive.discard(n)
-            removed = leave_all(self.assignment, n)
-            self.stash[n] = removed
+            removed = self.stash[n] = leave_all(self.assignment, n)
             for gid, role in removed:
                 self.events.append(MembershipEvent("MemberLeft", gid, n, role, self.round))
                 affected[n, gid] = None
                 self._trace(f"member-left {gid} {n} {role}")
+        self._liveness_changed()
         if not self.nodes:
             return
         for departed, gid in affected:
@@ -560,13 +543,13 @@ class World:
         """Run one discover -> update -> verify cycle; traffic queued before it (this
         round's repair requests) drains with discovery, under one `_CASCADE_CAP` count."""
         delivered = self._discover()
-        for n in sorted(self.alive):
+        for n in self.alive_sorted:
             node = self.nodes[n]
             targets = node.update_targets()
             if targets:
                 self._apply_result(n, node.start_update(targets))
         self._drain_control(delivered)
-        eff = effective_graph(self.assignment, set(self.detected_alive))
+        eff = effective_graph(self.assignment, self.detected_alive)
         if not is_strongly_connected(eff):
             self.not_connected_rounds.append(self.round)
         self._trace(f"cycle-complete epoch {self.epoch}")
@@ -574,9 +557,9 @@ class World:
     def _discover(self) -> int:
         """Discovery stage of a new epoch; returns the deliveries it made."""
         self.epoch += 1
-        for n in sorted(self.alive):
+        for n in self.alive_sorted:
             self._apply_result(n, self.nodes[n].start_discovery())
-        for n in sorted(self.alive):
+        for n in self.alive_sorted:
             self._apply_result(n, self.nodes[n].take_retries())
         return self._drain_control()
 
@@ -666,7 +649,7 @@ class World:
         receipts, pos, packing, rnd, window = (
             self.receipts, self.pos, self.packing, self.round, self.window
         )
-        origins_alive = self._detected_guards()
+        origins_alive = self.detected_guards
         # looked up here, once per round, so a function replaced on `metrics`
         # is the one that runs
         purge, efficiency = metrics.purge, metrics.dissemination_efficiency

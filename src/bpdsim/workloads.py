@@ -114,18 +114,19 @@ def strategy_emit(strategy: Strategy, node: NodeId, world) -> Sequence[NodeId]:
     """Destinations for this node's application message this round.
 
     All-to-all returns the world's sorted detected-alive peers
-    (`World.detected_peers`), the same for every sender of the round; they
-    name the sender too, which the world never delivers to or counts. Every
-    other strategy returns a list of its own that never names the sender.
+    (`World.detected_sorted`), the one tuple every sender of the round
+    shares; it names the sender too, which the world never delivers to or
+    counts. Gossip samples from that tuple. Every other strategy returns a
+    list of its own that never names the sender.
 
     Group-based strategies enumerate current group receivers, so peers that
     died but are not yet detected still get (dropped) messages, as on a real
     deployment.
     """
     if isinstance(strategy, AllToAll):
-        return world.detected_peers()
+        return world.detected_sorted
     if isinstance(strategy, Gossip):
-        return select_gossip_peers(node, world.detected_peers(), strategy.fanout, world.gossip_rng)
+        return select_gossip_peers(node, world.detected_sorted, strategy.fanout, world.gossip_rng)
     dsts: list[NodeId] = []
     for g in world.assignment.send_groups(node):
         for r in g.sorted_receivers():

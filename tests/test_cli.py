@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bpdsim import cli, simnet
+from bpdsim import cli, simnet, toplink
 from bpdsim.bpd import default_threshold
 from bpdsim.simnet import RoundStats, SimConfig, Summary, World
 from bpdsim.workloads import AllToAll, Bpd
@@ -103,6 +104,27 @@ def test_fault_on_unknown_peer_names_the_key(tmp_path, capsys):
     code, out, err = run_cli(["run", str(scn)], capsys)
     assert code == 1 and out == ""
     assert err == "error: faults.1: unknown peer 'zz'\n"
+
+
+def test_fault_after_the_last_round_is_rejected(tmp_path, capsys):
+    # a fault past `rounds` never fires, so the run would write CSVs in which
+    # c never crashes
+    scn = write_scenario(tmp_path, "topology = net.tl\nrounds = 10\nfaults.1 = 20 crash c\n")
+    code, out, err = run_cli(["run", str(scn)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: faults.1: round 20 is after the last round (10)\n"
+    assert not (tmp_path / "out").exists()
+    # one at the last round fires; a library caller may still step a world
+    # past its n_rounds, so World takes later rounds
+    scn.write_text("topology = net.tl\nrounds = 10\nfaults.1 = 10 crash c\n")
+    w = cli.build_world(cli.parse_scenario(scn), tmp_path)
+    w.run()
+    assert w.crashed_at == {"c": 10}
+    late = [simnet.FaultEvent(5, "crash", "a")]
+    w = World(make_graph([("a", "b"), ("b", "a")]), AllToAll(), SimConfig(n_rounds=1), late)
+    for _ in range(5):
+        w.step_round()
+    assert w.crashed_at == {"a": 5}
 
 
 def test_scenario_duplicate_key(tmp_path, capsys):
@@ -200,6 +222,17 @@ def test_readme_scenario_table_matches_key_table():
             assert code is None or callable(code), key
         else:
             assert number == code and isinstance(code, (int, float)), key
+
+
+def test_readme_figures_match_the_code():
+    # the README states the cascade cap and the topology draw limit as
+    # figures; changing either constant fails here until the README follows
+    text = " ".join(README.read_text().split())
+    cap = f"{simnet._CASCADE_CAP:,}"
+    caps = re.findall(r"cap \(([\d,]+)\)", text) + re.findall(r"cap of ([\d,]+) deliveries", text)
+    assert caps == [cap, cap]
+    draws = re.findall(r"After (\d+) draws", text) + re.findall(r"within (\d+) attempts", text)
+    assert draws == [str(toplink.MAX_BUILD_ATTEMPTS)] * 2
 
 
 # --- run ---------------------------------------------------------------------

@@ -356,6 +356,17 @@ def _fault_schedules(draw, nodes, rounds):
     return sorted(events, key=lambda ev: ev.round)
 
 
+def assert_views_are_fresh(w):
+    """Every view of who is up equals its recomputation from the roster,
+    `crashed_at`, `stash` and the packing as they stand."""
+    alive = sorted(set(w.roster) - w.crashed_at.keys())
+    detected = sorted(set(w.roster) - w.stash.keys())
+    assert w.stash.keys() <= w.crashed_at.keys()  # a detected-down peer is down
+    assert w.alive_sorted == alive and w.alive == set(alive)
+    assert w.detected_sorted == tuple(detected) and w.detected_alive == set(detected)
+    assert w.detected_guards == w.packing.guard_bits(n in detected for n in w.roster)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_de_matches_the_dict_oracle(data):
@@ -376,6 +387,7 @@ def test_de_matches_the_dict_oracle(data):
     faults = data.draw(_fault_schedules(g.nodes, rounds), "faults")
     w = World(g, data.draw(_de_strategies(n), "strategy"), cfg, faults=faults)
     oracle = DeOracle(w.roster)
+    assert_views_are_fresh(w)
     for r in range(1, rounds + 1):
         before = {d: vec(w, v) for d, v in w.stamps.items()}
         w.step_round()
@@ -388,13 +400,15 @@ def test_de_matches_the_dict_oracle(data):
             oracle.purge(d, r, w.window)
             want[d] = oracle.de(d, w.detected_alive)
         assert w.de_trace[-1] == want
+        assert_views_are_fresh(w)
 
 
 def test_de_counts_the_origins_detected_alive_as_the_round_ends():
-    # the world caches the guard bits of the detected-alive origins: a world
-    # built for 0 rounds widens its vectors at rounds 1 and 7 (and its guard
-    # bits move), c's crash is detected at round 4 and it recovers at round
-    # 10; every round's DE must equal DE over freshly computed guard bits
+    # the world rebuilds the guard bits of the detected-alive origins only
+    # where they change: a world built for 0 rounds widens its vectors at
+    # rounds 1 and 7 (and its guard bits move), c's crash is detected at round
+    # 4 and it recovers at round 10; every round's DE must equal DE over
+    # freshly computed guard bits
     w = mesh_world(
         rounds=0, faults=[FaultEvent(3, "crash", "c"), FaultEvent(10, "recover", "c")]
     )
@@ -568,7 +582,10 @@ def test_direct_recovery_between_all_to_all_rounds_keeps_the_shared_merge():
     for _ in range(3):
         step_against_merge_oracle(w)
     w.inject_fault("d", "recover")
+    assert_views_are_fresh(w)
     assert [step_against_merge_oracle(w) for _ in range(2)] == [(3, 0), (4, 0)]
+    w.inject_fault("a", "crash")
+    assert_views_are_fresh(w)
 
 
 def test_receiver_in_two_send_groups_of_one_sender():
@@ -697,6 +714,104 @@ def test_delivery_calls_match_the_bench_golden_counts(workload, monkeypatch, tmp
     )
     golden = json.loads((BENCH / "golden.json").read_text())[workload]
     assert calls == {name: golden[f"i0:count:bpd.{name}.calls"] for name in calls}
+
+
+class ReferenceWorld(World):
+    """A world whose drain is the plain per-destination loop that the
+    production drain must match in behaviour, whatever deliveries it skips:
+    each popped emission is one control message and puts every destination,
+    dead ones too, on the cascade count, checked against the cap before any
+    delivery; then every alive destination's handler runs, in order, and
+    its result is applied as it comes."""
+
+    def _drain_control(self, delivered=0):
+        popped = 0
+        while self._ctrl:
+            dsts, group, msg = self._ctrl.popleft()
+            popped += 1
+            delivered += len(dsts)
+            if delivered > simnet._CASCADE_CAP:
+                raise simnet.CascadeError(f"past {simnet._CASCADE_CAP} deliveries")
+            for dst in dsts:
+                if dst in self.alive:
+                    handler = getattr(BpdNode, simnet._HANDLERS[type(msg)])
+                    self._apply_result(dst, handler(self.nodes[dst], msg, group))
+        self._ctrl_sent += popped
+        return delivered
+
+
+def world_state(w):
+    """What the control traffic decides, as plain values: the last round's
+    figures, the values, the events, every group's member sets and every
+    node's path table."""
+    return (
+        w.stats[-1] if w.stats else None,
+        dict(w.x),
+        list(w.events),
+        {gid: (set(g.senders), set(g.receivers)) for gid, g in w.assignment.groups.items()},
+        {n: dict(node.path) for n, node in w.nodes.items()},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_drain_matches_the_reference_drain(data):
+    n = data.draw(st.integers(3, 12), "n")
+    rounds = data.draw(st.integers(1, 20), "rounds")
+    weights = (Fraction(1, 2), 1, Fraction(3, 2))
+    g = random_sc_digraph(n, data.draw(st.integers(0, 10_000), "seed"), weights)
+    strategy = Bpd(
+        data.draw(st.sampled_from([Fraction(3, 2), 2, 3]), "thresh"),
+        repair_period_rounds=data.draw(st.integers(1, 6), "period"),
+    )
+    cfg = SimConfig(
+        n_rounds=rounds,
+        seed=data.draw(st.integers(0, 100), "sim seed"),
+        detection_rounds=data.draw(st.integers(1, 3), "detection"),
+    )
+    faults = data.draw(_fault_schedules(g.nodes, rounds), "faults")
+    worlds = [cls(g, strategy, cfg, faults=faults) for cls in (World, ReferenceWorld)]
+    traces = [[], []]
+    for w, lines in zip(worlds, traces):
+        w.trace_fn = lines.append
+    for _ in range(rounds):
+        assert worlds[0].step_round() == worlds[1].step_round()
+        assert world_state(worlds[0]) == world_state(worlds[1])
+        assert traces[0] == traces[1]
+
+
+def record_states(monkeypatch, drive):
+    """Run drive() and return the trace lines and `world_state` of every
+    world it builds, after each round and each forced repair cycle."""
+    got = []
+    init, step_round, repair_cycle = World.__init__, World.step_round, World.run_repair_cycle
+
+    def init_traced(world, *args, **kwargs):
+        init(world, *args, **kwargs)
+        world.trace_fn = got.append
+
+    def recorded(step):
+        def run(world):
+            out = step(world)
+            got.append(world_state(world))
+            return out
+
+        return run
+
+    with monkeypatch.context() as patched:
+        patched.setattr(World, "__init__", init_traced)
+        patched.setattr(World, "step_round", recorded(step_round))
+        patched.setattr(World, "run_repair_cycle", recorded(repair_cycle))
+        drive()
+    return got
+
+
+@pytest.mark.parametrize("case", sorted(DELIVERY_CASES))
+def test_delivery_cases_match_the_reference_drain(case, monkeypatch):
+    drive = DELIVERY_CASES[case]
+    got = record_states(monkeypatch, drive)
+    monkeypatch.setattr(World, "_drain_control", ReferenceWorld._drain_control)
+    assert got == record_states(monkeypatch, drive)
 
 
 def test_shared_empty_result_stays_empty_through_a_run():
