@@ -63,17 +63,14 @@ the Python-level ``__new__`` a named tuple's constructor runs. That call
 checks no arity, so those few lines pass every field, in order.
 
 Wire convention: an update message's ``depth`` already includes the weight of
-the group it is riding, i.e. the receiver reads its own exact path cost from
-the requester. Depths, weights and the threshold are exact: an integral one is
-an ``int``, any other a ``Fraction``, and their mixed sums and comparisons stay
-exact.
+the group it is riding, i.e. the receiver reads its own path cost from the
+requester. Depths, weights and the threshold are ints (see `groups`).
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import NodeId
@@ -112,14 +109,14 @@ def default_threshold(n_nodes: int) -> int:
 
 class DiscoverMsg(NamedTuple):
     origin: NodeId
-    depth: int | Fraction
+    depth: int
     epoch: int
 
 
 class UpdateMsg(NamedTuple):
     requester: NodeId
     target: NodeId
-    depth: int | Fraction  # exact path cost from requester to the receiving node
+    depth: int  # path cost from requester to the receiving node
     grp: GroupId  # "" until stamped
     epoch: int
 
@@ -148,7 +145,7 @@ class GrpAns(NamedTuple):
 
 
 class PathEntry(NamedTuple):
-    depth: int | Fraction
+    depth: int
     via_group: GroupId
 
 
@@ -199,11 +196,11 @@ class BpdNode:
     and its `Bpd` strategy's threshold and reply timeout, and never writes
     them. It keeps four of them itself, because every discovery and update
     delivery reads them: the world's assignment and its group dict, which are
-    updated in place and never rebound, the threshold of the frozen `Bpd`,
-    and the world's roster positions, which never change and give each
-    target its bit in the forwarded masks. Each handler takes the `Group` a
-    message arrived on, carried by its control-queue entry, and reads the
-    group's members and weight from it without a lookup. Only a world whose
+    updated in place and never rebound, the threshold of the frozen `Bpd` as
+    the assignment bounds it, and the world's roster positions, which never
+    change and give each target its bit in the forwarded masks. Each handler
+    takes the `Group` a message arrived on, carried by its control-queue
+    entry, and reads the group's members and weight from it without a lookup. Only a world whose
     strategy is `Bpd` builds nodes, so only such a world and its nodes form a
     reference cycle, which the cyclic collector frees. The cycle stays: the nodes read the
     live round and epoch, and a weak reference would cost a dereference on
@@ -215,7 +212,7 @@ class BpdNode:
         self.world = world
         self.assignment = world.assignment
         self.groups = world.assignment.groups
-        self.thresh = world.strategy.thresh
+        self.thresh = world.assignment.bound(world.strategy.thresh)
         self.pos = world.pos
         self.epoch = -1
         self.path: dict[NodeId, PathEntry] = {}

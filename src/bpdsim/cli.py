@@ -296,7 +296,7 @@ def cmd_bpd_trace(args) -> int:
     for n in sorted(world.nodes):
         node = world.nodes[n]
         cells = " ".join(
-            f"{dst}={entry.depth}({entry.via_group})"
+            f"{dst}={world.assignment.exact(entry.depth)}({entry.via_group})"
             for dst, entry in sorted(node.path.items())
         )
         print(f"table {n}: {cells}")

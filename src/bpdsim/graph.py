@@ -2,9 +2,8 @@
 
 Weights are exact rationals so path costs compare exactly; protocol distance
 tables and the Dijkstra reference below must agree to the bit, not to a float
-tolerance. Graph edges hold `fractions.Fraction`; the protocol holds an
-integral weight or threshold as an `int` (see `int_if_integral`), which is
-just as exact, and mixed `int`/`Fraction` sums and comparisons stay exact.
+tolerance. Graph edges hold `fractions.Fraction`; the protocol counts path
+costs as ints in one unit (see `groups`).
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ class DirectedGraph:
                 raise ValueError(f"self-loop on {u!r}")
             if u not in known or v not in known:
                 raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
-            if w <= 0:
+            if w.numerator <= 0:  # the sign of a Fraction; an int compare is far cheaper
                 raise ValueError(f"edge ({u!r}, {v!r}) has non-positive weight {w}")
 
     @property
@@ -44,22 +43,10 @@ class DirectedGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def out_edges(self, u: NodeId) -> list[tuple[NodeId, Fraction]]:
-        return sorted((v, w) for (a, v), w in self.edges.items() if a == u)
-
     def max_weight(self) -> Fraction:
         if not self.edges:
             return Fraction(0)
         return max(self.edges.values())
-
-
-def int_if_integral(q: int | Fraction) -> int | Fraction:
-    """q as an `int` when it is integral, else unchanged.
-
-    Integer adds and compares are much cheaper than `Fraction` ones and equal
-    them exactly, including hashes, so the result can stand in for q anywhere.
-    """
-    return q.numerator if q.denominator == 1 else q
 
 
 def dijkstra(graph: DirectedGraph, src: NodeId) -> dict[NodeId, Fraction]:

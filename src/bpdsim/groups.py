@@ -16,16 +16,20 @@ only code that changes memberships, and the last two clear the caches of each
 group they change. A tuple handed out is never altered, so a message that
 holds one keeps the destinations it was emitted to.
 
-Group weights are exact: an `int` when integral, a `fractions.Fraction`
-otherwise (see `graph.int_if_integral`).
+Path costs are ints: a group's weight is its link weight times the
+assignment's `unit`, the LCM of the link weights' denominators, and a
+threshold t is floor(t * unit) (`bound`). Scaling keeps every sum and
+comparison, and an int cost is <= floor(t * unit) exactly when its value,
+cost / unit (`exact`), is <= t; so the protocol decides as on exact weights.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 
-from .graph import DirectedGraph, NodeId, int_if_integral
+from .graph import DirectedGraph, NodeId
 
 GroupId = str
 
@@ -49,7 +53,7 @@ class MembershipEvent:
 @dataclass
 class Group:
     gid: GroupId
-    weight: int | Fraction
+    weight: int  # in the assignment's unit
     senders: set[NodeId] = field(default_factory=set)
     receivers: set[NodeId] = field(default_factory=set)
     # emitter -> sorted members other than it; valid until membership changes
@@ -99,6 +103,7 @@ class GroupAssignment:
     """
 
     groups: dict[GroupId, Group] = field(default_factory=dict)
+    unit: int = 1  # a weight or path cost of c stands for c / unit
     _sends: dict[NodeId, tuple[Group, ...]] = field(default_factory=dict, init=False, repr=False)
     _recvs: dict[NodeId, tuple[Group, ...]] = field(default_factory=dict, init=False, repr=False)
 
@@ -108,24 +113,33 @@ class GroupAssignment:
     def recv_groups(self, node: NodeId) -> tuple[Group, ...]:
         return self._recvs.get(node, ())
 
+    def exact(self, cost: int) -> Fraction:
+        """The exact value of a weight or path cost."""
+        return Fraction(cost, self.unit)
+
+    def bound(self, thresh: Fraction) -> int:
+        """floor(thresh * unit): the largest cost whose exact value is <= thresh."""
+        return thresh.numerator * self.unit // thresh.denominator
+
 
 def form_groups(graph: DirectedGraph) -> GroupAssignment:
     """One group per (source, out-link weight class).
 
     A source with a single weight class gets group ``g.<src>``; with several,
     ``g.<src>.<i>`` numbered in ascending weight order. This is the one place
-    group weights are made, so it is where integral ones become `int`.
+    group weights are made, so it is where the unit is chosen (1 for no edges).
     """
+    unit = math.lcm(*(w.denominator for w in graph.edges.values()))
     by_src: dict[NodeId, dict[Fraction, set[NodeId]]] = {}
     for (src, dst), w in graph.edges.items():
         by_src.setdefault(src, {}).setdefault(w, set()).add(dst)
-    assignment = GroupAssignment()
+    assignment = GroupAssignment(unit=unit)
     groups = assignment.groups
     for src in graph.nodes:
         classes = sorted(by_src.get(src, {}).items())
         for i, (w, dsts) in enumerate(classes):
             gid = f"g.{src}" if len(classes) == 1 else f"g.{src}.{i}"
-            groups[gid] = Group(gid, int_if_integral(w), {src}, dsts)
+            groups[gid] = Group(gid, w.numerator * (unit // w.denominator), {src}, dsts)
     sends: dict[NodeId, list[Group]] = {}
     recvs: dict[NodeId, list[Group]] = {}
     for gid in sorted(groups):
@@ -145,7 +159,7 @@ def effective_graph(assignment: GroupAssignment, alive: set[NodeId]) -> Directed
     Its nodes are the alive peers that hold at least one membership. Parallel
     group edges for one ordered pair collapse to the lightest.
     """
-    edges: dict[tuple[NodeId, NodeId], Fraction] = {}
+    costs: dict[tuple[NodeId, NodeId], int] = {}
     for _, g in sorted(assignment.groups.items()):
         for u in g.senders:
             if u not in alive:
@@ -154,10 +168,11 @@ def effective_graph(assignment: GroupAssignment, alive: set[NodeId]) -> Directed
                 if v == u or v not in alive:
                     continue
                 key = (u, v)
-                if key not in edges or g.weight < edges[key]:
-                    edges[key] = g.weight
+                if key not in costs or g.weight < costs[key]:
+                    costs[key] = g.weight
+    exact = {c: assignment.exact(c) for c in set(costs.values())}
     nodes = tuple(n for n in alive if n in assignment._sends or n in assignment._recvs)
-    return DirectedGraph(nodes, edges)
+    return DirectedGraph(nodes, {key: exact[c] for key, c in costs.items()})
 
 
 def join_group(

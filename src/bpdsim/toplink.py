@@ -465,7 +465,7 @@ def export_manifest(assignment, spec: TopologySpec) -> str:
         grp = assignment.groups[gid]
         lines.append("")
         lines.append(f"group {gid}")
-        lines.append(f"  weight {grp.weight}")
+        lines.append(f"  weight {assignment.exact(grp.weight)}")
         if grp.senders:
             lines.append("  senders " + " ".join(sorted(grp.senders)))
         if grp.receivers:

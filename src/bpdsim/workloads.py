@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import sub
 
-from .graph import NodeId, int_if_integral
+from .graph import NodeId
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,15 @@ class Unmodified:
 class Bpd:
     """The declared topology managed by the bounded-path protocol: `thresh` bounds
     every pairwise path cost, a repair cycle starts every `repair_period_rounds`,
-    and a pending repair query expires after `reply_timeout_rounds`.
+    and a pending repair query expires after `reply_timeout_rounds`. `thresh` is
+    stored as a `Fraction`; each node holds it as an int (see `groups`)."""
 
-    `thresh` is stored exactly, an `int` when integral and a `Fraction`
-    otherwise, like the group weights every update delivery compares it with."""
-
-    thresh: int | Fraction
+    thresh: Fraction
     repair_period_rounds: int = 200
     reply_timeout_rounds: int = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "thresh", int_if_integral(Fraction(self.thresh)))
+        object.__setattr__(self, "thresh", Fraction(self.thresh))
         for name, ok, rule in (
             ("thresh", self.thresh > 0, "> 0"),
             ("repair_period_rounds", self.repair_period_rounds >= 1, ">= 1"),

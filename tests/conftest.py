@@ -46,9 +46,12 @@ def base10():
 def brute_force_costs(graph, src):
     """Exact shortest directed path costs by simple-path enumeration."""
     best = {src: Fraction(0)}
+    succ = {n: [] for n in graph.nodes}
+    for (u, v), w in sorted(graph.edges.items()):
+        succ[u].append((v, w))
 
     def walk(u, cost, seen):
-        for v, w in graph.out_edges(u):
+        for v, w in succ[u]:
             if v in seen:
                 continue
             nxt = cost + w

@@ -49,7 +49,7 @@ def test_criterion_1_stage1_oracle_equivalence(capsys):
             for src in g.nodes
         }
         got = {
-            nid: {dst: e.depth for dst, e in node.path.items()}
+            nid: {dst: w.assignment.exact(e.depth) for dst, e in node.path.items()}
             for nid, node in w.nodes.items()
         }
         exact += got == want

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bpdsim import bpd, simnet
 from bpdsim.bpd import BpdNode, DiscoverMsg, UpdateMsg, default_threshold
-from bpdsim.graph import all_pairs_costs, dijkstra, is_strongly_connected
+from bpdsim.graph import DirectedGraph, all_pairs_costs, dijkstra, is_strongly_connected
 from bpdsim.simnet import SimConfig, World
 from bpdsim.workloads import Bpd
 from conftest import corpus_graph, make_graph, random_sc_digraph
@@ -22,7 +22,7 @@ def cycle_world(graph, thresh=None):
 
 def stage1_tables(world):
     return {
-        nid: {dst: e.depth for dst, e in node.path.items()}
+        nid: {dst: world.assignment.exact(e.depth) for dst, e in node.path.items()}
         for nid, node in world.nodes.items()
     }
 
@@ -210,6 +210,49 @@ def test_cycle_property_mixed_int_and_fraction_weights(seed):
     assert not any(isinstance(d, float) for row in tables.values() for d in row.values())
     costs = all_pairs_costs(w.alive_effective_graph())
     assert all(c <= th for row in costs.values() for c in row.values())
+
+
+def half_weight_graph(seed):
+    """A graph with weights 1/2, 1 and 3/2, and a threshold it admits; half
+    the thresholds are not integral."""
+    n = 4 + seed % 6
+    g = random_sc_digraph(n, seed, weights=(Fraction(1, 2), 1, Fraction(3, 2)))
+    return g, max(default_threshold(n) - Fraction(seed % 2, 2), g.max_weight())
+
+
+@given(st.integers(0, 10_000), st.sampled_from([Fraction(1, 3), Fraction(1, 2), 2, Fraction(5, 2)]))
+@settings(max_examples=25, deadline=None)
+def test_scaling_every_weight_and_the_threshold_changes_no_decision(seed, scale):
+    # the unit is chosen from the weights, so the scaled graph runs in another
+    # unit; every decision, and every cost's exact value up to the scale, holds
+    g, th = half_weight_graph(seed)
+    scaled = DirectedGraph(g.nodes, {e: w * scale for e, w in g.edges.items()})
+    w, ws = cycle_world(g, thresh=th), cycle_world(scaled, thresh=th * scale)
+    assert ws.events == w.events
+    assert ws._ctrl_sent == w._ctrl_sent
+    for nid, node in w.nodes.items():
+        path, spath = node.path, ws.nodes[nid].path
+        assert {d: e.via_group for d, e in spath.items()} == {d: e.via_group for d, e in path.items()}
+        assert {d: ws.assignment.exact(e.depth) for d, e in spath.items()} == {
+            d: w.assignment.exact(e.depth) * scale for d, e in path.items()
+        }
+    for world in (w, ws):
+        assert all(type(grp.weight) is int for grp in world.assignment.groups.values())
+        assert all(
+            type(e.depth) is int for node in world.nodes.values() for e in node.path.values()
+        )
+
+
+@given(st.integers(0, 10_000), st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)]))
+@settings(max_examples=25, deadline=None)
+def test_a_threshold_off_the_unit_grid_decides_as_its_floor(seed, offset):
+    # e.g. 11/4 against unit 2 bounds int costs at floor(11/2) = 5, as 5/2 does
+    g, th = half_weight_graph(seed)
+    th += offset
+    w = cycle_world(g, thresh=th)
+    on_grid = Fraction(w.assignment.bound(th), w.assignment.unit)
+    assert on_grid < th
+    assert cycle_world(g, thresh=on_grid).events == w.events
 
 
 def test_update_back_at_its_requester_is_dropped():

@@ -587,6 +587,54 @@ def test_bpd_trace_thresh_below_max_weight(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+# custom_weights.tl links a -> b at 2, b -> c at 1/2 and c -> a at 7/3, so
+# its table cells are fractions; these outputs were recorded before path costs
+# became ints, and exact rationals must still print the same at the outputs
+CUSTOM_WEIGHTS_TABLES = """\
+peers=3 edges=3 thresh={thresh}
+table a: b=2(g.a) c=5/2(g.a)
+table b: a=17/6(g.b) c=1/2(g.b)
+table c: a=7/3(g.c) b=13/3(g.c)
+"""
+CUSTOM_WEIGHTS_TRACES = {
+    "3": """\
+join g.c b receiver
+edges: 3 -> 4
+dist a: b=2 c=5/2
+dist b: a=17/6 c=1/2
+dist c: a=7/3 b=7/3
+connected: yes
+bounded: yes
+""",
+    "11/4": """\
+join g.b a receiver
+join g.c b receiver
+edges: 3 -> 5
+dist a: b=2 c=5/2
+dist b: a=1/2 c=1/2
+dist c: a=7/3 b=7/3
+connected: yes
+bounded: yes
+""",
+}
+
+
+@pytest.mark.parametrize("thresh", sorted(CUSTOM_WEIGHTS_TRACES))
+def test_bpd_trace_of_fractional_weights_prints_exact_costs(thresh, capsys):
+    tl = DATA / "valid" / "custom_weights.tl"
+    code, out, err = run_cli(["bpd-trace", str(tl), "--thresh", thresh], capsys)
+    assert code == 0 and err == ""
+    assert out == CUSTOM_WEIGHTS_TABLES.format(thresh=thresh) + CUSTOM_WEIGHTS_TRACES[thresh]
+
+
+def test_manifest_prints_fractional_group_weights_exactly(capsys):
+    args = ["validate", "--manifest", str(DATA / "valid" / "custom_weights.tl")]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    weights = [ln for ln in out.splitlines() if ln.startswith("  weight ")]
+    assert weights == ["  weight 2", "  weight 1/2", "  weight 7/3"]
+
+
 def test_bpd_trace_disconnected(tmp_path, capsys):
     tl = tmp_path / "split.tl"
     tl.write_text(

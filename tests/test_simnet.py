@@ -1006,5 +1006,4 @@ def test_repair_cycle_needs_a_bpd_strategy(strategy):
 def test_bpd_world_holds_its_threshold_exactly(given, exact):
     w = mesh_world(rounds=0, strategy=Bpd(given))
     assert w.strategy.thresh == exact
-    assert type(w.strategy.thresh) is type(exact)
     assert Bpd(given) == Bpd(exact)
