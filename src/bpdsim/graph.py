@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -81,26 +80,6 @@ def all_pairs_costs(graph: DirectedGraph) -> dict[NodeId, dict[NodeId, Fraction]
     return {n: dijkstra(graph, n) for n in graph.nodes}
 
 
-def hop_counts(graph: DirectedGraph, src: NodeId) -> dict[NodeId, int]:
-    """Unweighted BFS hop distances from src (src -> 0)."""
-    if src not in graph.nodes:
-        raise KeyError(src)
-    succ: dict[NodeId, list[NodeId]] = {n: [] for n in graph.nodes}
-    for u, v in graph.edges:
-        succ[u].append(v)
-    for lst in succ.values():
-        lst.sort()
-    hops = {src: 0}
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for v in succ[u]:
-            if v not in hops:
-                hops[v] = hops[u] + 1
-                q.append(v)
-    return hops
-
-
 def random_sc_digraph(
     n: int, seed: int, weights: tuple = (1, 2), extra_p: float = 0.25
 ) -> DirectedGraph:
@@ -121,11 +100,30 @@ def random_sc_digraph(
 
 
 def is_strongly_connected(graph: DirectedGraph) -> bool:
-    """True iff every node reaches every other (single node counts)."""
-    if graph.n_nodes <= 1:
+    """True iff every node reaches every other (single node counts).
+
+    A node with no in-link or no out-link fails at once; otherwise one pass
+    over the edges builds successor and predecessor lists, and a search from
+    the first node along each must reach every node.
+    """
+    nodes, edges = graph.nodes, graph.edges
+    n = len(nodes)
+    if n <= 1:
         return True
-    first = graph.nodes[0]
-    if len(hop_counts(graph, first)) != graph.n_nodes:
+    if len({u for u, _ in edges}) < n or len({v for _, v in edges}) < n:
         return False
-    reverse = DirectedGraph(graph.nodes, {(v, u): w for (u, v), w in graph.edges.items()})
-    return len(hop_counts(reverse, first)) == graph.n_nodes
+    succ: dict[NodeId, list[NodeId]] = {v: [] for v in nodes}
+    pred: dict[NodeId, list[NodeId]] = {v: [] for v in nodes}
+    for u, v in edges:
+        succ[u].append(v)
+        pred[v].append(u)
+    for adj in (succ, pred):
+        seen, stack = {nodes[0]}, [nodes[0]]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) < n:
+            return False
+    return True

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 
-from .graph import DirectedGraph, NodeId
+from .graph import DirectedGraph, Edge, NodeId
 
 GroupId = str
 
@@ -130,16 +130,18 @@ def form_groups(graph: DirectedGraph) -> GroupAssignment:
     group weights are made, so it is where the unit is chosen (1 for no edges).
     """
     unit = math.lcm(*(w.denominator for w in graph.edges.values()))
-    by_src: dict[NodeId, dict[Fraction, set[NodeId]]] = {}
+    # keyed by int cost, which keeps the order and hashes in C, not in Python
+    by_src: dict[NodeId, dict[int, set[NodeId]]] = {}
     for (src, dst), w in graph.edges.items():
-        by_src.setdefault(src, {}).setdefault(w, set()).add(dst)
+        cost = w.numerator * (unit // w.denominator)
+        by_src.setdefault(src, {}).setdefault(cost, set()).add(dst)
     assignment = GroupAssignment(unit=unit)
     groups = assignment.groups
     for src in graph.nodes:
         classes = sorted(by_src.get(src, {}).items())
-        for i, (w, dsts) in enumerate(classes):
+        for i, (cost, dsts) in enumerate(classes):
             gid = f"g.{src}" if len(classes) == 1 else f"g.{src}.{i}"
-            groups[gid] = Group(gid, w.numerator * (unit // w.denominator), {src}, dsts)
+            groups[gid] = Group(gid, cost, {src}, dsts)
     sends: dict[NodeId, list[Group]] = {}
     recvs: dict[NodeId, list[Group]] = {}
     for gid in sorted(groups):
@@ -153,13 +155,9 @@ def form_groups(graph: DirectedGraph) -> GroupAssignment:
     return assignment
 
 
-def effective_graph(assignment: GroupAssignment, alive: set[NodeId]) -> DirectedGraph:
-    """Digraph implied by current memberships, restricted to alive peers.
-
-    Its nodes are the alive peers that hold at least one membership. Parallel
-    group edges for one ordered pair collapse to the lightest.
-    """
-    costs: dict[tuple[NodeId, NodeId], int] = {}
+def effective_costs(assignment: GroupAssignment, alive: set[NodeId]) -> dict[Edge, int]:
+    """The lightest group weight of each (alive sender, alive receiver) pair."""
+    costs: dict[Edge, int] = {}
     for _, g in sorted(assignment.groups.items()):
         for u in g.senders:
             if u not in alive:
@@ -170,6 +168,16 @@ def effective_graph(assignment: GroupAssignment, alive: set[NodeId]) -> Directed
                 key = (u, v)
                 if key not in costs or g.weight < costs[key]:
                     costs[key] = g.weight
+    return costs
+
+
+def effective_graph(assignment: GroupAssignment, alive: set[NodeId]) -> DirectedGraph:
+    """Digraph implied by current memberships, restricted to alive peers.
+
+    Its nodes are the alive peers that hold at least one membership. Parallel
+    group edges for one ordered pair collapse to the lightest.
+    """
+    costs = effective_costs(assignment, alive)
     exact = {c: assignment.exact(c) for c in set(costs.values())}
     nodes = tuple(n for n in alive if n in assignment._sends or n in assignment._recvs)
     return DirectedGraph(nodes, {key: exact[c] for key, c in costs.items()})

@@ -118,6 +118,7 @@ from .graph import DirectedGraph, NodeId, is_strongly_connected
 from .groups import (
     GroupAssignment,
     MembershipEvent,
+    effective_costs,
     effective_graph,
     form_groups,
     join_group,
@@ -266,7 +267,9 @@ class World:
         # protocol state, one node per peer, only where the protocol runs
         self.nodes: dict[NodeId, BpdNode] = {}
         if isinstance(strategy, Bpd):
-            if strategy.thresh < graph.max_weight():
+            # for the int max weight M, thresh * unit < M exactly when its floor is
+            heaviest = max((g.weight for g in self.assignment.groups.values()), default=0)
+            if self.assignment.bound(strategy.thresh) < heaviest:
                 raise ValueError(
                     f"thresh {strategy.thresh} below max edge weight {graph.max_weight()}"
                 )
@@ -388,7 +391,7 @@ class World:
             for n, removed in self.stash.items():
                 for gid, role in removed:
                     join_group(assignment, n, gid, role)
-        return effective_graph(assignment, set(self.roster)).n_edges
+        return len(effective_costs(assignment, set(self.roster)))
 
     def summary(self) -> Summary:
         """The run's figures as the world stands, against the true mean of

@@ -401,27 +401,25 @@ def build_graph(spec: TopologySpec, seed: int = 0) -> DirectedGraph:
     names = list(spec.peer_names())
     if not names:
         raise EmptyTopologyError("topology has no peers")
+    one = Fraction(1)  # one weight object shared by every generated edge
     if spec.preset == "custom":
         edges = {(l.src, l.dst): l.weight for l in spec.links}
         return DirectedGraph(tuple(names), edges)
     if spec.preset == "ring":
         if len(names) < 2:
             raise NotConnectableError("ring needs at least 2 peers")
-        edges = {}
-        for i, name in enumerate(names):
-            edges[(name, names[(i + 1) % len(names)])] = Fraction(1)
+        edges = {(name, names[(i + 1) % len(names)]): one for i, name in enumerate(names)}
         return DirectedGraph(tuple(names), edges)
     if spec.preset == "random":
         k = spec.fanout or 1
         if k > len(names) - 1:
             raise NotConnectableError(f"fanout {k} impossible with {len(names)} peers")
         rng = random.Random(seed)
+        # each peer's candidates, made once: a draw samples the same lists in
+        # the same order as if it built them afresh
+        pools = [(name, [m for m in names if m != name]) for name in names]
         for _ in range(MAX_BUILD_ATTEMPTS):
-            edges = {}
-            for name in names:
-                others = [m for m in names if m != name]
-                for dst in rng.sample(others, k):
-                    edges[(name, dst)] = Fraction(1)
+            edges = {(name, dst): one for name, others in pools for dst in rng.sample(others, k)}
             g = DirectedGraph(tuple(names), edges)
             if is_strongly_connected(g):
                 return g

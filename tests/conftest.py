@@ -7,6 +7,7 @@ dissemination bookkeeping that the simulator's receipt vectors replace.
 Corpus generators (`bpdsim.graph.random_sc_digraph` and those built on it)
 are seeded with stable strings so every test run sees identical graphs.
 """
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,22 @@ def brute_force_costs(graph, src):
 
     walk(src, Fraction(0), {src})
     return best
+
+
+def bfs_hops(graph, src):
+    """Unweighted hop distances from src (src -> 0); unreachable nodes are absent."""
+    succ = {n: [] for n in graph.nodes}
+    for u, v in graph.edges:
+        succ[u].append(v)
+    hops = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in succ[u]:
+            if v not in hops:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
 
 
 class DeOracle:

@@ -57,6 +57,41 @@ def test_world_rejects_thresh_below_max_weight():
     g = make_graph([("a", "b"), ("b", "a")], weights=[5, 5])
     with pytest.raises(ValueError):
         World(g, Bpd(3), SimConfig(n_rounds=0, seed=0))
+    # unit 6: 7/5 is off the grid and below 3/2, which itself is accepted
+    g = make_graph([("a", "b"), ("b", "c"), ("c", "a")], weights=[Fraction(3, 2), 1, Fraction(1, 3)])
+    with pytest.raises(ValueError) as err:
+        World(g, Bpd(Fraction(7, 5)), SimConfig(n_rounds=0, seed=0))
+    assert str(err.value) == "thresh 7/5 below max edge weight 3/2"
+    World(g, Bpd(Fraction(3, 2)), SimConfig(n_rounds=0, seed=0))
+
+
+THRESH_WEIGHTS = tuple(map(Fraction, ("1/3", "1/2", "1", "3/2", "2", "7/3")))
+
+
+@given(
+    weights=st.lists(st.sampled_from(THRESH_WEIGHTS), min_size=4, max_size=4),
+    offset=st.sampled_from(
+        (0, Fraction(-1, 1000), Fraction(1, 1000), Fraction(-1, 7), Fraction(1, 7), -1, 1)
+    ),
+    free=st.fractions(min_value=Fraction(1, 10), max_value=3),
+    use_free=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_thresh_check_matches_exact_compare(weights, offset, free, use_free):
+    # thresholds at the max weight, just off it and off the unit grid: the
+    # world compares floor(thresh * unit) with the int max weight, and must
+    # reject exactly when thresh < max_weight() on exact rationals
+    g = make_graph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")], weights=weights)
+    thresh = free if use_free else g.max_weight() + offset
+    if thresh <= 0:
+        return
+    try:
+        World(g, Bpd(thresh), SimConfig(n_rounds=0, seed=0))
+        raised = False
+    except ValueError as err:
+        assert str(err) == f"thresh {thresh} below max edge weight {g.max_weight()}"
+        raised = True
+    assert raised == (thresh < g.max_weight())
 
 
 # --- stage 1: discovery ------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from bpdsim.graph import (
     DirectedGraph,
     all_pairs_costs,
     dijkstra,
-    hop_counts,
     is_strongly_connected,
 )
 from conftest import brute_force_costs, make_graph, random_sc_digraph
@@ -72,17 +72,56 @@ def test_all_pairs_shape(base10):
     assert costs["a"]["f"] == Fraction(2)
 
 
-def test_hop_counts_ignores_weights():
-    g = make_graph([("a", "b"), ("b", "c")], weights=[Fraction(9), Fraction(9)])
-    assert hop_counts(g, "a") == {"a": 0, "b": 1, "c": 2}
+def connected_by_dijkstra(g):
+    """The oracle: every node's row of all-pairs costs holds every node."""
+    return all(len(row) == g.n_nodes for row in all_pairs_costs(g).values())
 
 
 def test_strong_connectivity():
-    ring = make_graph([("a", "b"), ("b", "c"), ("c", "a")])
-    assert is_strongly_connected(ring)
-    line = make_graph([("a", "b"), ("b", "c")])
-    assert not is_strongly_connected(line)
-    assert is_strongly_connected(make_graph([("a", "b"), ("b", "a")]))
+    one = Fraction(1)
+    cases = [
+        (make_graph([("a", "b"), ("b", "c"), ("c", "a")]), True),
+        (make_graph([("a", "b"), ("b", "c")]), False),
+        (DirectedGraph(("a",)), True),
+        (DirectedGraph(("a", "b")), False),
+        (make_graph([("a", "b")]), False),
+        (make_graph([("a", "b"), ("b", "a")]), True),
+        # c has no edges at all
+        (DirectedGraph(("a", "b", "c"), {("a", "b"): one, ("b", "a"): one}), False),
+        # every node has an in- and an out-link, yet there are two cycles
+        (make_graph([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]), False),
+        # a reaches every node, but c and d do not reach a
+        (make_graph([("a", "b"), ("b", "a"), ("a", "c"), ("c", "d"), ("d", "c")]), False),
+        # c and d reach a, but a reaches only b
+        (make_graph([("a", "b"), ("b", "a"), ("c", "a"), ("c", "d"), ("d", "c")]), False),
+    ]
+    for g, want in cases:
+        assert is_strongly_connected(g) == connected_by_dijkstra(g) == want
+
+
+@given(n=st.integers(2, 14), seed=st.integers(0, 10_000), drop=st.floats(0, 0.5))
+@settings(max_examples=60, deadline=None)
+def test_strong_connectivity_matches_dijkstra(n, seed, drop):
+    g = random_sc_digraph(n, seed, weights=(Fraction(1, 2), 1, Fraction(3, 2)))
+    assert is_strongly_connected(g) and connected_by_dijkstra(g)
+    rng = random.Random(seed)
+    cut = DirectedGraph(g.nodes, {e: w for e, w in g.edges.items() if rng.random() >= drop})
+    assert is_strongly_connected(cut) == connected_by_dijkstra(cut)
+
+
+@given(n=st.integers(2, 20), k=st.integers(1, 3), seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_strong_connectivity_of_k_out_draws(n, k, seed):
+    # raw random(k) draws, most of them not strongly connected
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(n)]
+    edges = {
+        (u, v): Fraction(1)
+        for u in nodes
+        for v in rng.sample([m for m in nodes if m != u], min(k, n - 1))
+    }
+    g = DirectedGraph(tuple(nodes), edges)
+    assert is_strongly_connected(g) == connected_by_dijkstra(g)
 
 
 def test_max_weight(base10):

@@ -21,7 +21,6 @@ from bpdsim.bpd import (
     UpdateMsg,
     default_threshold,
 )
-from bpdsim.graph import hop_counts
 from bpdsim.groups import RECEIVER, SENDER, join_group
 from bpdsim.metrics import NO_RECEIPT
 from bpdsim.simnet import (
@@ -34,7 +33,7 @@ from bpdsim.simnet import (
 )
 from bpdsim.toplink import build_graph, parse_toplink
 from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified, consensus_step
-from conftest import BASE10_EDGES, DeOracle, make_graph, random_sc_digraph
+from conftest import BASE10_EDGES, DeOracle, bfs_hops, make_graph, random_sc_digraph
 
 
 def vec(w, packed):
@@ -327,7 +326,7 @@ def test_stamps_follow_hop_distance(n, seed, direct, rounds):
     # r - hops(o -> d) once that is at least 1, and the receipt is from round r
     g = random_sc_digraph(n, seed)
     w = World(g, AllToAll() if direct else Unmodified(), SimConfig(n_rounds=rounds, seed=seed))
-    hops = {o: {d: 1 for d in g.nodes} if direct else hop_counts(g, o) for o in g.nodes}
+    hops = {o: {d: 1 for d in g.nodes} if direct else bfs_hops(g, o) for o in g.nodes}
     for r in range(1, rounds + 1):
         w.step_round()
         for d in g.nodes:

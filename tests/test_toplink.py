@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bpdsim.toplink as tl
-from bpdsim.graph import is_strongly_connected
+from bpdsim.graph import DirectedGraph, is_strongly_connected
 from bpdsim.toplink import (
     EmptyTopologyError,
     LinkDef,
@@ -20,7 +22,7 @@ from bpdsim.toplink import (
     pretty_print,
 )
 from bpdsim.groups import form_groups
-from conftest import INVALID_TL
+from conftest import INVALID_TL, bfs_hops
 
 DATA = Path(__file__).parent / "data" / "toplink"
 
@@ -148,6 +150,117 @@ def test_random_build_sc_and_seeded():
     assert is_strongly_connected(g1)
     assert all(sum(u == n for u, _ in g1.edges) == 2 for n in g1.nodes)
     assert g3.edges != g1.edges  # overwhelmingly likely and frozen by the seed
+
+
+def edges_digest(g):
+    """sha256 of the graph's edges in insertion order, one `src dst weight` line each."""
+    text = "".join(f"{u} {v} {w}\n" for (u, v), w in g.edges.items())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def build_counting_draws(spec, seed):
+    """build_graph(spec, seed), or None where it raises NotConnectableError,
+    and the number of draws it checked through toplink.is_strongly_connected."""
+    draws = 0
+    check = tl.is_strongly_connected
+
+    def counted(g):
+        nonlocal draws
+        draws += 1
+        return check(g)
+
+    tl.is_strongly_connected = counted
+    try:
+        g = build_graph(spec, seed)
+    except tl.NotConnectableError:
+        g = None
+    finally:
+        tl.is_strongly_connected = check
+    return g, draws
+
+
+def reference_random_build(names, k, seed):
+    """The random(k) draw loop as first written: a fresh candidate list per
+    peer and a fresh Fraction(1) per edge on every draw, and connectivity by
+    BFS from the first node over the graph and over its reverse. Returns the
+    edges of the first connected draw and the number of draws."""
+    if k > len(names) - 1:
+        raise tl.NotConnectableError(f"fanout {k} impossible with {len(names)} peers")
+    rng = random.Random(seed)
+    first = min(names)
+    for draws in range(1, tl.MAX_BUILD_ATTEMPTS + 1):
+        edges = {}
+        for name in names:
+            others = [m for m in names if m != name]
+            for dst in rng.sample(others, k):
+                edges[(name, dst)] = Fraction(1)
+        g = DirectedGraph(tuple(names), edges)
+        reverse = DirectedGraph(g.nodes, {(v, u): w for (u, v), w in edges.items()})
+        if len(bfs_hops(g, first)) == len(names) == len(bfs_hops(reverse, first)):
+            return edges, draws
+    raise tl.NotConnectableError("no strongly connected draw")
+
+
+# random(3) on p00..p39 at seeds 8-15, the eight instances of the random(3)
+# bench workloads at seed 1: (edges digest, draws), recorded before the
+# draw loop shared its candidate lists and weights
+BENCH_DRAWS = {
+    8: ("354cc1b7fa1cb476cd3b7b2dfe6c84118f4f23ac8db8914a45822814ea0acc71", 1),
+    9: ("9d10ef2b556150ec273d31c9f24f3cdd67d153e0223f113b7ab4d2c5269eb2c2", 15),
+    10: ("fa193e7b31e001774c2a645151749c3bb1ed34084d3d85f0736eedbacfa2c079", 4),
+    11: ("a5f14462b567f9097a18819c8d99b24e85ff23f304c458e4836928e6bc2eb2b9", 2),
+    12: ("37aa133e5ff8c7d9e88373986a3d5023a46f0ff252b65a3391fdb0d7caa8bc2d", 5),
+    13: ("ef6513683648f4015f7b7e9ecdb40b2f2c6bd672057ea57e9f7fe3f71069e6d8", 6),
+    14: ("0bef7c92f46cdf4d3ba62b670e72d651254139abb5591427b2d31add7def7bd9", 14),
+    15: ("e1d110035f5c64f147df41023566cb239d15d69b64de2cc50be2e54f1eb866d4", 14),
+}
+# random_k2.tl at seeds 0-9, recorded the same way
+RANDOM_K2_DRAWS = {
+    0: ("af4c8d9b6b3e92d6dfc7d45387c92f248b80153c4e6829bc7011594eec6cc60e", 1),
+    1: ("18d254588c05d0fc6599ac4f965370f8badbdde0a478cc0a6d448e2fdf94d436", 1),
+    2: ("d7c530097a572e2a069ffcd8b2f9e65cbd3a8b5c9fcd89337fbdbe2580cd8276", 1),
+    3: ("1ca56319a05175d26f01893a2628c2e844d824c13afafb7331015146b105a1d5", 1),
+    4: ("033f36b6d023962f556c13d8417dd5ee418f3069e98edc6c6d6720c0400d86bd", 1),
+    5: ("5ed0d80dbf2a7ec218b1e94ed1eec7f7fd567b68facc04bc1143f264dc74ad02", 2),
+    6: ("a82150d929797f03e85229462b68eabd734aa56af8069979c6182c8fc27b8da4", 1),
+    7: ("f225e05bbdba153c0e7ada85cd2f674e8073d59589ef99d6a52744f673f0eb95", 1),
+    8: ("ba013ebd556310c3d5d189ab6a88b973d5fb808368241e7876d6e88e5b3d55fe", 1),
+    9: ("02e69d9dd97402b3a4cb234fb708a504fc47717737b874c138c9f2a7841c848c", 1),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_DRAWS))
+def test_bench_random_draws_pinned(seed):
+    peers = tuple(PeerDecl(f"p{i:02d}") for i in range(40))
+    spec = TopologySpec(preset="random", fanout=3, peers=peers)
+    g, draws = build_counting_draws(spec, seed)
+    assert (edges_digest(g), draws) == BENCH_DRAWS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_K2_DRAWS))
+def test_random_k2_draws_pinned(seed):
+    spec = parse_toplink_file(DATA / "valid" / "random_k2.tl")
+    g, draws = build_counting_draws(spec, seed)
+    assert (edges_digest(g), draws) == RANDOM_K2_DRAWS[seed]
+
+
+@given(n=st.integers(3, 30), k=st.integers(1, 3), seed=st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_random_draws_match_reference(n, k, seed):
+    names = [f"n{i}" for i in range(n)]
+    spec = TopologySpec(preset="random", fanout=k, peers=tuple(map(PeerDecl, names)))
+    try:
+        want = reference_random_build(names, k, seed)
+    except tl.NotConnectableError:
+        want = None
+    got, draws = build_counting_draws(spec, seed)
+    if want is None:
+        assert got is None
+        return
+    edges, n_draws = want
+    assert got is not None
+    assert list(got.edges.items()) == list(edges.items())  # same edges, same order
+    assert draws == n_draws
 
 
 def test_empty_topology_rejected():
