@@ -167,9 +167,6 @@ def build_world(data: dict[str, str], base_dir: Path) -> World:
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
-# types whose equal values print alike, zero aside: 0.0 == -0.0
-_MEMO_TYPES = (str, int, float)
-
 
 def _cell(value) -> str:
     if isinstance(value, float):
@@ -186,14 +183,14 @@ def _line(row: Iterable) -> str:
     return ",".join(map(_cell, row)) + "\r\n"
 
 
-class _Texts(dict):
-    """The `_cell` text of each distinct value of one type, made once. A
-    value is kept only if its type is in `_MEMO_TYPES` and it is not zero,
-    so 0.0 and -0.0, one key, each get their own text."""
+class _FloatTexts(dict):
+    """The `repr` of each distinct float, made once. A zero is never kept:
+    0.0 and -0.0 are one key but print differently. A nan never matches a
+    key, so each one is printed anew, as `nan`."""
 
-    def __missing__(self, value) -> str:
-        text = _cell(value)
-        if type(value) in _MEMO_TYPES and value:
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
             self[value] = text
         return text
 
@@ -210,22 +207,24 @@ def write_rounds_csv(path: Path, world: World) -> None:
 
 def write_nodes_csv(path: Path, world: World) -> None:
     """One row per node alive in a round, in node order, written one round at
-    a time. Each node name is rendered once per run and each distinct x and DE
-    value once per round, through memos keyed by type and then value
-    (`_Texts`), so 1 and 1.0 never share a text. The value memo lasts one
-    round: a run-long one would hold a text per distinct value of the whole
-    run and raise the peak memory of the write."""
-    names: defaultdict[type, _Texts] = defaultdict(_Texts)
+    a time. A round's x and DE columns (`simnet.RoundColumn`) share its alive
+    peers, in roster order, which is sorted, and hold floats. The node names
+    are rendered once per alive roster view, which every round between two
+    liveness changes shares, and each distinct figure once per round
+    (`_FloatTexts`): a run-long memo would hold a text per distinct value of
+    the whole run and raise the peak memory of the write."""
+    shared = None
     with path.open("w", newline="") as fh:
         fh.write(_line(("round", "node", "x", "de")))
         for i, (xs, des) in enumerate(zip(world.x_trace, world.de_trace), 1):
-            texts: defaultdict[type, _Texts] = defaultdict(_Texts)
-            rows = []
-            for n in sorted(xs):
-                x, de = xs[n], des[n]
-                rows.append(
-                    f"{i},{names[type(n)][n]},{texts[type(x)][x]},{texts[type(de)][de]}\r\n"
-                )
+            if xs.position is not shared:
+                shared = xs.position
+                names = [_cell(n) for n in shared]
+            texts = _FloatTexts()
+            rows = [
+                f"{i},{name},{texts[x]},{texts[de]}\r\n"
+                for name, x, de in zip(names, xs.floats, des.floats)
+            ]
             fh.write("".join(rows))
 
 

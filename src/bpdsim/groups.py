@@ -155,8 +155,12 @@ def form_groups(graph: DirectedGraph) -> GroupAssignment:
     return assignment
 
 
-def effective_costs(assignment: GroupAssignment, alive: set[NodeId]) -> dict[Edge, int]:
-    """The lightest group weight of each (alive sender, alive receiver) pair."""
+def effective_graph(assignment: GroupAssignment, alive: set[NodeId]) -> DirectedGraph:
+    """Digraph implied by current memberships, restricted to alive peers.
+
+    Its nodes are the alive peers that hold at least one membership. Parallel
+    group edges for one ordered pair collapse to the lightest.
+    """
     costs: dict[Edge, int] = {}
     for _, g in sorted(assignment.groups.items()):
         for u in g.senders:
@@ -168,16 +172,6 @@ def effective_costs(assignment: GroupAssignment, alive: set[NodeId]) -> dict[Edg
                 key = (u, v)
                 if key not in costs or g.weight < costs[key]:
                     costs[key] = g.weight
-    return costs
-
-
-def effective_graph(assignment: GroupAssignment, alive: set[NodeId]) -> DirectedGraph:
-    """Digraph implied by current memberships, restricted to alive peers.
-
-    Its nodes are the alive peers that hold at least one membership. Parallel
-    group edges for one ordered pair collapse to the lightest.
-    """
-    costs = effective_costs(assignment, alive)
     exact = {c: assignment.exact(c) for c in set(costs.values())}
     nodes = tuple(n for n in alive if n in assignment._sends or n in assignment._recvs)
     return DirectedGraph(nodes, {key: exact[c] for key, c in costs.items()})

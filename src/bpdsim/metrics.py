@@ -25,7 +25,7 @@ hold (`Packing.top`).
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .graph import NodeId
 
@@ -129,8 +129,9 @@ def dissemination_efficiency(receipts: int, alive: int, own: int, packing: Packi
     return (1 + fresh) / packing.size
 
 
-def deviation_pct(values: dict[NodeId, float], optimum: float) -> float:
-    """Mean |x - optimum| as a percentage of |optimum|."""
+def deviation_pct(values: Mapping[NodeId, float], optimum: float) -> float:
+    """Mean |x - optimum| as a percentage of |optimum|, over one value per
+    node: a dict, or one round's x figures (`simnet.RoundColumn`)."""
     if optimum == 0:
         raise ZeroOptimumError("optimum is zero")
     if not values:
@@ -139,11 +140,12 @@ def deviation_pct(values: dict[NodeId, float], optimum: float) -> float:
 
 
 def iterations_to_band(
-    trace: list[dict[NodeId, float]], optimum: float, band_pct: float = 5.0
+    trace: Sequence[Mapping[NodeId, float]], optimum: float, band_pct: float = 5.0
 ) -> int | None:
     """First round index after which every traced value stays within the band.
 
-    `trace[k]` maps each node alive at round k to its value. A round with no
+    `trace[k]` maps each node alive at round k to its value, as one round's x
+    column of `World.x_trace` does (`simnet.RoundColumn`). A round with no
     alive peer holds no value inside the band, so it counts as outside it.
     Returns None if the last round is outside the band; 0 if the trace starts
     inside the band and never leaves.

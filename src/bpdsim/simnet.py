@@ -90,14 +90,18 @@ Who is down is recorded once: `World.crashed_at` holds the round each crashed
 peer went down and `World.stash` the memberships each detected-down peer
 left, so an undetected crash is a key of the first that is not in the second.
 `World._liveness_changed` rebuilds every view of who is up from the two.
+
+Each round's x and DE figures are two `RoundColumn` records, in
+`World.x_trace` and `World.de_trace`: 8 bytes per alive peer each, keyed by
+the alive roster view that every round between two liveness changes shares.
 """
 from __future__ import annotations
 
-import copy
 import math
 import random
+from array import array
 from collections import deque
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -116,9 +120,9 @@ from .bpd import (
 )
 from .graph import DirectedGraph, NodeId, is_strongly_connected
 from .groups import (
+    SENDER,
     GroupAssignment,
     MembershipEvent,
-    effective_costs,
     effective_graph,
     form_groups,
     join_group,
@@ -243,6 +247,35 @@ class Summary(NamedTuple):
     edges_added: int
 
 
+class RoundColumn(Mapping):
+    """One round's figure of each peer alive in it, as a read-only mapping
+    equal to the `{peer: figure}` dict it stands for: `floats`, an
+    `array('d')`, in the order of `position`, the world's `alive_position`
+    of that round, which maps each peer, in roster order, to its place."""
+
+    __slots__ = ("position", "floats")
+
+    def __init__(self, position: dict[NodeId, int], floats: array):
+        self.position = position
+        self.floats = floats
+
+    def __getitem__(self, peer: NodeId) -> float:
+        return self.floats[self.position[peer]]
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self.position)
+
+    def __len__(self) -> int:
+        return len(self.floats)
+
+    def values(self) -> memoryview:
+        """The figures in peer order, as a read-only view of `floats`."""
+        return memoryview(self.floats).toreadonly()
+
+    def __repr__(self) -> str:
+        return f"RoundColumn({dict(self)!r})"
+
+
 class World:
     def __init__(
         self,
@@ -304,8 +337,8 @@ class World:
         # equals its snapshot
         self._app_inflight: list[tuple[NodeId, float, int, Sequence[NodeId]]] = []
         self.stats: list[RoundStats] = []
-        self.x_trace: list[dict[NodeId, float]] = []
-        self.de_trace: list[dict[NodeId, float]] = []
+        self.x_trace: list[RoundColumn] = []
+        self.de_trace: list[RoundColumn] = []
         self.events: list[MembershipEvent] = []
         self.not_connected_rounds: list[int] = []
         self.repair_delays: list[int] = []
@@ -347,7 +380,7 @@ class World:
         self._send_app(order)
         self._ctrl_sent += len(order)  # heartbeats
 
-        return self._close_round(order)
+        return self._close_round()
 
     def inject_fault(self, node: NodeId, action: str) -> None:
         if node not in self.pos:
@@ -384,14 +417,17 @@ class World:
     def effective_edge_count(self) -> int:
         """Edges of the overlay over the whole roster, each detected-down
         peer's stashed memberships included: a departure removes no edge, so
-        only a join moves the count."""
-        assignment = self.assignment
-        if self.stash:
-            assignment = copy.deepcopy(assignment)
-            for n, removed in self.stash.items():
-                for gid, role in removed:
-                    join_group(assignment, n, gid, role)
-        return len(effective_costs(assignment, set(self.roster)))
+        only a join moves the count. An edge is a distinct (sender, receiver)
+        pair of two peers in one group."""
+        groups = self.assignment.groups
+        senders = {gid: set(g.senders) for gid, g in groups.items()}
+        receivers = {gid: set(g.receivers) for gid, g in groups.items()}
+        for n, removed in self.stash.items():
+            for gid, role in removed:
+                (senders if role == SENDER else receivers)[gid].add(n)
+        return len(
+            {(u, v) for gid in groups for u in senders[gid] for v in receivers[gid] if u != v}
+        )
 
     def summary(self) -> Summary:
         """The run's figures as the world stands, against the true mean of
@@ -421,11 +457,14 @@ class World:
         (`detected_sorted`, which every all-to-all sender of a round shares,
         and `detected_alive`) and the guard bits (`Packing.guard_bits`) of the
         detected-alive slots (`detected_guards`), the origins every DE figure
-        counts. Runs where either record changes (`inject_fault`, `_detect`)
-        and where the guard bits move (`_widen`); the views are rebound, never
-        changed in place, and no other code writes one."""
+        counts; and `alive_position`, each alive peer's place in
+        `alive_sorted`, which keys every `RoundColumn` until the next rebuild.
+        Runs where either record changes (`inject_fault`, `_detect`) and where
+        the guard bits move (`_widen`); the views are rebound, never changed
+        in place, and no other code writes one."""
         roster, crashed, stash = self.roster, self.crashed_at, self.stash
         self.alive_sorted = [n for n in roster if n not in crashed]
+        self.alive_position = {n: i for i, n in enumerate(self.alive_sorted)}
         self.alive = set(self.alive_sorted)
         self.detected_sorted = tuple(n for n in roster if n not in stash)
         self.detected_alive = set(self.detected_sorted)
@@ -647,8 +686,10 @@ class World:
                 inflight.append((n, x[n], mine, dsts))
                 self._app_sent += count
 
-    def _close_round(self, order: list[NodeId]) -> RoundStats:
-        des: dict[NodeId, float] = {}
+    def _close_round(self) -> RoundStats:
+        """Purge the alive peers' receipts, record the round's x and DE
+        columns in roster order and return its `RoundStats`."""
+        position = self.alive_position
         receipts, pos, packing, rnd, window = (
             self.receipts, self.pos, self.packing, self.round, self.window
         )
@@ -656,24 +697,26 @@ class World:
         # looked up here, once per round, so a function replaced on `metrics`
         # is the one that runs
         purge, efficiency = metrics.purge, metrics.dissemination_efficiency
-        for n in order:
+        des: list[float] = []
+        for n in position:
             kept = receipts[n] = purge(receipts[n], rnd, window, packing)
-            des[n] = efficiency(kept, origins_alive, pos[n], packing)
-        xs = {n: self.x[n] for n in order}
+            des.append(efficiency(kept, origins_alive, pos[n], packing))
+        x = self.x
+        xs = [x[n] for n in position]
         cfg = self.cfg
         row = RoundStats(
             round=self.round,
             messages=self._app_sent,
             control_messages=self._ctrl_sent,
             bytes=self._app_sent * cfg.payload_bytes + self._ctrl_sent * cfg.control_bytes,
-            mean_de=sum(des.values()) / len(des) if des else 1.0,
-            min_de=min(des.values()) if des else 1.0,
-            max_x=max(xs.values()) if xs else 0.0,
-            min_x=min(xs.values()) if xs else 0.0,
+            mean_de=sum(des) / len(des) if des else 1.0,
+            min_de=min(des) if des else 1.0,
+            max_x=max(xs) if xs else 0.0,
+            min_x=min(xs) if xs else 0.0,
         )
         self.stats.append(row)
-        self.x_trace.append(xs)
-        self.de_trace.append(des)
+        self.x_trace.append(RoundColumn(position, array("d", xs)))
+        self.de_trace.append(RoundColumn(position, array("d", des)))
         return row
 
     def _trace(self, text: str) -> None:

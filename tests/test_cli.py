@@ -7,13 +7,14 @@ import re
 import shutil
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
 
 from bpdsim import cli, simnet, toplink
 from bpdsim.bpd import default_threshold
-from bpdsim.simnet import RoundStats, SimConfig, Summary, World
+from bpdsim.simnet import RoundColumn, RoundStats, SimConfig, Summary, World
 from bpdsim.workloads import AllToAll, Bpd
 from conftest import make_graph
 
@@ -440,8 +441,8 @@ def _run_under_hash_seed(scn, out_dir, hash_seed):
 @pytest.mark.parametrize("case", ["bpd_crash", "random3-churn"])
 def test_outputs_do_not_depend_on_the_hash_seed(case, tmp_path):
     # str hashes differ between the two processes, so an output order taken
-    # from iterating a set of names would differ too; the CSV writer's memos
-    # are keyed by names and floats and must not order anything
+    # from iterating a set of names would differ too; the CSV writer's memo
+    # is keyed by floats and must not order anything
     if case == "bpd_crash":
         shutil.copy(SCENARIOS / "base10.tl", tmp_path / "base10.tl")
         text = (SCENARIOS / "bpd_crash.scn").read_text() + "trace.file = trace.log\n"
@@ -469,8 +470,9 @@ def _csv_module_bytes(path, header, rows):
 
 def _odd_world():
     # World does not check peer names, so they can hold a comma, a quote and a
-    # line break; the columns hold both zeros, nan, inf, an exponent, None,
-    # and 1 beside 1.0, in both orders
+    # line break. The nodes table holds floats only: both zeros, in both
+    # orders within a round, nan, inf and an exponent. The rounds table holds
+    # those and also None, True and 1 beside 1.0, in both orders.
     names = ("a,b", 'q"x', "p", "two\nlines")
     w = World(
         make_graph([(names[i], names[(i + 1) % 4]) for i in range(4)]),
@@ -478,30 +480,34 @@ def _odd_world():
         SimConfig(n_rounds=0),
     )
     xs = [
-        (0.0, -0.0, 1, 1.0),
-        (-0.0, 0.0, 1.0, 1),
+        (0.0, -0.0, 1.0, 1e-05),
+        (-0.0, 0.0, 2.5, -0.0),
         (NAN, INF, -INF, 1e-05),
-        (None, True, 2.5, -0.0),
-        (1e-05, NAN, 0.0, None),
+        (1e-05, NAN, 0.0, 1.0),
     ]
     des = [row[::-1] for row in xs[1:]] + [xs[0]]
-    w.x_trace = [dict(zip(names, row)) for row in xs]
-    w.de_trace = [dict(zip(names, row)) for row in des]
+    # every peer alive: the world's own roster view, in sorted name order
+    everyone = w.alive_position
+    assert list(everyone) == sorted(names)
+    w.x_trace = [RoundColumn(everyone, array("d", row)) for row in xs]
+    w.de_trace = [RoundColumn(everyone, array("d", row)) for row in des]
     # a round in which some peers are down
-    w.x_trace.append({"p": 1.0, "a,b": 0})
-    w.de_trace.append({"p": 1, "a,b": -0.0})
+    some = {"a,b": 0, "p": 1}
+    w.x_trace.append(RoundColumn(some, array("d", (1.0, 0.0))))
+    w.de_trace.append(RoundColumn(some, array("d", (-0.0, 1.0))))
     w.stats = [
         RoundStats(1, 0, 1, 2, 0.0, -0.0, 1.0, 1),
         RoundStats(2, True, 3, 4, NAN, -INF, 1e-05, None),
+        RoundStats(3, 1.0, 1, None, INF, 1, -0.0, 0.0),
     ]
     return w
 
 
 def test_csv_cells_are_the_csv_modules_text(tmp_path, monkeypatch):
     # each table is written by cli's one cell rule, the nodes table through
-    # its memo of texts, and must hold the very bytes csv.writer gives
+    # its memo of float texts, and must hold the very bytes csv.writer gives
     w = _odd_world()
-    summary = Summary(None, None, 1, -0.0, 1.0, 0)
+    summary = Summary(None, True, 1, -0.0, 1.0, 0)
     monkeypatch.setattr(w, "summary", lambda: summary)
     nodes_rows = [
         (i, n, xs[n], des[n])
@@ -519,10 +525,10 @@ def test_csv_cells_are_the_csv_modules_text(tmp_path, monkeypatch):
         assert got.read_bytes() == _csv_module_bytes(tmp_path / "want.csv", header, rows), got
     lines = (tmp_path / "write_nodes_csv.csv").read_bytes().split(b"\r\n")
     assert lines[1:5] == [
-        b'1,"a,b",0.0,1',
-        b"1,p,1,0.0",
-        b'1,"q""x",-0.0,1.0',
-        b'1,"two\nlines",1.0,-0.0',
+        b'1,"a,b",0.0,-0.0',
+        b"1,p,-0.0,2.5",
+        b'1,"q""x",1.0,0.0',
+        b'1,"two\nlines",1e-05,-0.0',
     ]
 
 

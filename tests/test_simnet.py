@@ -1,9 +1,12 @@
+import copy
 import gc
 import hashlib
 import importlib.util
 import json
+import math
 import sys
-from collections import deque
+from array import array
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from bpdsim.bpd import (
     UpdateMsg,
     default_threshold,
 )
-from bpdsim.groups import RECEIVER, SENDER, join_group
+from bpdsim.groups import RECEIVER, SENDER, effective_graph, join_group
 from bpdsim.metrics import NO_RECEIPT
 from bpdsim.simnet import (
     FaultError,
@@ -362,6 +365,7 @@ def assert_views_are_fresh(w):
     detected = sorted(set(w.roster) - w.stash.keys())
     assert w.stash.keys() <= w.crashed_at.keys()  # a detected-down peer is down
     assert w.alive_sorted == alive and w.alive == set(alive)
+    assert list(w.alive_position.items()) == [(n, i) for i, n in enumerate(alive)]
     assert w.detected_sorted == tuple(detected) and w.detected_alive == set(detected)
     assert w.detected_guards == w.packing.guard_bits(n in detected for n in w.roster)
 
@@ -399,7 +403,54 @@ def test_de_matches_the_dict_oracle(data):
             oracle.purge(d, r, w.window)
             want[d] = oracle.de(d, w.detected_alive)
         assert w.de_trace[-1] == want
+        # the records read back as the dicts they stand for, in roster order
+        assert list(dict(w.de_trace[-1]).items()) == list(want.items())
+        assert list(dict(w.x_trace[-1]).items()) == [(d, w.x[d]) for d in sorted(w.alive)]
         assert_views_are_fresh(w)
+
+
+def test_rounds_between_liveness_changes_share_one_key_and_hold_doubles():
+    # c crashes in round 3, its crash is detected in round 4 and it recovers
+    # in round 7: the views are rebuilt there and nowhere else
+    w = mesh_world(rounds=9, faults=[FaultEvent(3, "crash", "c"), FaultEvent(7, "recover", "c")])
+    w.run()
+    for xs, des in zip(w.x_trace, w.de_trace):
+        assert xs.position is des.position
+        for row in (xs, des):
+            assert type(row.floats) is array and row.floats.typecode == "d"
+            assert list(row) == list(row.position) == sorted(row.position)
+    rebuilt = [
+        k + 1 for k in range(1, 9) if w.x_trace[k].position is not w.x_trace[k - 1].position
+    ]
+    assert rebuilt == [3, 4, 7]
+    assert "c" not in w.x_trace[3] and w.x_trace[6]["c"] == w.x_trace[6].floats[2]
+
+
+def test_doubles_round_trip_exactly():
+    # a peer that hears nobody keeps its value, so what is set is what is kept
+    w = mesh_world(rounds=1, strategy=Unmodified())
+    odd = [-0.0, math.nan, math.inf, 5e-324, 0.1 + 0.2, 1e308]
+    for n, v in zip(w.roster, odd):
+        w.x[n] = v
+    w.step_round()
+    assert [repr(w.x_trace[-1][n]) for n in w.roster] == [repr(v) for v in odd]
+
+
+# bytes of a record and of its array's header on a 64-bit CPython 3.11 (136),
+# with room to spare; a dict per round holds far more
+ROW_OVERHEAD = 160
+
+
+def test_a_round_keeps_8_bytes_per_alive_peer_per_column():
+    w = mesh_world(rounds=12, faults=[FaultEvent(3, "crash", "c"), FaultEvent(7, "recover", "c")])
+    w.run()
+    rows = w.x_trace + w.de_trace
+    # what more than one row refers to (the keys, the names) is not a round's own
+    refs = Counter(id(o) for row in rows for o in gc.get_referents(row))
+    for k, row in enumerate(rows):
+        own = [o for o in gc.get_referents(row) if refs[id(o)] == 1]
+        size = sys.getsizeof(row) + sum(map(sys.getsizeof, own))
+        assert size <= ROW_OVERHEAD + 8 * len(row), (k, size)
 
 
 def test_de_counts_the_origins_detected_alive_as_the_round_ends():
@@ -777,6 +828,44 @@ def test_drain_matches_the_reference_drain(data):
         assert worlds[0].step_round() == worlds[1].step_round()
         assert world_state(worlds[0]) == world_state(worlds[1])
         assert traces[0] == traces[1]
+
+
+def deep_copy_edge_count(w):
+    """`World.effective_edge_count` by its first definition: join every
+    stashed membership back on a deep copy of the assignment and count the
+    edges of the overlay over the whole roster."""
+    assignment = copy.deepcopy(w.assignment)
+    for n, removed in w.stash.items():
+        for gid, role in removed:
+            join_group(assignment, n, gid, role)
+    return effective_graph(assignment, set(w.roster)).n_edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_edge_count_matches_the_deep_copy_count(data):
+    # short repair periods join peers to further groups, and crashes, their
+    # detection and recoveries stash those memberships and put them back
+    n = data.draw(st.integers(2, 12), "n")
+    rounds = data.draw(st.integers(1, 20), "rounds")
+    weights = (Fraction(1, 2), 1, Fraction(3, 2))
+    g = random_sc_digraph(n, data.draw(st.integers(0, 10_000), "seed"), weights)
+    strategy = Bpd(
+        data.draw(st.sampled_from([Fraction(3, 2), 2, 3]), "thresh"),
+        repair_period_rounds=data.draw(st.integers(1, 4), "period"),
+    )
+    cfg = SimConfig(
+        n_rounds=rounds,
+        seed=data.draw(st.integers(0, 100), "sim seed"),
+        detection_rounds=data.draw(st.integers(1, 3), "detection"),
+    )
+    w = World(g, strategy, cfg, faults=data.draw(_fault_schedules(g.nodes, rounds), "faults"))
+    assert w.effective_edge_count() == deep_copy_edge_count(w) == g.n_edges
+    for _ in range(rounds):
+        w.step_round()
+        if w.stash:
+            event("a detected-down peer's memberships stashed")
+        assert w.effective_edge_count() == deep_copy_edge_count(w)
 
 
 def record_states(monkeypatch, drive):
