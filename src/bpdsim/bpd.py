@@ -193,26 +193,29 @@ class BpdNode:
     """Protocol state for one peer, bound to the world that delivers to it.
 
     The node reads the world's assignment, detected-alive set, round, epoch,
-    and its `Bpd` strategy's threshold and reply timeout, and never writes
-    them. It keeps four of them itself, because every discovery and update
-    delivery reads them: the world's assignment and its group dict, which are
-    updated in place and never rebound, the threshold of the frozen `Bpd` as
-    the assignment bounds it, and the world's roster positions, which never
-    change and give each target its bit in the forwarded masks. Each handler
-    takes the `Group` a message arrived on, carried by its control-queue
-    entry, and reads the group's members and weight from it without a lookup. Only a world whose
-    strategy is `Bpd` builds nodes, so only such a world and its nodes form a
-    reference cycle, which the cyclic collector frees. The cycle stays: the nodes read the
-    live round and epoch, and a weak reference would cost a dereference on
-    every handler call.
+    and its `Bpd` strategy's reply timeout, and never writes them. It keeps
+    three of them itself, because every discovery and update delivery reads
+    them: the world's assignment and its group dict, which are updated in
+    place and never rebound, and the world's roster positions, which never
+    change and give each target its bit in the forwarded masks. Its
+    threshold, `thresh`, is the frozen `Bpd` threshold as the assignment
+    bounds it (`GroupAssignment.bound`): the world computes it once, checks
+    it against the heaviest group, and hands the same int to every node.
+    Each handler takes the `Group` a message arrived on, carried by its
+    control-queue entry, and reads the group's members and weight from it
+    without a lookup. Only a world whose strategy is `Bpd` builds nodes, so
+    only such a world and its nodes form a reference cycle, which the cyclic
+    collector frees. The cycle stays: the nodes read the live round and
+    epoch, and a weak reference would cost a dereference on every handler
+    call.
     """
 
-    def __init__(self, nid: NodeId, world: World):
+    def __init__(self, nid: NodeId, world: World, thresh: int):
         self.nid = nid
         self.world = world
         self.assignment = world.assignment
         self.groups = world.assignment.groups
-        self.thresh = world.assignment.bound(world.strategy.thresh)
+        self.thresh = thresh
         self.pos = world.pos
         self.epoch = -1
         self.path: dict[NodeId, PathEntry] = {}

@@ -2,7 +2,7 @@
 
 Three subcommands:
 
-    bpdsim validate model.tl       parse a topology file; print canonical form
+    bpdsim validate model.tl       check a topology file; print canonical form
     bpdsim run scenario.scn        simulate a scenario; write CSV measurements
     bpdsim bpd-trace model.tl      run one overlay repair cycle and show it
 
@@ -241,6 +241,10 @@ def cmd_validate(args) -> int:
         graph = build_graph(spec, seed=args.seed)
         out = export_manifest(form_groups(graph), spec)
     else:
+        if spec.preset == "custom":
+            # only explicit links give a source several weight classes, so
+            # only they can give two peers' groups one id
+            form_groups(build_graph(spec))
         out = pretty_print(spec)
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
     return EXIT_OK

@@ -302,11 +302,12 @@ class World:
         if isinstance(strategy, Bpd):
             # for the int max weight M, thresh * unit < M exactly when its floor is
             heaviest = max((g.weight for g in self.assignment.groups.values()), default=0)
-            if self.assignment.bound(strategy.thresh) < heaviest:
+            bound = self.assignment.bound(strategy.thresh)
+            if bound < heaviest:
                 raise ValueError(
                     f"thresh {strategy.thresh} below max edge weight {graph.max_weight()}"
                 )
-            self.nodes = {n: BpdNode(n, self) for n in self.roster}
+            self.nodes = {n: BpdNode(n, self, bound) for n in self.roster}
         elif isinstance(strategy, Gossip) and strategy.fanout >= len(self.roster):
             # a shortfall mid-run, while peers are down, caps the sample instead
             raise ValueError(
@@ -321,10 +322,11 @@ class World:
         self.x: dict[NodeId, float] = init_values(self.roster, cfg.seed)
         self.x0 = dict(self.x)
         # vectors packed into ints (metrics.Packing); each node starts out
-        # holding round 0 of itself and nothing else
+        # holding round 0 of itself and nothing else, the value + 1 = 1 in
+        # its own slot
         self.packing = metrics.Packing.for_rounds(len(self.roster), cfg.n_rounds)
-        put = self.packing.put
-        self.stamps: dict[NodeId, int] = {n: put(0, i, 0) for n, i in self.pos.items()}
+        width = self.packing.width
+        self.stamps: dict[NodeId, int] = {n: 1 << width * i for n, i in self.pos.items()}
         # last round each origin's stamp rose at each node, all NO_RECEIPT
         self.receipts: dict[NodeId, int] = dict.fromkeys(self.roster, 0)
         self.gossip_rng = random.Random(f"{cfg.seed}:gossip")
@@ -343,7 +345,9 @@ class World:
         self.not_connected_rounds: list[int] = []
         self.repair_delays: list[int] = []
         self.last_crash_round = 0
-        self.edges_initial = self.effective_edge_count()
+        # form_groups puts each edge (u, v) in one group, as sender u and
+        # receiver v, and nothing is stashed yet
+        self.edges_initial = graph.n_edges
 
         self._app_sent = 0
         self._ctrl_sent = 0

@@ -32,6 +32,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import DirectedGraph, NodeId, is_strongly_connected
 
@@ -96,8 +97,7 @@ class NotConnectableError(RuntimeError):
     """random preset failed to produce a strongly connected digraph."""
 
 
-@dataclass(frozen=True)
-class PeerDecl:
+class PeerDecl(NamedTuple):
     name: NodeId
     host: str | None = None
 
@@ -126,47 +126,53 @@ class TopologySpec:
 
 # --- tokenizer ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # "word" | "punct" | "eof"
     text: str
     line: int
     col: int
 
 
-# Every character starts exactly one of these, so the matches tile the text.
-# A word runs up to whitespace, punctuation, an arrow or a comment; it may
-# hold '-' and '/' otherwise (host names, rationals such as 1/2).
+# Every character but blanks (space, tab, carriage return) starts exactly one
+# of these, so the scanner skips blanks by searching past them and matches
+# only comments, newlines and tokens; a newline still moves the line, so each
+# token keeps its line and column. A word runs up to a blank, a newline,
+# punctuation, an arrow or a comment; it may hold '-' and '/' otherwise (host
+# names, rationals such as 1/2). No word's text is ever a punctuation text.
 _TOKEN_RE = re.compile(
-    r"(?P<skip>[ \t\r]+|//[^\n]*)"
+    r"(?P<comment>//[^\n]*)"
     r"|(?P<newline>\n)"
     r"|(?P<punct>->|[{};,=()])"
     r"|(?P<word>(?:[^ \t\r\n{};,=()/-]|-(?!>)|/(?!/))+)"
 )
 
+# builds a token or a peer declaration from all its fields, in order, without
+# NamedTuple's Python-level __new__
+_new = tuple.__new__
+
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
+    append = toks.append
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "newline":
             line, line_start = line + 1, m.end()
-        elif kind != "skip":
-            toks.append(_Tok(kind, m.group(), line, m.start() - line_start + 1))
-    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
+        elif kind != "comment":
+            append(_new(_Tok, (kind, m[0], line, m.start() - line_start + 1)))
+    append(_new(_Tok, ("eof", "", line, len(text) - line_start + 1)))
     return toks
 
 
 # --- parser ------------------------------------------------------------------
+# A punctuation token is recognised by its text alone: no word and not the
+# end of file carries one.
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
-
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
 
     def next(self) -> _Tok:
         t = self.toks[self.pos]
@@ -176,7 +182,7 @@ class _Parser:
 
     def expect_punct(self, text: str) -> _Tok:
         t = self.next()
-        if t.kind != "punct" or t.text != text:
+        if t.text != text:
             raise TopLinkSyntaxError(f"expected {text!r}, got {t.text!r}", t.line, t.col)
         return t
 
@@ -187,13 +193,11 @@ class _Parser:
         return t
 
     def end_statement(self, after_brace: bool = False) -> None:
-        t = self.peek()
-        if t.kind == "punct" and t.text == ";":
-            self.next()
-            return
-        if after_brace or t.kind == "eof":
-            return
-        raise TopLinkSyntaxError(f"expected ';', got {t.text!r}", t.line, t.col)
+        t = self.toks[self.pos]
+        if t.text == ";":
+            self.pos += 1
+        elif not after_brace and t.kind != "eof":
+            raise TopLinkSyntaxError(f"expected ';', got {t.text!r}", t.line, t.col)
 
     def parse(self) -> TopologySpec:
         fields: dict[str, object] = {}
@@ -207,8 +211,8 @@ class _Parser:
             "links": self._stmt_links,
             "leaders": self._stmt_leaders,
         }
-        while self.peek().kind != "eof":
-            t = self.next()
+        while (t := self.toks[self.pos]).kind != "eof":
+            self.pos += 1
             if t.kind != "word":
                 raise TopLinkSyntaxError(f"expected statement, got {t.text!r}", t.line, t.col)
             if t.text in seen:
@@ -290,26 +294,38 @@ class _Parser:
 
     def _stmt_nodes(self, fields: dict, key: str) -> None:
         self.expect_punct("{")
+        # one peer declaration per turn, read by index from the token list:
+        # `name [= host]` and then ',' or '}'
+        toks, i = self.toks, self.pos
+        valid_name = _NAME_RE.match
         peers: list[PeerDecl] = []
         names: set[str] = set()
         while True:
-            t = self.expect_word("peer name")
-            if not _NAME_RE.match(t.text):
-                raise TopLinkSyntaxError(f"invalid peer name {t.text!r}", t.line, t.col)
+            kind, name, line, col = toks[i]
+            if kind != "word":
+                raise TopLinkSyntaxError(f"expected peer name, got {name!r}", line, col)
+            if not valid_name(name):
+                raise TopLinkSyntaxError(f"invalid peer name {name!r}", line, col)
             host: str | None = None
-            if self.peek().text == "=" and self.peek().kind == "punct":
-                self.next()
-                host = self.expect_word("host").text
-            if t.text in names:
-                raise DuplicatePeerError(f"peer {t.text!r} declared twice", t.line, t.col)
-            names.add(t.text)
-            peers.append(PeerDecl(t.text, host))
-            nxt = self.next()
-            if nxt.kind == "punct" and nxt.text == ",":
+            nxt = toks[i + 1]
+            if nxt.text == "=":
+                t = toks[i + 2]
+                if t.kind != "word":
+                    raise TopLinkSyntaxError(f"expected host, got {t.text!r}", t.line, t.col)
+                host = t.text
+                i += 2
+                nxt = toks[i + 1]
+            if name in names:
+                raise DuplicatePeerError(f"peer {name!r} declared twice", line, col)
+            names.add(name)
+            peers.append(_new(PeerDecl, (name, host)))
+            i += 2
+            if nxt.text == ",":
                 continue
-            if nxt.kind == "punct" and nxt.text == "}":
+            if nxt.text == "}":
                 break
             raise TopLinkSyntaxError(f"expected ',' or '}}', got {nxt.text!r}", nxt.line, nxt.col)
+        self.pos = i
         fields["peers"] = tuple(peers)
         self.end_statement(after_brace=True)
 
@@ -318,17 +334,15 @@ class _Parser:
         links: list[tuple[_Tok, _Tok, Fraction]] = []
         seen_pairs: set[tuple[str, str]] = set()
         while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text == "}":
-                self.next()
+            if self.toks[self.pos].text == "}":
+                self.pos += 1
                 break
             src = self.expect_word("peer name")
             self.expect_punct("->")
             dst = self.expect_word("peer name")
             weight = Fraction(1)
-            nxt = self.peek()
-            if nxt.kind == "word" and nxt.text == "weight":
-                self.next()
+            if self.toks[self.pos].text == "weight":
+                self.pos += 1
                 num = self.expect_word("weight value")
                 if not _NUM_RE.match(num.text):
                     if num.text.startswith("-") and _NUM_RE.match(num.text[1:]):

@@ -83,6 +83,27 @@ def test_validate_manifest_deterministic(capsys):
     assert "group g." in out1
 
 
+# a's weight-1 class and a.0's only group would both be g.a.0
+COLLIDING_TL = "topology custom;\nnodes { a, a.0, b };\nlinks { a -> b; a -> a.0 weight 2; a.0 -> a; b -> a; }\n"
+COLLISION_ERROR = "error: group id 'g.a.0' made for both peer 'a' and peer 'a.0'\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["validate", "--manifest"], ["bpd-trace"], ["run"]],
+    ids=" ".join,
+)
+def test_group_id_collision_exits_1_with_one_error_line(command, tmp_path, capsys):
+    tl = tmp_path / "net.tl"
+    tl.write_text(COLLIDING_TL)
+    target = tl
+    if command == ["run"]:
+        target = write_scenario(tmp_path, "topology = net.tl\nstrategy = all-to-all\nrounds = 2\n", COLLIDING_TL)
+    code, out, err = run_cli([*command, str(target)], capsys)
+    assert (code, out, err) == (1, "", COLLISION_ERROR)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"net.tl", target.name})
+
+
 # --- scenario parsing ---------------------------------------------------------
 
 

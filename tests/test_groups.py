@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpdsim.graph import DirectedGraph
 from bpdsim.groups import (
     RECEIVER,
     SENDER,
     GroupAssignment,
+    GroupIdError,
     UnknownGroupError,
     effective_graph,
     form_groups,
@@ -60,11 +62,38 @@ _steps = st.one_of(
 )
 
 
-@given(st.integers(3, 12), st.integers(0, 10_000), st.lists(_steps, max_size=30))
-@settings(max_examples=60, deadline=None)
-def test_lookups_match_a_scan_after_membership_changes(n, seed, steps):
-    asg = form_groups(random_sc_digraph(n, seed))
-    nodes, gids = sorted(f"n{i}" for i in range(n)), sorted(asg.groups)
+# peer names whose gids sort apart from the names: "a" < "a-b", but a
+# several-class "a" has g.a.0, and "g.a-b" < "g.a.0" < "g.a_b"
+_NAMES = ("a", "a-b", "a_b", "a.x", "ab", "b", "b-a", "c", "c.d", "c-d", "d", "e")
+
+
+def relabeled(graph, names):
+    """`graph` with node n<i> renamed names[i]."""
+    name = {f"n{i}": x for i, x in enumerate(names)}
+    return DirectedGraph(
+        tuple(name[n] for n in graph.nodes),
+        {(name[u], name[v]): w for (u, v), w in graph.edges.items()},
+    )
+
+
+@given(
+    st.integers(3, 12),
+    st.integers(0, 10_000),
+    st.lists(_steps, max_size=30),
+    st.permutations(_NAMES),
+    st.sampled_from([(1,), (1, 2), (Fraction(1, 2), 1, Fraction(5, 3))]),
+)
+@settings(max_examples=80, deadline=None)
+def test_lookups_match_a_scan_after_membership_changes(n, seed, steps, names, weights):
+    asg = form_groups(relabeled(random_sc_digraph(n, seed, weights), names[:n]))
+    nodes, gids = sorted(names[:n]), sorted(asg.groups)
+
+    # the index as formed holds exactly the nodes with a role, each one's
+    # groups in gid order
+    scan = sorted(asg.groups.items())
+    for index, role in ((asg._sends, "senders"), (asg._recvs, "receivers")):
+        expected = {m: tuple(g for _, g in scan if m in getattr(g, role)) for m in nodes}
+        assert index == {m: gs for m, gs in expected.items() if gs}
 
     def check():
         for node in nodes:
@@ -95,6 +124,33 @@ def test_lookups_match_a_scan_after_membership_changes(n, seed, steps):
         # what a message was given before the change stays as it was
         assert all(isinstance(t, tuple) and list(t) == copy for t, copy in handed)
         check()
+
+
+def test_form_groups_rejects_a_group_id_made_twice():
+    # a's weight-1 class is g.a.0, and so is the only group of a.0
+    g = DirectedGraph(
+        ("a", "a.0", "b"),
+        {("a", "b"): Fraction(1), ("a", "a.0"): Fraction(2), ("a.0", "a"): Fraction(1),
+         ("b", "a"): Fraction(1)},
+    )
+    with pytest.raises(GroupIdError, match=r"^group id 'g\.a\.0' made for both peer 'a' and peer 'a\.0'$"):
+        form_groups(g)
+    # without a's second class, a keeps g.a and nothing meets
+    del g.edges[("a", "a.0")]
+    g.edges[("b", "a.0")] = Fraction(1)
+    assert sorted(form_groups(g).groups) == ["g.a", "g.a.0", "g.b"]
+
+
+def test_form_groups_numbers_ten_or_more_classes_in_weight_order():
+    g = DirectedGraph(
+        tuple("hijklmnopqrs"),
+        {("h", t): Fraction(i + 1) for i, t in enumerate("ijklmnopqrs")}
+        | {(t, "h"): Fraction(1) for t in "ijklmnopqrs"},
+    )
+    asg = form_groups(g)
+    assert [asg.groups[f"g.h.{i}"].receivers for i in range(11)] == [{t} for t in "ijklmnopqrs"]
+    # the index is in gid order, which puts g.h.10 before g.h.2
+    assert [x.gid for x in asg.send_groups("h")] == sorted(f"g.h.{i}" for i in range(11))
 
 
 def test_effective_graph_roundtrips_formation():

@@ -868,6 +868,38 @@ def test_edge_count_matches_the_deep_copy_count(data):
         assert w.effective_edge_count() == deep_copy_edge_count(w)
 
 
+def _fresh_world_graphs():
+    """ring and random(k) overlays from TopLink text, and fractional-weight
+    random_sc_digraph overlays."""
+    ring = st.integers(2, 12).map(
+        lambda n: build_graph(parse_toplink(f"topology ring; nodes {{ {', '.join(f'p{i}' for i in range(n))} }};"))
+    )
+    random_k = st.tuples(st.integers(3, 12), st.integers(2, 3), st.integers(0, 1000)).filter(
+        lambda t: t[1] < t[0]
+    ).map(
+        lambda t: build_graph(
+            parse_toplink(f"topology random({t[1]}); nodes {{ {', '.join(f'p{i}' for i in range(t[0]))} }};"),
+            seed=t[2],
+        )
+    )
+    fractional = st.tuples(st.integers(2, 12), st.integers(0, 10_000)).map(
+        lambda t: random_sc_digraph(t[0], t[1], (Fraction(1, 2), Fraction(2, 3), 1, Fraction(7, 4)))
+    )
+    return st.one_of(ring, random_k, fractional)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_fresh_world_graphs(), slack=st.sampled_from([0, Fraction(1, 3), 1, 5]))
+def test_fresh_world_takes_its_edge_count_and_threshold_from_one_computation(g, slack):
+    # a threshold at or above the heaviest edge, so every world builds
+    strategy = Bpd(g.max_weight() + slack)
+    w = World(g, strategy, SimConfig(n_rounds=3))
+    assert w.edges_initial == w.effective_edge_count() == g.n_edges
+    bound = w.assignment.bound(strategy.thresh)
+    assert sorted(w.nodes) == list(g.nodes)
+    assert all(node.thresh == bound for node in w.nodes.values())
+
+
 def record_states(monkeypatch, drive):
     """Run drive() and return the trace lines and `world_state` of every
     world it builds, after each round and each forced repair cycle."""

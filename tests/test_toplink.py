@@ -1,5 +1,7 @@
 import hashlib
+import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,6 +55,72 @@ def test_corpus_sizes():
     assert len(list((DATA / "valid").glob("*.tl"))) >= 12
     assert len(list((DATA / "invalid").glob("*.tl"))) >= 8
     assert set(INVALID_TL) == {p.name for p in (DATA / "invalid").glob("*.tl")}
+
+
+# --- tokenizer ---------------------------------------------------------
+
+# (kind, text, line, col) of every token of every corpus file, and each invalid
+# file's (error class, message, line, column), recorded from the scanner that
+# matched every blank run as a token of its own
+PINNED_TOKENS = json.loads((Path(__file__).parent / "data" / "toplink_tokens.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TOKENS), ids=str)
+def test_tokens_and_errors_match_the_pinned_corpus(name):
+    pinned = PINNED_TOKENS[name]
+    text = (DATA / name).read_text(encoding="utf-8")
+    assert [list(t) for t in tl._tokenize(text)] == pinned["tokens"]
+    if "error" in pinned:
+        with pytest.raises(TopLinkError) as exc_info:
+            parse_toplink(text)
+        exc = exc_info.value
+        assert [type(exc).__name__, exc.message, exc.line, exc.column] == pinned["error"]
+
+
+def test_pinned_corpus_covers_every_file():
+    files = {f"{p.parent.name}/{p.name}" for p in DATA.glob("*/*.tl")}
+    assert set(PINNED_TOKENS) == files
+
+
+# the scanner as it was before it skipped blanks: every character starts one
+# match, and blank runs and comments are matched and dropped
+_MATCH_ALL_RE = re.compile(
+    r"(?P<skip>[ \t\r]+|//[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<punct>->|[{};,=()])"
+    r"|(?P<word>(?:[^ \t\r\n{};,=()/-]|-(?!>)|/(?!/))+)"
+)
+
+
+def match_all_tokenize(text):
+    toks = []
+    line, line_start = 1, 0
+    for m in _MATCH_ALL_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind != "skip":
+            toks.append((kind, m.group(), line, m.start() - line_start + 1))
+    toks.append(("eof", "", line, len(text) - line_start + 1))
+    return toks
+
+
+_tokens = st.sampled_from(
+    ["topology", "ring", "nodes", "links", "a", "b.c", "x-y", "1/2", "0.5", "-3", "w/", "a-",
+     "{", "}", ";", ",", "=", "(", ")", "->", "-", "/", ">"]
+)
+_gaps = st.lists(
+    st.sampled_from([" ", "  ", "\t", "\r", "\n", "\n\n", "\r\n", "// note", "//", "// a -> b;"]),
+    max_size=3,
+).map("".join)
+
+
+@given(st.lists(st.tuples(_tokens, _gaps), max_size=40), _gaps)
+@settings(max_examples=300, deadline=None)
+def test_scanner_matches_the_match_all_scanner(pieces, lead):
+    # a comment gap runs to the end of its line, so it may swallow what follows
+    text = lead + "".join(tok + gap for tok, gap in pieces)
+    assert [tuple(t) for t in tl._tokenize(text)] == match_all_tokenize(text)
 
 
 # --- parsing details ---------------------------------------------------
