@@ -21,10 +21,7 @@ verdict, the first of these that holds:
 - `within bound`: any other case.
 
 One traced run per checkout and workload adds the exact delivery and
-message counts, and the self time of each set-up layer (`SETUP_LAYERS`), so
-a set-up claim shows which layer moved. The traced run measures one
-set-up of the run's first scenario (instance 0), so these times are single
-readings, not medians. Both checkouts must hold the same `bench/`, byte for byte
+message counts. Both checkouts must hold the same `bench/`, byte for byte
 (`__pycache__` aside): the script stops before any run, naming the first file
 that differs, if they do not. Each checkout writes its own `.bench_build/`.
 
@@ -54,15 +51,6 @@ COUNTS = (
     "bpd.joins.update",
     "bpd.joins.repair",
     "simnet.edges_after",
-)
-# the set-up layers, outermost first: cli.build_world's self time excludes
-# the parse, graph and group layers inside it
-SETUP_LAYERS = (
-    "cli.parse_scenario.self_s",
-    "toplink.parse.self_s",
-    "toplink.build_graph.self_s",
-    "groups.form_groups.self_s",
-    "cli.build_world.self_s",
 )
 PAIRS = 10
 # pairs the change must win for a gain
@@ -183,8 +171,6 @@ def main() -> int:
                 for m in spec["end_to_end"]
             },
             "counts": {side: {c: traced[w][side][c]["value"] for c in COUNTS} for side in sides},
-            "setup_layers": {side: {m: traced[w][side][m]["value"] for m in SETUP_LAYERS}
-                             for side in sides},
         }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -36,7 +36,6 @@ from operator import attrgetter
 from .graph import DirectedGraph, Edge, NodeId
 
 GroupId = str
-_GID = attrgetter("gid")
 
 SENDER = "sender"
 RECEIVER = "receiver"
@@ -132,61 +131,42 @@ class GroupAssignment:
 
 
 def form_groups(graph: DirectedGraph) -> GroupAssignment:
-    """One group per (source, out-link weight class), with the per-node index,
-    made in one pass over the sources.
+    """One group per (source, out-link weight class), and the per-node index.
 
     Ids follow the module's rule; a collision, such as ``a``'s class 0 and
     the one group of ``a.0`` (both ``g.a.0``), raises `GroupIdError`. This
     is the one place group weights are made, so it is where the unit is
     chosen (1 for no edges).
     """
-    edges = graph.edges
-    # each distinct weight object's int cost, made once: generated overlays
-    # share one weight, and a Fraction hashes in Python, so key by identity
-    weights = {id(w): w for w in edges.values()}
-    unit = math.lcm(*(w.denominator for w in weights.values()))
-    costs = {i: w.numerator * (unit // w.denominator) for i, w in weights.items()}
+    unit = math.lcm(*(w.denominator for w in graph.edges.values()))
     # keyed by int cost, which keeps the order and hashes in C, not in Python
     by_src: dict[NodeId, dict[int, set[NodeId]]] = {}
-    for (src, dst), w in edges.items():
-        cost = costs[id(w)]
-        classes = by_src.get(src)
-        if classes is None:
-            by_src[src] = {cost: {dst}}
-        elif cost in classes:
-            classes[cost].add(dst)
-        else:
-            classes[cost] = {dst}
+    for (src, dst), w in graph.edges.items():
+        cost = w.numerator * (unit // w.denominator)
+        by_src.setdefault(src, {}).setdefault(cost, set()).add(dst)
     assignment = GroupAssignment(unit=unit)
-    groups, sends = assignment.groups, assignment._sends
-    recvs: dict[NodeId, list[Group]] = {}
+    groups = assignment.groups
     for src in graph.nodes:
-        classes = by_src.get(src)
-        if classes is None:
-            continue
-        if len(classes) == 1:
-            made = [(f"g.{src}", *classes.popitem())]
-        else:
-            made = [(f"g.{src}.{i}", *c) for i, c in enumerate(sorted(classes.items()))]
-        own = []
-        for gid, cost, dsts in made:
+        classes = sorted(by_src.get(src, {}).items())
+        for i, (cost, dsts) in enumerate(classes):
+            gid = f"g.{src}" if len(classes) == 1 else f"g.{src}.{i}"
             if gid in groups:
                 (first,) = groups[gid].senders
                 raise GroupIdError(f"group id {gid!r} made for both peer {first!r} and peer {src!r}")
-            g = groups[gid] = Group(gid, cost, {src}, dsts)
-            own.append(g)
-            for v in dsts:
-                if v in recvs:
-                    recvs[v].append(g)
-                else:
-                    recvs[v] = [g]
-        # numbered ids sort as text, so g.<src>.10 comes before g.<src>.2
-        sends[src] = tuple(own) if len(own) == 1 else tuple(sorted(own, key=_GID))
-    # a node hears the groups of its sources in source order; put them in gid
-    # order, which differs where one id extends another (g.a-b < g.a.0)
-    assignment._recvs = {
-        v: tuple(gs) if len(gs) == 1 else tuple(sorted(gs, key=_GID)) for v, gs in recvs.items()
-    }
+            groups[gid] = Group(gid, cost, {src}, dsts)
+    # the index lists each node's groups in gid order, which is not the order
+    # of the sources (g.a-b < g.a.0) nor, from ten classes on, of the weights
+    # (g.a.10 < g.a.2)
+    sends: dict[NodeId, list[Group]] = {}
+    recvs: dict[NodeId, list[Group]] = {}
+    for gid in sorted(groups):
+        g = groups[gid]
+        for n in g.senders:
+            sends.setdefault(n, []).append(g)
+        for n in g.receivers:
+            recvs.setdefault(n, []).append(g)
+    assignment._sends = {n: tuple(gs) for n, gs in sends.items()}
+    assignment._recvs = {n: tuple(gs) for n, gs in recvs.items()}
     return assignment
 
 
@@ -234,7 +214,7 @@ def join_group(
         return None
     members.add(node)
     grp._membership_changed()
-    index[node] = tuple(sorted(index.get(node, ()) + (grp,), key=_GID))
+    index[node] = tuple(sorted(index.get(node, ()) + (grp,), key=attrgetter("gid")))
     return MembershipEvent("MemberJoined", gid, node, role, round)
 
 

@@ -322,11 +322,10 @@ class World:
         self.x: dict[NodeId, float] = init_values(self.roster, cfg.seed)
         self.x0 = dict(self.x)
         # vectors packed into ints (metrics.Packing); each node starts out
-        # holding round 0 of itself and nothing else, the value + 1 = 1 in
-        # its own slot
+        # holding round 0 of itself and nothing else
         self.packing = metrics.Packing.for_rounds(len(self.roster), cfg.n_rounds)
-        width = self.packing.width
-        self.stamps: dict[NodeId, int] = {n: 1 << width * i for n, i in self.pos.items()}
+        put = self.packing.put
+        self.stamps: dict[NodeId, int] = {n: put(0, i, 0) for n, i in self.pos.items()}
         # last round each origin's stamp rose at each node, all NO_RECEIPT
         self.receipts: dict[NodeId, int] = dict.fromkeys(self.roster, 0)
         self.gossip_rng = random.Random(f"{cfg.seed}:gossip")

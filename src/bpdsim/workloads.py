@@ -76,10 +76,8 @@ def strategy_class(name: str) -> type[Strategy]:
 
 def init_values(roster: list[NodeId], seed: int) -> dict[NodeId, float]:
     """Per-node initial readings, uniform over [0, 100), seeded."""
-    # rng.uniform(0.0, 100.0) is 0.0 + 100.0 * rng.random(), which is the
-    # float 100.0 * rng.random() itself
-    draw = random.Random(f"{seed}:init").random
-    return {n: 100.0 * draw() for n in sorted(roster)}
+    rng = random.Random(f"{seed}:init")
+    return {n: rng.uniform(0.0, 100.0) for n in sorted(roster)}
 
 
 def true_average(values: dict[NodeId, float]) -> float:
