@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
 
 from bpdsim.bpd import default_threshold
 from bpdsim.graph import all_pairs_costs, random_sc_digraph
-from bpdsim.simnet import FaultEvent, SimConfig, World
+from bpdsim.simnet import FaultEvent, MembershipEvent, SimConfig, World
 from bpdsim.toplink import build_graph, parse_toplink_file
 from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified
 
@@ -75,6 +75,18 @@ def fault_table(graph, rounds):
     print()
 
 
+def repair_delays(log):
+    """Per repair join, its round minus the round of the latest crash before
+    it (0 if none): how long the overlay took to mend."""
+    delays, last_crash = [], 0
+    for r in log:
+        if isinstance(r, FaultEvent) and r.action == "crash":
+            last_crash = r.round
+        elif isinstance(r, MembershipEvent) and r.reason.startswith("repair:"):
+            delays.append(r.round - last_crash)
+    return delays
+
+
 def repair_table(cases):
     print(f"repair batch: {cases} random 6-10 node overlays, one crash each")
     delays, good = [], 0
@@ -94,7 +106,7 @@ def repair_table(cases):
             for row in all_pairs_costs(eff).values()
         )
         good += bounded
-        delays.extend(w.repair_delays)
+        delays.extend(repair_delays(w.log))
     print(f"  connected and bounded after repair: {good}/{cases}")
     if delays:
         print(

@@ -31,7 +31,8 @@ from .bpd import default_threshold
 from .graph import NodeId, all_pairs_costs
 from .groups import form_groups
 from .simnet import (
-    CascadeError, FaultEvent, RoundStats, SimConfig, Summary, UnknownNodeError, World
+    CascadeError, CycleComplete, FaultEvent, MembershipEvent, RoundStats, SimConfig, Summary,
+    UnknownNodeError, World,
 )
 from .toplink import (
     NotConnectableError,
@@ -280,8 +281,9 @@ def cmd_run(args) -> int:
     write_nodes_csv(out_dir / "nodes.csv", world)
     write_summary_csv(out_dir / "summary.csv", world)
     print(f"wrote {out_dir}/rounds.csv, nodes.csv, summary.csv")
-    if world.not_connected_rounds:
-        rounds = ", ".join(str(r) for r in world.not_connected_rounds[:10])
+    split = [r.round for r in world.log if isinstance(r, CycleComplete) and not r.connected]
+    if split:
+        rounds = ", ".join(str(r) for r in split[:10])
         print(f"error: overlay not strongly connected after repair (rounds {rounds})", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
@@ -303,10 +305,10 @@ def cmd_bpd_trace(args) -> int:
             for dst, entry in sorted(node.path.items())
         )
         print(f"table {n}: {cells}")
-    if world.events:
-        for ev in world.events:
-            print(f"join {ev.group} {ev.node} {ev.role}")
-    else:
+    joins = [r for r in world.log if isinstance(r, MembershipEvent) and r.kind == "MemberJoined"]
+    for ev in joins:
+        print(f"join {ev.group} {ev.node} {ev.role}")
+    if not joins:
         print("no updates")
     eff = world.alive_effective_graph()
     print(f"edges: {world.edges_initial} -> {eff.n_edges}")

@@ -49,15 +49,6 @@ class GroupIdError(ValueError):
     """Two peers' groups would get the same id."""
 
 
-@dataclass(frozen=True)
-class MembershipEvent:
-    kind: str  # "MemberJoined" | "MemberLeft"
-    group: GroupId
-    node: NodeId
-    role: str
-    round: int = 0
-
-
 @dataclass
 class Group:
     gid: GroupId
@@ -192,15 +183,9 @@ def effective_graph(assignment: GroupAssignment, alive: set[NodeId]) -> Directed
     return DirectedGraph(nodes, {key: exact[c] for key, c in costs.items()})
 
 
-def join_group(
-    assignment: GroupAssignment,
-    node: NodeId,
-    gid: GroupId,
-    role: str,
-    *,
-    round: int = 0,
-) -> MembershipEvent | None:
-    """Add a membership; idempotent (re-join returns None, emits nothing)."""
+def join_group(assignment: GroupAssignment, node: NodeId, gid: GroupId, role: str) -> Group | None:
+    """Add a membership and return the group joined; idempotent (a re-join
+    changes nothing and returns None)."""
     if gid not in assignment.groups:
         raise UnknownGroupError(gid)
     if role not in (SENDER, RECEIVER):
@@ -215,7 +200,7 @@ def join_group(
     members.add(node)
     grp._membership_changed()
     index[node] = tuple(sorted(index.get(node, ()) + (grp,), key=attrgetter("gid")))
-    return MembershipEvent("MemberJoined", gid, node, role, round)
+    return grp
 
 
 def leave_all(assignment: GroupAssignment, node: NodeId) -> list[tuple[GroupId, str]]:

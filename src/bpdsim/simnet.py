@@ -94,6 +94,12 @@ left, so an undetected crash is a key of the first that is not in the second.
 Each round's x and DE figures are two `RoundColumn` records, in
 `World.x_trace` and `World.de_trace`: 8 bytes per alive peer each, keyed by
 the alive roster view that every round between two liveness changes shares.
+
+`World.log` is the one record of what happened to the overlay, in order: a
+`FaultEvent` per fault that fired, a `MembershipEvent` per join or departure
+and a `CycleComplete` per repair cycle. The trace, when on, is written where
+each record is logged, one line per record but a recovered peer's rejoins,
+plus a `deliver app` line per application delivery, which is never logged.
 """
 from __future__ import annotations
 
@@ -120,13 +126,7 @@ from .bpd import (
 )
 from .graph import DirectedGraph, NodeId, is_strongly_connected
 from .groups import (
-    SENDER,
-    GroupAssignment,
-    MembershipEvent,
-    effective_graph,
-    form_groups,
-    join_group,
-    leave_all,
+    SENDER, GroupAssignment, GroupId, effective_graph, form_groups, join_group, leave_all
 )
 from .workloads import (
     AllToAll, Bpd, Gossip, Strategy, consensus_step, init_values, strategy_emit, true_average
@@ -198,6 +198,23 @@ class FaultEvent:
     round: int
     action: str  # "crash" | "recover"
     node: NodeId
+
+
+@dataclass(frozen=True)
+class MembershipEvent:
+    round: int
+    kind: str  # "MemberJoined" | "MemberLeft"
+    group: GroupId
+    node: NodeId
+    role: str
+    reason: str = ""  # a join's `JoinIntent.reason`; "" for a recovered peer's rejoin
+
+
+@dataclass(frozen=True)
+class CycleComplete:
+    round: int
+    epoch: int
+    connected: bool  # the detected-alive overlay, after the cycle
 
 
 def validate_schedule(faults: list[FaultEvent], roster: set[NodeId]) -> None:
@@ -340,10 +357,7 @@ class World:
         self.stats: list[RoundStats] = []
         self.x_trace: list[RoundColumn] = []
         self.de_trace: list[RoundColumn] = []
-        self.events: list[MembershipEvent] = []
-        self.not_connected_rounds: list[int] = []
-        self.repair_delays: list[int] = []
-        self.last_crash_round = 0
+        self.log: list[FaultEvent | MembershipEvent | CycleComplete] = []
         # form_groups puts each edge (u, v) in one group, as sender u and
         # receiver v, and nothing is stashed yet
         self.edges_initial = graph.n_edges
@@ -391,23 +405,21 @@ class World:
         if action == "crash":
             if node in self.crashed_at:
                 raise FaultError(f"{node} is already down")
-            self.crashed_at[node] = self.last_crash_round = self.round
-            self._liveness_changed()
-            self._trace(f"fault crash {node}")
+            self.crashed_at[node] = self.round
         elif action == "recover":
             if node not in self.crashed_at:
                 return
             del self.crashed_at[node]
-            # a peer whose crash was detected rejoins the groups it was stashed
-            # from; one that came back before anyone noticed never left them
-            for gid, role in self.stash.pop(node, []):
-                ev = join_group(self.assignment, node, gid, role, round=self.round)
-                if ev:
-                    self.events.append(ev)
-            self._liveness_changed()
-            self._trace(f"fault recover {node}")
         else:
             raise FaultError(f"unknown fault action {action!r}")
+        self._log(FaultEvent(self.round, action, node), f"fault {action} {node}")
+        # a recovered peer whose crash was detected rejoins the groups it was
+        # stashed from; one that came back before anyone noticed never left
+        # them, and a crashing peer has nothing stashed
+        for gid, role in self.stash.pop(node, []):
+            if join_group(self.assignment, node, gid, role):
+                self._log(MembershipEvent(self.round, "MemberJoined", gid, node, role))
+        self._liveness_changed()
 
     def run_repair_cycle(self) -> GroupAssignment:
         """Force one full discovery + update cycle to quiescence right now."""
@@ -573,9 +585,9 @@ class World:
         for n in due:
             removed = self.stash[n] = leave_all(self.assignment, n)
             for gid, role in removed:
-                self.events.append(MembershipEvent("MemberLeft", gid, n, role, self.round))
+                ev = MembershipEvent(self.round, "MemberLeft", gid, n, role)
+                self._log(ev, f"member-left {gid} {n} {role}")
                 affected[n, gid] = None
-                self._trace(f"member-left {gid} {n} {role}")
         self._liveness_changed()
         if not self.nodes:
             return
@@ -594,10 +606,8 @@ class World:
             if targets:
                 self._apply_result(n, node.start_update(targets))
         self._drain_control(delivered)
-        eff = effective_graph(self.assignment, self.detected_alive)
-        if not is_strongly_connected(eff):
-            self.not_connected_rounds.append(self.round)
-        self._trace(f"cycle-complete epoch {self.epoch}")
+        connected = is_strongly_connected(effective_graph(self.assignment, self.detected_alive))
+        self._log(CycleComplete(self.round, self.epoch, connected), f"cycle-complete epoch {self.epoch}")
 
     def _discover(self) -> int:
         """Discovery stage of a new epoch; returns the deliveries it made."""
@@ -653,13 +663,10 @@ class World:
 
     def _apply_joins(self, emitter: NodeId, joins: Sequence[JoinIntent]) -> None:
         for intent in joins:
-            ev = join_group(self.assignment, emitter, intent.gid, intent.role, round=self.round)
-            if ev:
-                self.events.append(ev)
-                if self.trace_fn is not None:
-                    self._trace(f"join {intent.gid} {emitter} {intent.role} {intent.reason}")
-                if intent.reason.startswith("repair:"):
-                    self.repair_delays.append(self.round - self.last_crash_round)
+            gid, role, reason = intent.gid, intent.role, intent.reason
+            if join_group(self.assignment, emitter, gid, role):
+                ev = MembershipEvent(self.round, "MemberJoined", gid, emitter, role, reason)
+                self._log(ev, f"join {gid} {emitter} {role} {reason}")
 
     def _poll_timeouts(self) -> None:
         alive = self.alive
@@ -721,6 +728,13 @@ class World:
         self.x_trace.append(RoundColumn(position, array("d", xs)))
         self.de_trace.append(RoundColumn(position, array("d", des)))
         return row
+
+    def _log(self, record: FaultEvent | MembershipEvent | CycleComplete, line: str = "") -> None:
+        """Append `record` to the log and trace `line`, its one trace line
+        (none if empty)."""
+        self.log.append(record)
+        if line:
+            self._trace(line)
 
     def _trace(self, text: str) -> None:
         if self.trace_fn is not None:

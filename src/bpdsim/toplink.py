@@ -437,8 +437,14 @@ def build_graph(spec: TopologySpec, seed: int = 0) -> DirectedGraph:
             g = DirectedGraph(tuple(names), edges)
             if is_strongly_connected(g):
                 return g
+        # one out-link each: only a draw that is one cycle through every peer
+        # is strongly connected, a share of (n-1)!/(n-1)^n of the draws
+        hint = (
+            "; a random(1) draw is strongly connected only when it is one cycle"
+            " through every peer, which is what topology ring builds"
+        ) if k == 1 else ""
         raise NotConnectableError(
-            f"no strongly connected draw within {MAX_BUILD_ATTEMPTS} attempts"
+            f"no strongly connected draw within {MAX_BUILD_ATTEMPTS} attempts{hint}"
         )
     raise ValueError(f"unknown preset {spec.preset!r}")
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from bpdsim.graph import DirectedGraph, random_sc_digraph
+from bpdsim.simnet import FaultEvent, MembershipEvent
 
 # the ten-link base used across measurement tests: two-cycle {a,b} and
 # cycle {d,e,f} joined only through c; worst directed distance d->b = 5
@@ -103,6 +104,24 @@ class DeOracle:
             return 1.0
         fresh = {s for s in self.hist[node] if s in alive and s != node}
         return (1 + len(fresh)) / len(self.roster)
+
+
+def memberships(w, kind=None):
+    """The world's logged joins and departures in log order, only those of
+    `kind` ("MemberJoined" or "MemberLeft") if given."""
+    return [r for r in w.log if isinstance(r, MembershipEvent) and kind in (None, r.kind)]
+
+
+def repair_delays(log):
+    """Per repair join (reason "repair:..."), its round minus the round of
+    the latest crash logged before it, 0 if none was."""
+    delays, last_crash = [], 0
+    for r in log:
+        if isinstance(r, FaultEvent) and r.action == "crash":
+            last_crash = r.round
+        elif isinstance(r, MembershipEvent) and r.reason.startswith("repair:"):
+            delays.append(r.round - last_crash)
+    return delays
 
 
 def corpus_graph(i):

@@ -15,7 +15,7 @@ from bpdsim.graph import all_pairs_costs, dijkstra, is_strongly_connected
 from bpdsim.simnet import FaultEvent, SimConfig, World
 from bpdsim.toplink import build_graph, parse_toplink, parse_toplink_file
 from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified, true_average
-from conftest import INVALID_TL, corpus_graph
+from conftest import INVALID_TL, corpus_graph, repair_delays
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 TL_DATA = Path(__file__).parent / "data" / "toplink"
@@ -217,7 +217,7 @@ def test_criterion_6_fault_recovery_connectivity(capsys):
         )
         if not good:
             failures.append(("double" if double else "single", idx, victims))
-        delays.extend(w.repair_delays)
+        delays.extend(repair_delays(w.log))
 
     for idx in range(50):
         run_case(idx, False)

@@ -10,7 +10,7 @@ from bpdsim.bpd import BpdNode, DiscoverMsg, UpdateMsg, default_threshold
 from bpdsim.graph import DirectedGraph, all_pairs_costs, dijkstra, is_strongly_connected
 from bpdsim.simnet import SimConfig, World
 from bpdsim.workloads import Bpd
-from conftest import corpus_graph, make_graph, random_sc_digraph
+from conftest import corpus_graph, make_graph, memberships, random_sc_digraph
 
 
 def cycle_world(graph, thresh=None):
@@ -189,19 +189,19 @@ def test_mixed_weight_chain_gets_bounded():
     eff = w.alive_effective_graph()
     costs = all_pairs_costs(eff)
     assert all(c <= 3 for row in costs.values() for c in row.values())
-    assert len(w.events) > 0
+    assert len(memberships(w)) > 0
 
 
 def test_already_bounded_graph_no_joins():
     g = make_graph([("a", "b"), ("b", "c"), ("c", "a")])
     w = cycle_world(g, thresh=2)
-    assert w.events == []
+    assert memberships(w) == []
     assert w.alive_effective_graph().n_edges == 3
 
 
 def test_second_request_same_epoch_not_served_twice(base10):
     w = cycle_world(base10, thresh=3)
-    joints = [(e.group, e.node) for e in w.events]
+    joints = [(e.group, e.node) for e in memberships(w)]
     assert len(joints) == len(set(joints))
 
 
@@ -263,7 +263,7 @@ def test_scaling_every_weight_and_the_threshold_changes_no_decision(seed, scale)
     g, th = half_weight_graph(seed)
     scaled = DirectedGraph(g.nodes, {e: w * scale for e, w in g.edges.items()})
     w, ws = cycle_world(g, thresh=th), cycle_world(scaled, thresh=th * scale)
-    assert ws.events == w.events
+    assert ws.log == w.log
     assert ws._ctrl_sent == w._ctrl_sent
     for nid, node in w.nodes.items():
         path, spath = node.path, ws.nodes[nid].path
@@ -287,7 +287,7 @@ def test_a_threshold_off_the_unit_grid_decides_as_its_floor(seed, offset):
     w = cycle_world(g, thresh=th)
     on_grid = Fraction(w.assignment.bound(th), w.assignment.unit)
     assert on_grid < th
-    assert cycle_world(g, thresh=on_grid).events == w.events
+    assert cycle_world(g, thresh=on_grid).log == w.log
 
 
 def test_update_back_at_its_requester_is_dropped():

@@ -14,7 +14,9 @@ import pytest
 
 from bpdsim import cli, simnet, toplink
 from bpdsim.bpd import default_threshold
-from bpdsim.simnet import RoundColumn, RoundStats, SimConfig, Summary, World
+from bpdsim.simnet import (
+    CycleComplete, FaultEvent, MembershipEvent, RoundColumn, RoundStats, SimConfig, Summary, World
+)
 from bpdsim.workloads import AllToAll, Bpd
 from conftest import make_graph
 
@@ -72,6 +74,21 @@ def test_validate_bad_file_reports_line(capsys):
 def test_validate_missing_file(capsys):
     code, _, err = run_cli(["validate", "no_such.tl"], capsys)
     assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_1_that_finds_no_draw_names_the_ring(seed, tmp_path, capsys):
+    # 12 peers: about 1 draw in 79,000 is one cycle through all of them
+    names = ", ".join(f"p{i}" for i in range(12))
+    tl = tmp_path / "r1.tl"
+    tl.write_text(f"topology random(1);\nnodes {{ {names} }};\n")
+    code, out, err = run_cli(["validate", "--manifest", str(tl), "--seed", str(seed)], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: no strongly connected draw within 1000 attempts; a random(1) draw is"
+        " strongly connected only when it is one cycle through every peer, which is"
+        " what topology ring builds"
+    ]
 
 
 def test_validate_manifest_deterministic(capsys):
@@ -566,6 +583,77 @@ def test_run_unconnectable_overlay_exits_2(tmp_path, capsys):
     # partial measurements still land on disk
     assert (tmp_path / "out" / "rounds.csv").exists()
     assert (tmp_path / "out" / "summary.csv").exists()
+
+
+# five overlapping crashes on a random(2) overlay of eight peers; the cycle
+# of round 19 runs while p0 is detected down and p5, crashed at 17, is not
+R2_TL = "topology random(2);\nnodes { p0, p1, p2, p3, p4, p5, p6, p7 };\n"
+SCN_R2_CHURN = """\
+topology = net.tl
+rounds = 30
+seed = 8
+repair.period.rounds = 6
+reply.timeout.rounds = 3
+detection.rounds = 3
+faults.1 = 4 crash p2
+faults.2 = 15 crash p0
+faults.3 = 17 crash p5
+faults.4 = 21 crash p6
+faults.5 = 24 crash p1
+"""
+
+
+def test_run_reports_the_one_cycle_that_ends_split(tmp_path, capsys):
+    # pins the current outcome, exit 2 for the cycle of round 19 alone;
+    # whether a cycle like this one should count as a failure at all is for
+    # the in-run settled check (ROADMAP item 3) to decide
+    scn = write_scenario(tmp_path, SCN_R2_CHURN, tl_text=R2_TL)
+    world = cli.build_world(cli.parse_scenario(scn), tmp_path)
+    world.run()
+    cycles = [(r.round, r.connected) for r in world.log if isinstance(r, CycleComplete)]
+    assert cycles == [(1, True), (7, True), (13, True), (19, False), (25, True)]
+    code, _, err = run_cli(["run", str(scn)], capsys)
+    assert code == 2
+    assert err.splitlines() == ["error: overlay not strongly connected after repair (rounds 19)"]
+
+
+def _trace_line(record):
+    """The trace line a log record stands for, None for a recovered peer's
+    rejoin, which is traced as its fault alone."""
+    at = f"round={record.round}"
+    if isinstance(record, FaultEvent):
+        return f"{at} fault {record.action} {record.node}"
+    if isinstance(record, CycleComplete):
+        return f"{at} cycle-complete epoch {record.epoch}"
+    if record.kind == "MemberLeft":
+        return f"{at} member-left {record.group} {record.node} {record.role}"
+    if record.reason:
+        return f"{at} join {record.group} {record.node} {record.role} {record.reason}"
+    return None
+
+
+@pytest.mark.parametrize("case", ["bpd_crash", "r2_churn"])
+def test_trace_is_a_view_of_the_log(case, tmp_path):
+    if case == "bpd_crash":
+        scn = SCENARIOS / "bpd_crash.scn"
+    else:
+        scn = write_scenario(tmp_path, SCN_R2_CHURN, tl_text=R2_TL)
+    world = cli.build_world(cli.parse_scenario(scn), scn.parent)
+    lines = []
+    world.trace_fn = lines.append
+    world.run()
+    # every line but an app delivery is one record, in log order
+    rendered = [_trace_line(r) for r in world.log]
+    assert [ln for ln in lines if " deliver app " not in ln] == [
+        ln for ln in rendered if ln is not None
+    ]
+    unlined = [r for r, ln in zip(world.log, rendered) if ln is None]
+    assert all(
+        isinstance(r, MembershipEvent) and r.kind == "MemberJoined" and r.reason == ""
+        for r in unlined
+    )
+    # bpd_crash's recovery of c rejoins its stashed groups; r2_churn recovers nobody
+    assert bool(unlined) == (case == "bpd_crash")
 
 
 def test_run_cascade_over_cap_exits_2_cleanly(tmp_path, capsys, monkeypatch):

@@ -5,9 +5,9 @@ import pytest
 from bpdsim.bpd import JoinReq, JoinRep, default_threshold
 from bpdsim.graph import all_pairs_costs, is_strongly_connected
 from bpdsim.groups import RECEIVER, SENDER
-from bpdsim.simnet import FaultEvent, SimConfig, World
+from bpdsim.simnet import CycleComplete, FaultEvent, SimConfig, World
 from bpdsim.workloads import Bpd
-from conftest import make_graph, random_sc_digraph
+from conftest import make_graph, memberships, random_sc_digraph, repair_delays
 
 
 def run_with_faults(graph, faults, rounds=40, thresh=None, seed=0):
@@ -34,7 +34,7 @@ def test_sender_alone_rejoins_as_sender():
     # a's only receiver is b; crashing b leaves a alone in its send group
     g = make_graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "b")])
     w = run_with_faults(g, [FaultEvent(10, "crash", "b")], thresh=2)
-    repair = [e for e in w.events if e.kind == "MemberJoined" and e.node == "a"]
+    repair = [e for e in memberships(w, "MemberJoined") if e.node == "a"]
     assert any(e.role == SENDER for e in repair)
     assert_connected_bounded(w, 2)
 
@@ -46,22 +46,14 @@ def ring4_chord():
 
 def test_lost_last_sender_rejoins_as_receiver():
     w = run_with_faults(ring4_chord(), [FaultEvent(10, "crash", "a")], thresh=2)
-    repair = [
-        e
-        for e in w.events
-        if e.kind == "MemberJoined" and e.node == "b" and e.round >= 11
-    ]
+    repair = [e for e in memberships(w, "MemberJoined") if e.node == "b" and e.round >= 11]
     assert any(e.role == RECEIVER for e in repair)
     assert_connected_bounded(w, 2)
 
 
 def test_stranded_sender_rejoins_as_sender():
     w = run_with_faults(ring4_chord(), [FaultEvent(10, "crash", "a")], thresh=2)
-    repair = [
-        e
-        for e in w.events
-        if e.kind == "MemberJoined" and e.node == "d" and e.round >= 11
-    ]
+    repair = [e for e in memberships(w, "MemberJoined") if e.node == "d" and e.round >= 11]
     assert any(e.role == SENDER for e in repair)
 
 
@@ -99,21 +91,22 @@ def test_double_crash_regression_bounded():
 
 def test_repair_delay_is_detection_bound():
     w = run_with_faults(ring4_chord(), [FaultEvent(10, "crash", "a")], thresh=2)
-    assert w.repair_delays and all(d <= 2 for d in w.repair_delays)
+    delays = repair_delays(w.log)
+    assert delays and all(d <= 2 for d in delays)
 
 
 def test_no_repair_when_redundant_paths_remain():
     # c->b keeps b fed after a dies; nothing should be repaired
     g = make_graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "b")])
     w = run_with_faults(g, [FaultEvent(10, "crash", "a")], thresh=2)
-    assert w.repair_delays == []
+    assert repair_delays(w.log) == []
     assert_connected_bounded(w, 2)
 
 
 def test_member_left_events_fire_on_detection():
     g = make_graph([("a", "b"), ("b", "c"), ("c", "a")])
     w = run_with_faults(g, [FaultEvent(5, "crash", "b")], thresh=2, rounds=8)
-    lefts = [e for e in w.events if e.kind == "MemberLeft"]
+    lefts = memberships(w, "MemberLeft")
     assert {e.node for e in lefts} == {"b"}
     assert all(e.round == 6 for e in lefts)  # detection_rounds = 1
     assert {(e.group, e.role) for e in lefts} == {("g.a", RECEIVER), ("g.b", SENDER)}
@@ -127,7 +120,7 @@ def test_recovery_restores_stashed_memberships():
         thresh=2,
         rounds=30,
     )
-    rejoins = [e for e in w.events if e.kind == "MemberJoined" and e.node == "b"]
+    rejoins = [e for e in memberships(w, "MemberJoined") if e.node == "b"]
     assert {(e.group, e.role) for e in rejoins} >= {("g.a", RECEIVER), ("g.b", SENDER)}
     assert all(e.round == 20 for e in rejoins)
     assert "b" in w.detected_alive
@@ -142,7 +135,7 @@ def test_recovery_before_detection_is_silent():
         faults=[FaultEvent(5, "crash", "b"), FaultEvent(6, "recover", "b")],
     )
     w.run()
-    assert [e for e in w.events if e.round >= 5] == []
+    assert [e for e in memberships(w) if e.round >= 5] == []
     assert w.assignment.groups["g.a"].receivers == {"b"}
 
 
@@ -173,7 +166,7 @@ def test_crashes_then_full_recovery_round_trip():
     w = run_with_faults(g, faults, rounds=50)
     assert sorted(w.alive) == sorted(g.nodes)
     assert_connected_bounded(w, default_threshold(8))
-    assert not w.not_connected_rounds
+    assert all(r.connected for r in w.log if isinstance(r, CycleComplete))
 
 
 # --- repair branches reached only by overlapping crashes ------------------
@@ -219,4 +212,4 @@ def test_retry_reissued_while_needed_then_dropped():
     assert control == [37, 4, 2, 30, 2, 2, 14, 2, 2, 14]
     repairs = [l for l in lines if " repair:" in l]
     assert repairs == ["round=4 join g.n1 n2 receiver repair:recv_grp"]
-    assert w.not_connected_rounds == []
+    assert all(r.connected for r in w.log if isinstance(r, CycleComplete))

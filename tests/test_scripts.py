@@ -32,6 +32,9 @@ def test_run_experiments_smoke():
     # drives World, run_repair_cycle and the config defaults through the library API
     lines = [line.strip() for line in _run_experiments()]
     assert "connected and bounded after repair: 5/5" in lines
+    # the delays come from each world's log: a repair join's round minus the
+    # round of the latest crash before it
+    assert "repair delay rounds: mean 1.00, max 1, n=24" in lines
 
 
 def test_run_experiments_strategy_table_is_pinned():

@@ -27,6 +27,7 @@ from bpdsim.bpd import (
 from bpdsim.groups import RECEIVER, SENDER, effective_graph, join_group
 from bpdsim.metrics import NO_RECEIPT
 from bpdsim.simnet import (
+    CycleComplete,
     FaultError,
     FaultEvent,
     SimConfig,
@@ -36,7 +37,7 @@ from bpdsim.simnet import (
 )
 from bpdsim.toplink import build_graph, parse_toplink
 from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified, consensus_step
-from conftest import BASE10_EDGES, DeOracle, bfs_hops, make_graph, random_sc_digraph
+from conftest import BASE10_EDGES, DeOracle, bfs_hops, make_graph, memberships, random_sc_digraph
 
 
 def vec(w, packed):
@@ -198,7 +199,7 @@ def test_bytes_accounting(rounds, strategy, faults):
     if isinstance(strategy, Bpd):
         heartbeats = {1: 6, 3: 5, 4: 5}
         assert all(w.stats[r - 1].control_messages > n for r, n in heartbeats.items())
-        assert any(e.round == 3 and e.kind == "MemberJoined" for e in w.events)
+        assert any(e.round == 3 for e in memberships(w, "MemberJoined"))
 
 
 def test_crashed_destination_counted_until_detected():
@@ -214,7 +215,7 @@ def test_crashed_destination_counted_until_detected():
 def test_detection_round_exact():
     w = mesh_world(rounds=8, faults=[FaultEvent(3, "crash", "f")], detection_rounds=2)
     w.run()
-    lefts = [e for e in w.events if e.kind == "MemberLeft"]
+    lefts = memberships(w, "MemberLeft")
     assert lefts and all(e.round == 5 for e in lefts)
     assert "f" not in w.detected_alive and "f" not in w.alive
 
@@ -225,7 +226,7 @@ def test_departure_from_both_roles_of_a_group_is_handled_once(monkeypatch):
     w = mesh_world(
         rounds=3, strategy=Bpd(3, repair_period_rounds=1000), faults=[FaultEvent(2, "crash", "b")]
     )
-    assert join_group(w.assignment, "b", "g.a", SENDER, round=0)
+    assert join_group(w.assignment, "b", "g.a", SENDER)
     calls = []
     on_member_left = BpdNode.on_member_left
 
@@ -235,7 +236,7 @@ def test_departure_from_both_roles_of_a_group_is_handled_once(monkeypatch):
 
     monkeypatch.setattr(BpdNode, "on_member_left", logged)
     w.run()
-    left = [(e.group, e.role) for e in w.events if e.kind == "MemberLeft"]
+    left = [(e.group, e.role) for e in memberships(w, "MemberLeft")]
     assert ("g.a", SENDER) in left and ("g.a", RECEIVER) in left
     assert calls.count(("a", "g.a", "b")) == 1
     assert len(calls) == len(set(calls))
@@ -294,7 +295,7 @@ def test_not_connected_flag_on_split_topology():
     g = make_graph([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")])
     w = World(g, Bpd(2), SimConfig(n_rounds=1, seed=0))
     w.run()
-    assert w.not_connected_rounds == [1]
+    assert [r.round for r in w.log if isinstance(r, CycleComplete) and not r.connected] == [1]
 
 
 def test_de_steady_state_full_health():
@@ -755,15 +756,27 @@ def test_delivery_calls_match_the_bench_golden_counts(workload, monkeypatch, tmp
     inputs = scenarios.instances(workload, scenarios.DEFAULT_SEED)[0]
     scn = scenarios.write_inputs(inputs, tmp_path)
     calls = dict.fromkeys(simnet._HANDLERS.values(), 0)
+    # every JoinIntent the world is handed, applied or not, by its cause's
+    # first word, as the benchmark's tracer counts them
+    joins = {"update": 0, "repair": 0}
 
     def count(name, node, msg, group):
         calls[name] += 1
 
+    apply_joins = World._apply_joins
+
+    def count_joins(world, emitter, intents):
+        for intent in intents:
+            joins[intent.reason.split(":", 1)[0]] += 1
+        return apply_joins(world, emitter, intents)
+
+    monkeypatch.setattr(World, "_apply_joins", count_joins)
     observe_deliveries(
         monkeypatch, lambda: cli.build_world(cli.parse_scenario(scn), scn.parent).run(), count
     )
     golden = json.loads((BENCH / "golden.json").read_text())[workload]
     assert calls == {name: golden[f"i0:count:bpd.{name}.calls"] for name in calls}
+    assert joins == {cause: golden[f"i0:count:bpd.joins.{cause}"] for cause in joins}
 
 
 class ReferenceWorld(World):
@@ -792,12 +805,12 @@ class ReferenceWorld(World):
 
 def world_state(w):
     """What the control traffic decides, as plain values: the last round's
-    figures, the values, the events, every group's member sets and every
+    figures, the values, the log, every group's member sets and every
     node's path table."""
     return (
         w.stats[-1] if w.stats else None,
         dict(w.x),
-        list(w.events),
+        list(w.log),
         {gid: (set(g.senders), set(g.receivers)) for gid, g in w.assignment.groups.items()},
         {n: dict(node.path) for n, node in w.nodes.items()},
     )
@@ -952,7 +965,7 @@ def test_group_destinations_frozen_at_emission(monkeypatch):
     stale = DiscoverMsg("a", 0, epoch=99)  # every node drops it
     g_a = w.assignment.groups["g.a"]
     w._apply_result("a", HandlerResult([(g_a.fanout("a"), g_a, stale)]))
-    assert join_group(w.assignment, "d", "g.a", RECEIVER, round=0)  # d joins before the drain
+    assert join_group(w.assignment, "d", "g.a", RECEIVER)  # d joins before the drain
     w._drain_control()
     assert got == ["b", "c"]
     got.clear()
