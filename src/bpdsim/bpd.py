@@ -31,15 +31,19 @@ updated in place, to the frozen threshold and to the roster positions (see
 and the `Group` it arrived on (None for a point-to-point repair message) and
 returns a `HandlerResult`, a named tuple ``(emissions, joins)``: membership
 changes come back as intents for the world to apply, and messages as the
-control-queue entries themselves, ``(dsts, group, msg)``, which the world
-enqueues unchanged. A group emission is ``(g.fanout(nid), g, msg)``: every
-member of the group but the emitter, sorted, as the membership stands when
-the handler runs, so a crashed peer that is not yet detected is addressed too
-and the world drops the delivery. The entry carries the `Group` object
-itself, and the receiving handler reads its senders, receivers, weight and
-id from it. That is the object ``groups[g.gid]`` holds at delivery too,
-because groups are only ever changed in place, never replaced. A
-point-to-point repair message is ``((dst, ...), None, msg)``.
+control-queue entries themselves, ``(plan, msg)``, which the world enqueues
+unchanged (see `groups.Plan`). A discovery start or forward is one entry on
+the node's receive plan (`GroupAssignment.recv_plan`), which rides every
+group it receives on; an update is one entry per send group, on that group's
+one-pair plan (`send_plans`), because each carries its own depth and stamp.
+A pair's destinations are every member of its group but the emitter, sorted,
+as the membership stands when the handler runs, so a crashed peer that is
+not yet detected is addressed too and the world drops the delivery. The pair
+carries the `Group` object itself, and the receiving handler reads its
+senders, receivers, weight and id from it. That is the object
+``groups[g.gid]`` holds at delivery too, because groups are only ever
+changed in place, never replaced. A point-to-point repair message rides one
+pair whose group is None, ``(((dst, ...), None),)``.
 
 Discovery and update handlers run their drop tests before any other work,
 in the order that turns the common drop away soonest. Discovery tests the
@@ -80,6 +84,7 @@ from .groups import (
     Group,
     GroupAssignment,
     GroupId,
+    Plan,
     leader_group,
 )
 
@@ -173,10 +178,11 @@ class _Pending:
 
 class HandlerResult(NamedTuple):
     """What a handler returns: control-queue entries to enqueue, in order,
-    and membership intents for the world to apply. Code that builds one
-    step by step starts from ``HandlerResult([], [])``."""
+    each ``(plan, msg)`` (see the module docstring), and membership intents
+    for the world to apply. Code that builds one step by step starts from
+    ``HandlerResult([], [])``."""
 
-    emissions: Sequence[tuple]
+    emissions: Sequence[tuple[Plan, tuple]]
     joins: Sequence[JoinIntent] = ()
 
 
@@ -187,6 +193,11 @@ _NOTHING = HandlerResult((), ())
 # builds a named tuple from its fields without its Python-level __new__ (see
 # the module docstring); every call passes all of the type's fields, in order
 _new = tuple.__new__
+
+
+def _direct(*dsts: NodeId) -> Plan:
+    """The plan of a point-to-point message to `dsts`, in that order."""
+    return ((dsts, None),)
 
 
 class BpdNode:
@@ -236,8 +247,7 @@ class BpdNode:
         self._joined_for = set()
         self._forwarded = {}
         msg = DiscoverMsg(self.nid, 0, self.epoch)
-        recv_groups = self.assignment.recv_groups(self.nid)
-        return HandlerResult([(g.fanout(self.nid), g, msg) for g in recv_groups])
+        return HandlerResult([(self.assignment.recv_plan(self.nid), msg)])
 
     def on_discover(self, msg: DiscoverMsg, group: Group | None) -> HandlerResult:
         # a sibling receiver overhears the announcement; not an edge for it.
@@ -255,8 +265,7 @@ class BpdNode:
             return _NOTHING
         self.path[origin] = _new(PathEntry, (depth, group.gid))
         fwd = _new(DiscoverMsg, (origin, depth, epoch))
-        recv_groups = self.assignment.recv_groups(nid)
-        return _new(HandlerResult, ([(g.fanout(nid), g, fwd) for g in recv_groups], ()))
+        return _new(HandlerResult, ([(self.assignment.recv_plan(nid), fwd)], ()))
 
     # --- stage 2: update -----------------------------------------------------
 
@@ -279,14 +288,15 @@ class BpdNode:
 
     def start_update(self, targets: list[NodeId]) -> HandlerResult:
         res = HandlerResult([], [])
-        send_groups = self.assignment.send_groups(self.nid)
+        plans = self.assignment.send_plans(self.nid)
         thresh = self.thresh
         for target in targets:
-            for g in send_groups:
+            for plan in plans:
+                ((_, g),) = plan
                 depth = g.weight
                 grp = g.gid if depth <= thresh else ""
                 msg = UpdateMsg(self.nid, target, depth, grp, self.epoch)
-                res.emissions.append((g.fanout(self.nid), g, msg))
+                res.emissions.append((plan, msg))
         return res
 
     def on_update(self, msg: UpdateMsg, group: Group | None) -> HandlerResult:
@@ -320,13 +330,14 @@ class BpdNode:
         self._forwarded[requester] = done | bit
         thresh = self.thresh
         emissions = []
-        for g in self.assignment.send_groups(nid):
+        for plan in self.assignment.send_plans(nid):
+            ((_, g),) = plan
             fwd_depth = depth + g.weight
             fwd = _new(
                 UpdateMsg,
                 (requester, target, fwd_depth, g.gid if fwd_depth <= thresh else grp, epoch),
             )
-            emissions.append((g.fanout(nid), g, fwd))
+            emissions.append((plan, fwd))
         return _new(HandlerResult, (emissions, ()))
 
     def _stamped_edge_missing(self, gid: GroupId) -> bool:
@@ -371,7 +382,7 @@ class BpdNode:
             return []
         if grp_type not in self.pending_join:
             self.pending_join[grp_type] = _Pending(frozenset(leaders), {}, self._deadline())
-        return [(tuple(leaders), None, JoinReq(self.nid, grp_type))]
+        return [(_direct(*leaders), JoinReq(self.nid, grp_type))]
 
     def _emit_grp_qry(self, group: Group) -> list[tuple]:
         members = sorted((group.members - {self.nid}) & self.world.detected_alive)
@@ -379,12 +390,12 @@ class BpdNode:
             self.pending_query[group.gid] = _Pending(frozenset(members), {}, self._deadline())
         if not members:
             return []  # settled by the next poll as all-empty
-        return [(tuple(members), None, GrpQry(self.nid, group.gid))]
+        return [(_direct(*members), GrpQry(self.nid, group.gid))]
 
     def on_grp_qry(self, msg: GrpQry, group: None) -> HandlerResult:
         sends = self.nid in self.groups[msg.grp].senders
         ans = GrpAns(self.nid, msg.grp, self.nid if sends else "")
-        return HandlerResult([((msg.requester,), None, ans)])
+        return HandlerResult([(_direct(msg.requester), ans)])
 
     def on_grp_ans(self, msg: GrpAns, group: None) -> HandlerResult:
         pend = self.pending_query.get(msg.grp)
@@ -422,7 +433,7 @@ class BpdNode:
             if best is not None
             else JoinRep(self.nid, msg.grp_type, "", 0)
         )
-        return HandlerResult([((msg.requester,), None, rep)])
+        return HandlerResult([(_direct(msg.requester), rep)])
 
     def on_join_rep(self, msg: JoinRep, group: None) -> HandlerResult:
         pend = self.pending_join.get(msg.grp_type)

@@ -11,14 +11,17 @@ path-shortening both work by adding memberships, never removing them), so a
 group can end up with several senders. The projection back to a digraph is
 `effective_graph`: one edge per (alive sender, alive receiver) pair.
 
-A group broadcast goes to every member but the emitter, in sorted order.
-`Group.fanout` computes that tuple once per emitter, and
-`Group.sorted_receivers` the group's receivers in sorted order, which is who
-application data sent on the group reaches; each is kept until the group's
-membership next changes: `form_groups`, `join_group` and `leave_all` are the
-only code that changes memberships, and the last two clear the caches of each
-group they change. A tuple handed out is never altered, so a message that
-holds one keeps the destinations it was emitted to.
+A group broadcast goes to every member but the emitter, in sorted order. A
+message rides a plan, a tuple of ``(dsts, group)`` pairs (`Plan`). The
+assignment caches each node's plans beside its group index: `recv_plan`, one
+plan over all of its receive groups, and `send_plans`, one one-pair plan per
+send group; `Group.sorted_receivers` is who application data sent on a group
+reaches. `form_groups`, `join_group` and `leave_all` are the only code that
+changes memberships, and the last two drop what the change made stale: the
+send plans of each changed group's senders, the receive plans of its
+receivers and the group's sorted receivers, and a leaving node's plans. A
+plan or tuple handed out is replaced, never altered, so a message that holds
+one keeps the destinations it was emitted to.
 
 Path costs are ints: a group's weight is its link weight times the
 assignment's `unit`, the LCM of the link weights' denominators, and a
@@ -55,10 +58,6 @@ class Group:
     weight: int  # in the assignment's unit
     senders: set[NodeId] = field(default_factory=set)
     receivers: set[NodeId] = field(default_factory=set)
-    # emitter -> sorted members other than it; valid until membership changes
-    _fanout: dict[NodeId, tuple[NodeId, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     # the receivers, sorted; valid until membership changes
     _receivers: tuple[NodeId, ...] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -68,49 +67,80 @@ class Group:
     def members(self) -> set[NodeId]:
         return self.senders | self.receivers
 
-    def fanout(self, emitter: NodeId) -> tuple[NodeId, ...]:
-        """The members other than `emitter`, sorted: who a broadcast reaches."""
-        dsts = self._fanout.get(emitter)
-        if dsts is None:
-            dsts = self._fanout[emitter] = tuple(sorted(self.members - {emitter}))
-        return dsts
-
     def sorted_receivers(self) -> tuple[NodeId, ...]:
         """The receivers, sorted: who data sent on the group reaches."""
         if self._receivers is None:
             self._receivers = tuple(sorted(self.receivers))
         return self._receivers
 
-    def _membership_changed(self) -> None:
-        """Drop every cached tuple; called by each change to the member sets."""
-        self._fanout.clear()
-        self._receivers = None
-
     @property
     def size(self) -> int:
         return len(self.members)
 
 
+# the (destinations, group) pairs one message rides, in order; None is the
+# group of a point-to-point message
+Plan = tuple[tuple[tuple[NodeId, ...], Group | None], ...]
+
+
+def _broadcast(group: Group, emitter: NodeId) -> tuple[NodeId, ...]:
+    """The members other than `emitter`, sorted: who a broadcast reaches."""
+    return tuple(sorted(group.members - {emitter}))
+
+
 @dataclass
 class GroupAssignment:
-    """All groups by id, plus a per-node index of the groups each node sends
-    and receives on, in gid order.
+    """All groups by id, a per-node index of the groups each node sends and
+    receives on, in gid order, and each node's cached broadcast plans.
 
     `form_groups`, `join_group` and `leave_all` are the only code that
     changes memberships; each keeps the index in step with the member sets,
-    and the last two clear the cached tuples of every group they change.
+    and the last two drop the plans and tuples that the change made stale.
     """
 
     groups: dict[GroupId, Group] = field(default_factory=dict)
     unit: int = 1  # a weight or path cost of c stands for c / unit
     _sends: dict[NodeId, tuple[Group, ...]] = field(default_factory=dict, init=False, repr=False)
     _recvs: dict[NodeId, tuple[Group, ...]] = field(default_factory=dict, init=False, repr=False)
+    _send_plans: dict[NodeId, tuple[Plan, ...]] = field(default_factory=dict, init=False, repr=False)
+    _recv_plans: dict[NodeId, Plan] = field(default_factory=dict, init=False, repr=False)
 
     def send_groups(self, node: NodeId) -> tuple[Group, ...]:
         return self._sends.get(node, ())
 
     def recv_groups(self, node: NodeId) -> tuple[Group, ...]:
         return self._recvs.get(node, ())
+
+    def send_plans(self, node: NodeId) -> tuple[Plan, ...]:
+        """One one-pair plan per send group of `node`, in gid order."""
+        plans = self._send_plans.get(node)
+        if plans is None:
+            plans = self._send_plans[node] = tuple(
+                ((_broadcast(g, node), g),) for g in self.send_groups(node)
+            )
+        return plans
+
+    def recv_plan(self, node: NodeId) -> Plan:
+        """One plan over every receive group of `node`, in gid order."""
+        plan = self._recv_plans.get(node)
+        if plan is None:
+            plan = self._recv_plans[node] = tuple(
+                (_broadcast(g, node), g) for g in self.recv_groups(node)
+            )
+        return plan
+
+    def _membership_changed(self, changed: tuple[Group, ...]) -> None:
+        """Drop what a change to the member sets of the groups `changed` made
+        stale: each one's sorted receivers and every plan that rides it, the
+        send plans of its senders and the receive plans of its receivers.
+        Called by each change to the member sets, after it."""
+        send_plans, recv_plans = self._send_plans, self._recv_plans
+        for g in changed:
+            g._receivers = None
+            for n in g.senders:
+                send_plans.pop(n, None)
+            for n in g.receivers:
+                recv_plans.pop(n, None)
 
     def exact(self, cost: int) -> Fraction:
         """The exact value of a weight or path cost."""
@@ -198,8 +228,9 @@ def join_group(assignment: GroupAssignment, node: NodeId, gid: GroupId, role: st
     if node in members:
         return None
     members.add(node)
-    grp._membership_changed()
     index[node] = tuple(sorted(index.get(node, ()) + (grp,), key=attrgetter("gid")))
+    # the node is now a member of grp, so its own stale plans are among these
+    assignment._membership_changed((grp,))
     return grp
 
 
@@ -212,10 +243,12 @@ def leave_all(assignment: GroupAssignment, node: NodeId) -> list[tuple[GroupId, 
     recvs = assignment._recvs.pop(node, ())
     for g in sends:
         g.senders.discard(node)
-        g._membership_changed()
     for g in recvs:
         g.receivers.discard(node)
-        g._membership_changed()
+    assignment._membership_changed(sends + recvs)
+    # the node is a member of none of them now, so its own plans go here
+    assignment._send_plans.pop(node, None)
+    assignment._recv_plans.pop(node, None)
     removed = [(g.gid, SENDER) for g in sends] + [(g.gid, RECEIVER) for g in recvs]
     removed.sort(key=lambda entry: (entry[0], entry[1] != SENDER))
     return removed

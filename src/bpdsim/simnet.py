@@ -7,32 +7,32 @@ within the round that triggers it: those exchanges take a network round
 trip, which at a 10 ms iteration period is far below one round, so the
 simulator cascades control deliveries to quiescence inside the round.
 
-The control queue is a FIFO with one entry per emission: its destinations,
-the `Group` object it rides (None for a point-to-point one) and the message,
-the destinations frozen when it is emitted. The emitting `BpdNode` builds
-that entry itself (see `bpd`), and the world enqueues it as it is. A group
-emission goes to the group's members other than the emitter, in sorted
-order, as they stand at that moment; a peer that joins later does not get
-it. That destination tuple is the group's cached fan-out (`Group.fanout`),
-computed once per emitter and dropped when the group's membership changes,
-so an emission costs no sort. Groups are only ever changed in place, so the
-group an entry carries is the one the assignment holds under its id when
-the entry is delivered. A popped entry fans out there and then, one delivery
-per destination in that order, and each delivery's own emissions go to the
-tail. The handler is looked up once per popped emission, on the `BpdNode`
-class, and called with the node, the message and the group; the messages are
-named tuples (see `bpd`). A handler that drops its message returns the shared
-`bpd._NOTHING` result, which the drain skips; for every other result the
-drain extends the queue with its emissions itself and hands any joins to
-`World._apply_joins`. Results made outside a drain (stage starts, departures,
-polls) go through `World._apply_result`, which takes the same two steps.
-Every queued emission is popped by a drain within the round that queued it,
-so a round's control messages are counted where its drains pop them: one per
-popped emission, plus one heartbeat per alive peer. Every member delivery, to
-a crashed peer too, counts toward the cascade's cap of `_CASCADE_CAP`
-deliveries; a popped emission adds all of its destinations to the count at
-once, and one that takes the count past the cap raises before any of its
-deliveries runs.
+The control queue is a FIFO with one entry per message, ``(plan, msg)``. The
+plan is a tuple of ``(dsts, group)`` pairs (`groups.Plan`): a discovery
+message rides every receive group of its emitter in one entry, an update one
+send group, and a point-to-point message one pair whose group is None. The
+emitting `BpdNode` builds the entry from the plans its assignment caches
+(see `bpd`), and the world enqueues it as it is. A pair's destinations are
+the group's members other than the emitter, in sorted order, frozen when the
+message is emitted: a peer that joins later does not get it, because a stale
+plan is replaced, never altered. Groups are only ever changed in place, so
+the group a pair carries is the one the assignment holds under its id when
+the entry is delivered. A popped entry is walked there and then, pair by
+pair, one delivery per destination in order, and each delivery's own
+emissions go to the tail. The handler is looked up once per popped entry, on
+the `BpdNode` class, and called with the node, the message and the pair's
+group; the messages are named tuples (see `bpd`). A handler that drops its
+message returns the shared `bpd._NOTHING` result, which the drain skips; for
+every other result the drain extends the queue with its emissions itself and
+hands any joins to `World._apply_joins`. Results made outside a drain (stage
+starts, departures, polls) go through `World._apply_result`, which takes the
+same two steps. Every queued entry is popped by a drain within the round
+that queued it, so a round's control messages are counted where its drains
+pop them: one per pair, plus one heartbeat per alive peer. Every member
+delivery, to a crashed peer too, counts toward the cascade's cap of
+`_CASCADE_CAP` deliveries; each pair adds all of its destinations to the
+count at once, and one that takes the count past the cap raises before any
+of its deliveries runs.
 
 Protocol state exists only where the protocol runs: a world whose strategy is
 `Bpd` holds one `BpdNode` per peer in `World.nodes`, and any other world holds
@@ -135,9 +135,9 @@ from .workloads import (
 _CASCADE_CAP = 2_000_000
 
 # control message type -> name of the BpdNode method that handles it; the
-# method is looked up on the class once per popped emission, so one replaced
-# on BpdNode (as bench/tracer.py does) is the one that runs from the next
-# emission on
+# method is looked up on the class once per popped entry, so one replaced on
+# BpdNode (as bench/tracer.py does) is the one that runs from the next entry
+# on
 _HANDLERS = {
     DiscoverMsg: "on_discover",
     UpdateMsg: "on_update",
@@ -619,39 +619,39 @@ class World:
         return self._drain_control()
 
     def _drain_control(self, delivered: int = 0) -> int:
-        """Deliver queued control traffic, fanning each emission out to its
-        destinations as it is popped; `delivered` carries the cascade's count.
+        """Deliver queued control traffic, walking each entry's plan as it is
+        popped; `delivered` carries the cascade's count.
 
-        Each entry carries the group it rides, or None, and its handler is
-        called with it. Each popped emission counts as one control message of
-        the round, adds its destinations, dead ones included, to the cascade
-        count and is checked against `_CASCADE_CAP` once, before any of its
-        deliveries; its handler is looked up once, on `BpdNode`. The drain
-        skips the shared `_NOTHING`, extends the queue with every other
-        result's emissions itself and hands its joins, if any, to
-        `_apply_joins`."""
+        Each popped entry's handler is looked up once, on `BpdNode`, and
+        called with each pair's group. Each pair counts as one control
+        message of the round, adds its destinations, dead ones included, to
+        the cascade count and is checked against `_CASCADE_CAP` once, before
+        its first delivery. The drain skips the shared `_NOTHING`, extends the
+        queue with every other result's emissions itself and hands its joins,
+        if any, to `_apply_joins`."""
         ctrl, alive, nodes = self._ctrl, self.alive, self.nodes
         popleft, extend, nothing = ctrl.popleft, ctrl.extend, _NOTHING
         apply_joins = self._apply_joins
-        popped = 0
+        sent = 0
         while ctrl:
-            dsts, group, msg = popleft()
-            popped += 1
-            delivered += len(dsts)
-            if delivered > _CASCADE_CAP:
-                raise CascadeError(
-                    f"control cascade did not quiesce within {_CASCADE_CAP} deliveries"
-                )
+            plan, msg = popleft()
+            sent += len(plan)
             handler = getattr(BpdNode, _HANDLERS[type(msg)])
-            for dst in dsts:
-                if dst in alive:
-                    res = handler(nodes[dst], msg, group)
-                    if res is not nothing:
-                        emissions, joins = res
-                        extend(emissions)
-                        if joins:
-                            apply_joins(dst, joins)
-        self._ctrl_sent += popped
+            for dsts, group in plan:
+                delivered += len(dsts)
+                if delivered > _CASCADE_CAP:
+                    raise CascadeError(
+                        f"control cascade did not quiesce within {_CASCADE_CAP} deliveries"
+                    )
+                for dst in dsts:
+                    if dst in alive:
+                        res = handler(nodes[dst], msg, group)
+                        if res is not nothing:
+                            emissions, joins = res
+                            extend(emissions)
+                            if joins:
+                                apply_joins(dst, joins)
+        self._ctrl_sent += sent
         return delivered
 
     def _apply_result(self, emitter: NodeId, res: HandlerResult) -> None:

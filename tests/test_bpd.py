@@ -100,13 +100,14 @@ def test_thresh_check_matches_exact_compare(weights, offset, free, use_free):
 def test_discovery_emits_depth_zero_on_recv_groups(base10):
     w = World(base10, Bpd(3), SimConfig(n_rounds=0, seed=0))
     res = w.nodes["a"].start_discovery()
-    # a receives from b and c (edges b->a, c->a)
-    gids = sorted(g.gid for _dsts, g, _msg in res.emissions)
-    assert gids == ["g.b", "g.c"]
-    for dsts, g, msg in res.emissions:
-        assert dsts == w.assignment.groups[g.gid].fanout("a")
-        assert isinstance(msg, DiscoverMsg)
-        assert msg.depth == 0 and msg.origin == "a"
+    # a receives from b and c (edges b->a, c->a): one message rides both
+    ((plan, msg),) = res.emissions
+    assert [g.gid for _dsts, g in plan] == ["g.b", "g.c"]
+    for dsts, g in plan:
+        assert g is w.assignment.groups[g.gid]
+        assert dsts == tuple(sorted(g.members - {"a"}))
+    assert isinstance(msg, DiscoverMsg)
+    assert msg.depth == 0 and msg.origin == "a"
 
 
 def test_stage1_exact_on_base10(base10):
@@ -310,7 +311,7 @@ def test_repeat_update_forward_returns_the_shared_empty_result():
     res = node.on_update(msg, w.assignment.groups["g.a"])  # b receives on g.a
     assert res is bpd._NOTHING
     with pytest.raises(AttributeError):
-        res.emissions.append((w.assignment.groups["g.b"].fanout("b"), "g.b", msg))
+        res.emissions.append((w.assignment.send_plans("b")[0], msg))
 
 
 def forwarded_pairs(world):

@@ -146,8 +146,8 @@ def test_leader_offers_only_useful_groups():
     w = World(g, Bpd(2), SimConfig(n_rounds=0, seed=0))
     leader = w.nodes["c"]
     res = leader.on_join_req(JoinReq("b", "send_grp"), None)
-    (dsts, gid, rep), = res.emissions
-    assert gid is None and dsts == ("b",)
+    (((dsts, group),), rep), = res.emissions
+    assert group is None and dsts == ("b",)
     assert isinstance(rep, JoinRep)
     # c's receive groups: g.a (a->b... no, g.a receivers {b}) and g.b {c}.
     # b already sends in g.b; joining g.a as sender adds b->b only: useless.

@@ -104,25 +104,40 @@ def test_lookups_match_a_scan_after_membership_changes(n, seed, steps, names, we
         assert effective_graph(asg, alive).nodes == tuple(
             sorted(n for n in alive if any(n in g.members for g in asg.groups.values()))
         )
-        # every cached fan-out and receiver tuple equals a fresh scan; asking
-        # fills the cache, so the next step checks that it was cleared where
+        # every cached plan and receiver tuple equals a fresh scan; asking
+        # fills the cache, so the next step checks that it was dropped where
         # it went stale
         for g in asg.groups.values():
             assert g.sorted_receivers() == tuple(sorted(g.receivers))
-            for e in nodes:
-                assert g.fanout(e) == tuple(sorted(g.members - {e}))
+        for e in nodes:
+            scan = sorted(asg.groups.items())
+            sends = [g for _, g in scan if e in g.senders]
+            recvs = [g for _, g in scan if e in g.receivers]
+            assert asg.send_plans(e) == tuple(((tuple(sorted(g.members - {e})), g),) for g in sends)
+            assert asg.recv_plan(e) == tuple((tuple(sorted(g.members - {e})), g) for g in recvs)
+            for plan in (*asg.send_plans(e), asg.recv_plan(e)):
+                assert all(g is asg.groups[g.gid] for _, g in plan)
+
+    def snapshot(plan):
+        """A plan as plain lists of destinations and group ids."""
+        return [(list(dsts), g.gid) for dsts, g in plan]
 
     check()
     for step in steps:
         node = nodes[step[1] % n]
-        handed = [(t := g.fanout(e), list(t)) for g in asg.groups.values() for e in nodes]
-        handed += [(t := g.sorted_receivers(), list(t)) for g in asg.groups.values()]
+        handed = [(t := g.sorted_receivers(), list(t)) for g in asg.groups.values()]
+        plans = [p for e in nodes for p in (*asg.send_plans(e), asg.recv_plan(e))]
+        handed_plans = [(p, snapshot(p)) for p in plans]
         if step[0] == "join":
             join_group(asg, node, gids[step[2] % len(gids)], step[3])
         else:
             leave_all(asg, node)
         # what a message was given before the change stays as it was
         assert all(isinstance(t, tuple) and list(t) == copy for t, copy in handed)
+        assert all(
+            isinstance(p, tuple) and all(isinstance(d, tuple) for d, _ in p) and snapshot(p) == copy
+            for p, copy in handed_plans
+        )
         check()
 
 

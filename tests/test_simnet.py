@@ -782,23 +782,25 @@ def test_delivery_calls_match_the_bench_golden_counts(workload, monkeypatch, tmp
 class ReferenceWorld(World):
     """A world whose drain is the plain per-destination loop that the
     production drain must match in behaviour, whatever deliveries it skips:
-    each popped emission is one control message and puts every destination,
-    dead ones too, on the cascade count, checked against the cap before any
-    delivery; then every alive destination's handler runs, in order, and
-    its result is applied as it comes."""
+    each (destinations, group) pair of a popped entry's plan is one control
+    message and puts every destination, dead ones too, on the cascade count,
+    checked against the cap before any of its deliveries; then every alive
+    destination's handler runs, in order, and its result is applied as it
+    comes."""
 
     def _drain_control(self, delivered=0):
         popped = 0
         while self._ctrl:
-            dsts, group, msg = self._ctrl.popleft()
-            popped += 1
-            delivered += len(dsts)
-            if delivered > simnet._CASCADE_CAP:
-                raise simnet.CascadeError(f"past {simnet._CASCADE_CAP} deliveries")
-            for dst in dsts:
-                if dst in self.alive:
-                    handler = getattr(BpdNode, simnet._HANDLERS[type(msg)])
-                    self._apply_result(dst, handler(self.nodes[dst], msg, group))
+            plan, msg = self._ctrl.popleft()
+            for dsts, group in plan:
+                popped += 1
+                delivered += len(dsts)
+                if delivered > simnet._CASCADE_CAP:
+                    raise simnet.CascadeError(f"past {simnet._CASCADE_CAP} deliveries")
+                for dst in dsts:
+                    if dst in self.alive:
+                        handler = getattr(BpdNode, simnet._HANDLERS[type(msg)])
+                        self._apply_result(dst, handler(self.nodes[dst], msg, group))
         self._ctrl_sent += popped
         return delivered
 
@@ -958,24 +960,51 @@ def test_group_destinations_frozen_at_emission(monkeypatch):
     on_discover = BpdNode.on_discover
 
     def logged(node, msg, group):
-        got.append(node.nid)
+        got.append((group.gid, node.nid))
         return on_discover(node, msg, group)
 
     monkeypatch.setattr(BpdNode, "on_discover", logged)
     stale = DiscoverMsg("a", 0, epoch=99)  # every node drops it
-    g_a = w.assignment.groups["g.a"]
-    w._apply_result("a", HandlerResult([(g_a.fanout("a"), g_a, stale)]))
+    plan = w.assignment.send_plans("a")[0]
+    w._apply_result("a", HandlerResult([(plan, stale)]))
     assert join_group(w.assignment, "d", "g.a", RECEIVER)  # d joins before the drain
     w._drain_control()
-    assert got == ["b", "c"]
+    assert got == [("g.a", "b"), ("g.a", "c")]
     got.clear()
-    w._apply_result("a", HandlerResult([(g_a.fanout("a"), g_a, stale)]))
+    w._apply_result("a", HandlerResult([(w.assignment.send_plans("a")[0], stale)]))
     w._drain_control()
-    assert got == ["b", "c", "d"]
+    assert got == [("g.a", "b"), ("g.a", "c"), ("g.a", "d")]
+    # the plan handed out before the join was replaced, not altered
+    assert plan == ((("b", "c"), w.assignment.groups["g.a"]),)
+
+    # a discovery message rides every receive group of its emitter as one
+    # entry; a join that lands after the entry is queued, or while its first
+    # pair is being delivered, reaches none of its pairs
+    for mid_drain in (False, True):
+        w, got[:] = mesh_world(rounds=0, strategy=Bpd(3)), []
+        plan = w.assignment.recv_plan("a")  # a receives on g.b and g.c
+        assert [g.gid for _, g in plan] == ["g.b", "g.c"]
+        emitted = [(g.gid, dst) for dsts, g in plan for dst in dsts]
+        assert not any(dst == "e" for _, dst in emitted)
+
+        def join_e(node, msg, group, w=w, mid_drain=mid_drain):
+            if mid_drain and not got:
+                assert join_group(w.assignment, "e", "g.c", RECEIVER)
+            return logged(node, msg, group)
+
+        monkeypatch.setattr(BpdNode, "on_discover", join_e)
+        w._apply_result("a", HandlerResult([(plan, stale)]))
+        if not mid_drain:
+            assert join_group(w.assignment, "e", "g.c", RECEIVER)
+        w._drain_control()
+        assert got == emitted
+        fresh = w.assignment.recv_plan("a")
+        assert ("g.c", "e") in [(g.gid, dst) for dsts, g in fresh for dst in dsts]
 
 
 class _PoppedLog(deque):
-    """A control queue that logs the destinations of every emission popped."""
+    """A control queue that logs the destinations of every pair of every
+    entry popped."""
 
     def __init__(self):
         super().__init__()
@@ -983,7 +1012,7 @@ class _PoppedLog(deque):
 
     def popleft(self):
         entry = super().popleft()
-        self.popped.append(entry[0])
+        self.popped.extend(dsts for dsts, _group in entry[0])
         return entry
 
 
@@ -997,7 +1026,7 @@ def test_cascade_cap_counts_deliveries_to_a_peer_not_yet_detected(monkeypatch):
     w._ctrl = log = _PoppedLog()
     w._discover()
     assert sum(dsts.count("f") for dsts in log.popped) > 0
-    # one delivery per destination of every emission popped, f's included
+    # one delivery per destination of every pair popped, f's included
     total = sum(map(len, log.popped))
     monkeypatch.setattr(simnet, "_CASCADE_CAP", total)
     assert crashed_world()._discover() == total
@@ -1005,9 +1034,27 @@ def test_cascade_cap_counts_deliveries_to_a_peer_not_yet_detected(monkeypatch):
     with pytest.raises(simnet.CascadeError):
         crashed_world()._discover()
 
+    # a cap that falls inside an entry riding two groups: the first pair is
+    # delivered in full, the second raises before any of its deliveries runs
+    w = crashed_world()
+    plan = w.assignment.recv_plan("a")  # a receives on g.b and g.c
+    (first, _), (second, _) = plan
+    got = []
+
+    def logged(node, msg, group):
+        got.append((group.gid, node.nid))
+        return bpd._NOTHING
+
+    monkeypatch.setattr(BpdNode, "on_discover", logged)
+    w._apply_result("a", HandlerResult([(plan, DiscoverMsg("a", 0, w.epoch))]))
+    monkeypatch.setattr(simnet, "_CASCADE_CAP", len(first) + len(second) - 1)
+    with pytest.raises(simnet.CascadeError):
+        w._drain_control()
+    assert got == [("g.b", dst) for dst in first if dst != "f"]
+
 
 def test_handler_replaced_between_drains_runs_in_the_next(monkeypatch):
-    # the drain looks the handler up on BpdNode for each emission it pops, so
+    # the drain looks the handler up on BpdNode for each entry it pops, so
     # a method replaced there, as bench/tracer.py does, runs from the next
     # drain on, and the original again once it is put back
     w = mesh_world(rounds=0, strategy=Bpd(3))
@@ -1018,7 +1065,7 @@ def test_handler_replaced_between_drains_runs_in_the_next(monkeypatch):
         got.append(node.nid)
         return bpd._NOTHING
 
-    query = HandlerResult([(("b", "c"), None, GrpQry("a", "g.a"))])
+    query = HandlerResult([(((("b", "c"), None),), GrpQry("a", "g.a"))])
     monkeypatch.setattr(BpdNode, "on_grp_qry", replaced)
     w._apply_result("a", query)
     w._drain_control()
@@ -1053,7 +1100,8 @@ def test_delivered_messages_are_whole_and_ride_the_live_group(case, monkeypatch)
 
 
 class _EnqueuedLog(deque):
-    """A control queue that counts the emissions enqueued on it."""
+    """A control queue that counts the (destinations, group) pairs of the
+    entries enqueued on it: one control message each."""
 
     def __init__(self):
         super().__init__()
@@ -1061,14 +1109,14 @@ class _EnqueuedLog(deque):
 
     def extend(self, entries):
         entries = list(entries)
-        self.enqueued += len(entries)
+        self.enqueued += sum(len(plan) for plan, _msg in entries)
         super().extend(entries)
 
 
 @pytest.mark.parametrize("case", sorted(DELIVERY_CASES))
 def test_every_round_drains_what_it_enqueues_and_counts_it(case, monkeypatch):
     # control messages are counted as the drains pop them, which is the count
-    # enqueued only because no round ends with an emission still queued
+    # enqueued only because no round ends with an entry still queued
     init, step_round, repair_cycle = World.__init__, World.step_round, World.run_repair_cycle
     checked = []
 
