@@ -14,13 +14,15 @@ a request along the data direction. The accumulated cost rides in the
 message; every node it leaves on some send group within the threshold stamps
 that group id over the previous stamp, so the stamp names the farthest group
 that still keeps the requester-to-target path bounded. The target joins the
-stamped group as a receiver.
+stamped group as a receiver. A request's first send is its first relay, at
+depth 0 and unstamped, so one method states the stamp rule (`_relay`).
 
 Repair: a sender left alone in a send group asks the group leaders for the
 smallest useful group to serve (JoinReq/JoinRep); receivers who lose their
 last sender first confirm the loss with a group query (GrpQry/GrpAns), then
 run the same join flow in the receiver role. Memberships are only ever
-added.
+added. Both flows record and settle replies through one path (`_reply`);
+`poll` settles what is left at its deadline, the queries first.
 
 Each node is bound to the world that drives it and reads the shared state
 from there: the group assignment, the set of peers not yet detected as down,
@@ -28,8 +30,9 @@ the current round and epoch, the threshold and the reply timeout; it keeps
 its own references to the assignment and its group dict, which are only ever
 updated in place, to the frozen threshold and to the roster positions (see
 `BpdNode`). A node writes only its own state. Every handler takes the message
-and the `Group` it arrived on (None for a point-to-point repair message) and
-returns a `HandlerResult`, a named tuple ``(emissions, joins)``: membership
+and the `Group` it arrived on (None for a point-to-point repair message),
+is named by the message's type in its ``handler`` attribute, and returns a
+`HandlerResult`, a named tuple ``(emissions, joins)``: membership
 changes come back as intents for the world to apply, and messages as the
 control-queue entries themselves, ``(plan, msg)``, which the world enqueues
 unchanged (see `groups.Plan`). A discovery start or forward is one entry on
@@ -59,12 +62,13 @@ forwards. Each handler reads the message's fields once, by unpacking it. No
 drop test writes state and every drop returns the same shared empty result,
 so the order decides no outcome, only which test turns a message away.
 
-The forwards of both handlers run once per useful delivery, hundreds of
-thousands of times in one cycle on a large ring, so they build their
-messages, path entries and results with ``tuple.__new__(Type, fields)``: the
-same named-tuple object, type, fields and repr as ``Type(*fields)``, without
-the Python-level ``__new__`` a named tuple's constructor runs. That call
-checks no arity, so those few lines pass every field, in order.
+The forwards of both handlers (the update one through `_relay`) run once
+per useful delivery, hundreds of thousands of times in one cycle on a large
+ring, so they build their messages, path entries and results with
+``tuple.__new__(Type, fields)``: the same named-tuple object, type, fields
+and repr as ``Type(*fields)``, without the Python-level ``__new__`` a named
+tuple's constructor runs. That call checks no arity, so those few lines pass
+every field, in order.
 
 Wire convention: an update message's ``depth`` already includes the weight of
 the group it is riding, i.e. the receiver reads its own path cost from the
@@ -110,15 +114,18 @@ def default_threshold(n_nodes: int) -> int:
 # Messages and path entries are named tuples: they build in about half the
 # time of a frozen dataclass and print the same repr. A named tuple equals a
 # plain tuple of the same fields, so none of them is compared, hashed or used
-# as a key; a handler reads only their fields.
+# as a key; a handler reads only their fields. Each type names its `BpdNode`
+# handler in `handler`, a class attribute and not a field.
 
 class DiscoverMsg(NamedTuple):
+    handler = "on_discover"
     origin: NodeId
     depth: int
     epoch: int
 
 
 class UpdateMsg(NamedTuple):
+    handler = "on_update"
     requester: NodeId
     target: NodeId
     depth: int  # path cost from requester to the receiving node
@@ -127,11 +134,13 @@ class UpdateMsg(NamedTuple):
 
 
 class JoinReq(NamedTuple):
+    handler = "on_join_req"
     requester: NodeId
     grp_type: str  # SEND_KIND | RECV_KIND
 
 
 class JoinRep(NamedTuple):
+    handler = "on_join_rep"
     responder: NodeId
     grp_type: str
     grp: GroupId  # "" = no candidate
@@ -139,11 +148,13 @@ class JoinRep(NamedTuple):
 
 
 class GrpQry(NamedTuple):
+    handler = "on_grp_qry"
     requester: NodeId
     grp: GroupId
 
 
 class GrpAns(NamedTuple):
+    handler = "on_grp_ans"
     responder: NodeId
     grp: GroupId
     rep: NodeId  # responder id if it sends on the queried group, else ""
@@ -177,10 +188,10 @@ class _Pending:
 
 
 class HandlerResult(NamedTuple):
-    """What a handler returns: control-queue entries to enqueue, in order,
-    each ``(plan, msg)`` (see the module docstring), and membership intents
-    for the world to apply. Code that builds one step by step starts from
-    ``HandlerResult([], [])``."""
+    """What a handler or a request's settling returns: control-queue entries
+    to enqueue, in order, each ``(plan, msg)`` (see the module docstring),
+    and membership intents for the world to apply. Code that builds one step
+    by step starts from ``HandlerResult([], [])``; a drop returns `_NOTHING`."""
 
     emissions: Sequence[tuple[Plan, tuple]]
     joins: Sequence[JoinIntent] = ()
@@ -287,17 +298,11 @@ class BpdNode:
         return out
 
     def start_update(self, targets: list[NodeId]) -> HandlerResult:
-        res = HandlerResult([], [])
-        plans = self.assignment.send_plans(self.nid)
-        thresh = self.thresh
+        """One request per target, each sent as its first relay."""
+        emissions = []
         for target in targets:
-            for plan in plans:
-                ((_, g),) = plan
-                depth = g.weight
-                grp = g.gid if depth <= thresh else ""
-                msg = UpdateMsg(self.nid, target, depth, grp, self.epoch)
-                res.emissions.append((plan, msg))
-        return res
+            emissions.extend(self._relay(self.nid, target, 0, "", self.epoch))
+        return HandlerResult(emissions)
 
     def on_update(self, msg: UpdateMsg, group: Group | None) -> HandlerResult:
         requester, target, depth, grp, epoch = msg
@@ -328,17 +333,22 @@ class BpdNode:
         if nid == requester:
             return _NOTHING
         self._forwarded[requester] = done | bit
+        return _new(HandlerResult, (self._relay(requester, target, depth, grp, epoch), ()))
+
+    def _relay(
+        self, requester: NodeId, target: NodeId, depth: int, stamp: GroupId, epoch: int
+    ) -> list[tuple[Plan, UpdateMsg]]:
+        """One entry per send plan: the request leaves at `depth` plus the
+        group's weight, stamped with the group's id while that is within the
+        threshold and with `stamp` otherwise."""
         thresh = self.thresh
-        emissions = []
-        for plan in self.assignment.send_plans(nid):
+        out = []
+        for plan in self.assignment.send_plans(self.nid):
             ((_, g),) = plan
-            fwd_depth = depth + g.weight
-            fwd = _new(
-                UpdateMsg,
-                (requester, target, fwd_depth, g.gid if fwd_depth <= thresh else grp, epoch),
-            )
-            emissions.append((plan, fwd))
-        return _new(HandlerResult, (emissions, ()))
+            d = depth + g.weight
+            grp = g.gid if d <= thresh else stamp
+            out.append((plan, _new(UpdateMsg, (requester, target, d, grp, epoch))))
+        return out
 
     def _stamped_edge_missing(self, gid: GroupId) -> bool:
         """False when every alive sender of gid already reaches us as cheaply."""
@@ -398,19 +408,13 @@ class BpdNode:
         return HandlerResult([(_direct(msg.requester), ans)])
 
     def on_grp_ans(self, msg: GrpAns, group: None) -> HandlerResult:
-        pend = self.pending_query.get(msg.grp)
-        if pend is None:
-            return _NOTHING
-        pend.replies[msg.responder] = msg
-        if not pend.complete():
-            return _NOTHING
-        return HandlerResult(self._finalize_query(msg.grp))
+        return self._reply(self.pending_query, msg.grp, msg, self._finalize_query)
 
-    def _finalize_query(self, queried: GroupId) -> list[tuple]:
+    def _finalize_query(self, queried: GroupId) -> HandlerResult:
         pend = self.pending_query.pop(queried)
         if any(a.rep for a in pend.replies.values()):
-            return []  # some sender still serves the group
-        return self._emit_join_req(RECV_KIND)
+            return _NOTHING  # some sender still serves the group
+        return HandlerResult(self._emit_join_req(RECV_KIND))
 
     # --- repair: join negotiation ---------------------------------------------
 
@@ -436,15 +440,9 @@ class BpdNode:
         return HandlerResult([(_direct(msg.requester), rep)])
 
     def on_join_rep(self, msg: JoinRep, group: None) -> HandlerResult:
-        pend = self.pending_join.get(msg.grp_type)
-        if pend is None:
-            return _NOTHING
-        pend.replies[msg.responder] = msg
-        if not pend.complete():
-            return _NOTHING
-        return HandlerResult((), self._finalize_join(msg.grp_type))
+        return self._reply(self.pending_join, msg.grp_type, msg, self._finalize_join)
 
-    def _finalize_join(self, grp_type: str) -> list[JoinIntent]:
+    def _finalize_join(self, grp_type: str) -> HandlerResult:
         pend = self.pending_join.pop(grp_type)
         groups, alive = self.groups, self.world.detected_alive
         candidates = [
@@ -454,24 +452,39 @@ class BpdNode:
         ]
         if not candidates:
             self.retry_kinds.add(grp_type)  # NoReplies: retry next repair period
-            return []
+            return _NOTHING
         best = min(candidates, key=lambda r: (r.size, r.grp))
         role = SENDER if grp_type == SEND_KIND else RECEIVER
-        return [JoinIntent(best.grp, role, f"repair:{grp_type}")]
+        return HandlerResult((), (JoinIntent(best.grp, role, f"repair:{grp_type}"),))
+
+    def _reply(self, pending: dict, key: str, msg: JoinRep | GrpAns, settle) -> HandlerResult:
+        """Both repair flows' reply path: record `msg` on the open request
+        `pending[key]`, if any, and `settle` it once every peer asked has replied."""
+        pend = pending.get(key)
+        if pend is None:
+            return _NOTHING
+        pend.replies[msg.responder] = msg
+        if not pend.complete():
+            return _NOTHING
+        return settle(key)
 
     def poll(self) -> HandlerResult:
         """Settle open requests that are complete or past their deadline
-        (checked once per round)."""
+        (checked once per round): the queries first, then the join requests
+        as they stand after them, each in sorted order. The order decides
+        joins."""
         res = HandlerResult([], [])
         rnd = self.world.round
-        for queried in sorted(self.pending_query):
-            pend = self.pending_query[queried]
-            if rnd >= pend.deadline or pend.complete():
-                res.emissions.extend(self._finalize_query(queried))
-        for kind in sorted(self.pending_join):
-            pend = self.pending_join[kind]
-            if rnd >= pend.deadline or pend.complete():
-                res.joins.extend(self._finalize_join(kind))
+        for pending, settle in (
+            (self.pending_query, self._finalize_query),
+            (self.pending_join, self._finalize_join),
+        ):
+            for key in sorted(pending):
+                pend = pending[key]
+                if rnd >= pend.deadline or pend.complete():
+                    emissions, joins = settle(key)
+                    res.emissions.extend(emissions)
+                    res.joins.extend(joins)
         return res
 
     def take_retries(self) -> HandlerResult:

@@ -19,16 +19,19 @@ plan is replaced, never altered. Groups are only ever changed in place, so
 the group a pair carries is the one the assignment holds under its id when
 the entry is delivered. A popped entry is walked there and then, pair by
 pair, one delivery per destination in order, and each delivery's own
-emissions go to the tail. The handler is looked up once per popped entry, on
-the `BpdNode` class, and called with the node, the message and the pair's
-group; the messages are named tuples (see `bpd`). A handler that drops its
-message returns the shared `bpd._NOTHING` result, which the drain skips; for
-every other result the drain extends the queue with its emissions itself and
-hands any joins to `World._apply_joins`. Results made outside a drain (stage
-starts, departures, polls) go through `World._apply_result`, which takes the
-same two steps. Every queued entry is popped by a drain within the round
-that queued it, so a round's control messages are counted where its drains
-pop them: one per pair, plus one heartbeat per alive peer. Every member
+emissions go to the tail. The message names its handler, a `BpdNode` method,
+in its ``handler`` attribute; the drain looks that name up on the class once
+per popped entry and calls it with the node, the message and the pair's
+group. The messages are named tuples, and each protocol rule lives in `bpd`
+once: a stage's first update send is its first relay, and replies settle
+through one path. A handler that drops its message returns the shared
+`bpd._NOTHING` result, which the drain skips; for every other result the
+drain extends the queue with its emissions itself and hands any joins to
+`World._apply_joins`. Results made outside a drain (stage starts,
+departures, polls) go through `World._apply_result`, which takes the same
+two steps. Every queued entry is popped by a drain within the round that
+queued it, so a round's control messages are counted where its drains pop
+them: one per pair, plus one heartbeat per alive peer. Every member
 delivery, to a crashed peer too, counts toward the cascade's cap of
 `_CASCADE_CAP` deliveries; each pair adds all of its destinations to the
 count at once, and one that takes the count past the cap raises before any
@@ -112,18 +115,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import metrics
-from .bpd import (
-    _NOTHING,
-    BpdNode,
-    DiscoverMsg,
-    GrpAns,
-    GrpQry,
-    HandlerResult,
-    JoinIntent,
-    JoinRep,
-    JoinReq,
-    UpdateMsg,
-)
+from .bpd import _NOTHING, BpdNode, HandlerResult, JoinIntent
 from .graph import DirectedGraph, NodeId, is_strongly_connected
 from .groups import (
     SENDER, GroupAssignment, GroupId, effective_graph, form_groups, join_group, leave_all
@@ -133,19 +125,6 @@ from .workloads import (
 )
 
 _CASCADE_CAP = 2_000_000
-
-# control message type -> name of the BpdNode method that handles it; the
-# method is looked up on the class once per popped entry, so one replaced on
-# BpdNode (as bench/tracer.py does) is the one that runs from the next entry
-# on
-_HANDLERS = {
-    DiscoverMsg: "on_discover",
-    UpdateMsg: "on_update",
-    JoinReq: "on_join_req",
-    JoinRep: "on_join_rep",
-    GrpQry: "on_grp_qry",
-    GrpAns: "on_grp_ans",
-}
 
 
 class UnknownNodeError(KeyError):
@@ -494,10 +473,14 @@ class World:
         named; any other round message by message, where no sender names
         itself."""
         inflight, self._app_inflight = self._app_inflight, []
+        alive = self.alive
+        if self.trace_fn is not None:
+            for src, _x, _snapshot, dsts in inflight:
+                for dst in dsts:
+                    if dst != src and dst in alive:
+                        self._trace(f"deliver app {src} {dst}")
         if inflight and isinstance(self.strategy, AllToAll):
             return self._deliver_by_destination(inflight, inflight[0][3])
-        alive = self.alive
-        tracing = self.trace_fn is not None
         # heard is filled in message order: the float sums of consensus_step
         # follow its insertion order
         sent: dict[NodeId, int] = {}
@@ -511,8 +494,6 @@ class World:
                 if into is None:
                     into = heard[dst] = {}
                 into[src] = x
-                if tracing:
-                    self._trace(f"deliver app {src} {dst}")
         stamps, receipts, packing = self.stamps, self.receipts, self.packing
         record, rnd = metrics.record_receipt, self.round
         for dst, into in heard.items():
@@ -530,11 +511,6 @@ class World:
         one fold of all senders (see the module docstring)."""
         alive, stamps, receipts, packing = self.alive, self.stamps, self.receipts, self.packing
         record, rnd = metrics.record_receipt, self.round
-        if self.trace_fn is not None:
-            for src, *_ in inflight:
-                for dst in shared:
-                    if dst != src and dst in alive:
-                        self._trace(f"deliver app {src} {dst}")
         xs = [entry[1] for entry in inflight]
         index = {entry[0]: i for i, entry in enumerate(inflight)}
         everyone = packing.max([entry[2] for entry in inflight])
@@ -622,13 +598,15 @@ class World:
         """Deliver queued control traffic, walking each entry's plan as it is
         popped; `delivered` carries the cascade's count.
 
-        Each popped entry's handler is looked up once, on `BpdNode`, and
-        called with each pair's group. Each pair counts as one control
-        message of the round, adds its destinations, dead ones included, to
-        the cascade count and is checked against `_CASCADE_CAP` once, before
-        its first delivery. The drain skips the shared `_NOTHING`, extends the
-        queue with every other result's emissions itself and hands its joins,
-        if any, to `_apply_joins`."""
+        Each popped entry's handler, the `BpdNode` method its message names
+        in ``handler``, is looked up on the class once, so one replaced there
+        runs from the next entry on, and called with each pair's group. Each
+        pair counts as one control message of the round, adds its
+        destinations, dead ones included, to the cascade count and is checked
+        against `_CASCADE_CAP` once, before its first delivery. The drain
+        skips the shared `_NOTHING`, extends the queue with every other
+        result's emissions itself and hands its joins, if any, to
+        `_apply_joins`."""
         ctrl, alive, nodes = self._ctrl, self.alive, self.nodes
         popleft, extend, nothing = ctrl.popleft, ctrl.extend, _NOTHING
         apply_joins = self._apply_joins
@@ -636,7 +614,7 @@ class World:
         while ctrl:
             plan, msg = popleft()
             sent += len(plan)
-            handler = getattr(BpdNode, _HANDLERS[type(msg)])
+            handler = getattr(BpdNode, msg.handler)
             for dsts, group in plan:
                 delivered += len(dsts)
                 if delivered > _CASCADE_CAP:

@@ -41,6 +41,8 @@ MAX_BUILD_ATTEMPTS = 1000
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 # integer, decimal, or exact rational p/q
 _NUM_RE = re.compile(r"^[0-9]+(\.[0-9]+)?$|^[0-9]+/[0-9]+$")
+# a fanout: ASCII digits, as in a weight (str.isdigit also takes '²' and '٣')
+_INT_RE = re.compile(r"^[0-9]+$")
 
 
 class TopLinkError(Exception):
@@ -283,7 +285,7 @@ class _Parser:
         if t.text == "random":
             self.expect_punct("(")
             num = self.expect_word("fanout")
-            if not num.text.isdigit():
+            if not _INT_RE.match(num.text):
                 raise TopLinkSyntaxError(f"fanout must be an integer, got {num.text!r}", num.line, num.col)
             fanout = int(num.text)
             if fanout < 1:

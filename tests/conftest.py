@@ -12,8 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from bpdsim.bpd import DiscoverMsg, GrpAns, GrpQry, JoinRep, JoinReq, UpdateMsg
 from bpdsim.graph import DirectedGraph, random_sc_digraph
 from bpdsim.simnet import FaultEvent, MembershipEvent
+
+# the six wire message types, each naming its `BpdNode` handler in `handler`
+WIRE_MESSAGES = (DiscoverMsg, UpdateMsg, JoinReq, JoinRep, GrpQry, GrpAns)
 
 # the ten-link base used across measurement tests: two-cycle {a,b} and
 # cycle {d,e,f} joined only through c; worst directed distance d->b = 5

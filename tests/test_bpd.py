@@ -10,7 +10,7 @@ from bpdsim.bpd import BpdNode, DiscoverMsg, UpdateMsg, default_threshold
 from bpdsim.graph import DirectedGraph, all_pairs_costs, dijkstra, is_strongly_connected
 from bpdsim.simnet import SimConfig, World
 from bpdsim.workloads import Bpd
-from conftest import corpus_graph, make_graph, memberships, random_sc_digraph
+from conftest import WIRE_MESSAGES, corpus_graph, make_graph, memberships, random_sc_digraph
 
 
 def cycle_world(graph, thresh=None):
@@ -94,6 +94,17 @@ def test_thresh_check_matches_exact_compare(weights, offset, free, use_free):
     assert raised == (thresh < g.max_weight())
 
 
+def test_each_wire_message_names_its_own_handler():
+    # the drain looks a popped message's handler up as BpdNode.<msg.handler>
+    named = {v for v in vars(bpd).values() if isinstance(v, type) and hasattr(v, "handler")}
+    assert named == set(WIRE_MESSAGES)
+    names = [msg_type.handler for msg_type in WIRE_MESSAGES]
+    assert len(set(names)) == len(names) == 6
+    for msg_type in WIRE_MESSAGES:
+        assert callable(getattr(BpdNode, msg_type.handler))
+        assert "handler" not in msg_type._fields  # a class attribute, not a field
+
+
 # --- stage 1: discovery ------------------------------------------------
 
 
@@ -160,7 +171,8 @@ def test_cycle_stages_share_one_cascade_count(base10, monkeypatch):
 
     discovery = world()._discover()
     with monkeypatch.context() as patched:
-        for name in simnet._HANDLERS.values():
+        for msg_type in WIRE_MESSAGES:
+            name = msg_type.handler
             patched.setattr(BpdNode, name, counted(getattr(BpdNode, name)))
         world().run_repair_cycle()
     total = len(delivered)  # no peer is down, so every delivery reaches a handler

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from bpdsim.bpd import JoinReq, JoinRep, default_threshold
+from bpdsim.bpd import RECV_KIND, JoinRep, JoinReq, _Pending, default_threshold
 from bpdsim.graph import all_pairs_costs, is_strongly_connected
 from bpdsim.groups import RECEIVER, SENDER
-from bpdsim.simnet import CycleComplete, FaultEvent, SimConfig, World
+from bpdsim.simnet import CycleComplete, FaultEvent, MembershipEvent, SimConfig, World
 from bpdsim.workloads import Bpd
 from conftest import make_graph, memberships, random_sc_digraph, repair_delays
 
@@ -213,3 +213,29 @@ def test_retry_reissued_while_needed_then_dropped():
     repairs = [l for l in lines if " repair:" in l]
     assert repairs == ["round=4 join g.n1 n2 receiver repair:recv_grp"]
     assert all(r.connected for r in w.log if isinstance(r, CycleComplete))
+
+
+def test_poll_settles_queries_before_join_requests(base10):
+    # b holds an open recv_grp join request and an open query on g.a, each
+    # waiting on a peer that never answers and both at their deadline. The
+    # query settles first: it finds no sender, so it re-sends the join
+    # request, which is still open and keeps its old deadline; the join
+    # request then settles on its old replies, none, and is flagged for
+    # retry, so the leaders' replies to the re-send find nothing open.
+    # Settling the join request first would instead let the re-send open a
+    # fresh one, and b would join g.d as a receiver in this same round.
+    w = World(base10, Bpd(3, repair_period_rounds=1000), SimConfig(n_rounds=1, seed=0))
+    w.step_round()
+    b = w.nodes["b"]
+    b.pending_join[RECV_KIND] = _Pending(frozenset({"x"}), {}, w.round)
+    b.pending_query["g.a"] = _Pending(frozenset({"x"}), {}, w.round)
+    before = len(w.log)
+    w._poll_timeouts()
+    joined = [
+        (e.group, e.role, e.reason)
+        for e in w.log[before:]
+        if isinstance(e, MembershipEvent) and e.node == "b"
+    ]
+    assert joined == []
+    assert b.retry_kinds == {RECV_KIND}
+    assert not b.pending_join and not b.pending_query

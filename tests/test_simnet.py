@@ -37,7 +37,15 @@ from bpdsim.simnet import (
 )
 from bpdsim.toplink import build_graph, parse_toplink
 from bpdsim.workloads import AllToAll, Bpd, Gossip, Unmodified, consensus_step
-from conftest import BASE10_EDGES, DeOracle, bfs_hops, make_graph, memberships, random_sc_digraph
+from conftest import (
+    BASE10_EDGES,
+    WIRE_MESSAGES,
+    DeOracle,
+    bfs_hops,
+    make_graph,
+    memberships,
+    random_sc_digraph,
+)
 
 
 def vec(w, packed):
@@ -710,7 +718,8 @@ def observe_deliveries(monkeypatch, drive, observe):
         return deliver
 
     with monkeypatch.context() as patched:
-        for name in simnet._HANDLERS.values():
+        for msg_type in WIRE_MESSAGES:
+            name = msg_type.handler
             patched.setattr(BpdNode, name, logged(name, getattr(BpdNode, name)))
         drive()
 
@@ -755,7 +764,7 @@ def test_delivery_calls_match_the_bench_golden_counts(workload, monkeypatch, tmp
     scenarios = _bench_scenarios(monkeypatch)
     inputs = scenarios.instances(workload, scenarios.DEFAULT_SEED)[0]
     scn = scenarios.write_inputs(inputs, tmp_path)
-    calls = dict.fromkeys(simnet._HANDLERS.values(), 0)
+    calls = {msg_type.handler: 0 for msg_type in WIRE_MESSAGES}
     # every JoinIntent the world is handed, applied or not, by its cause's
     # first word, as the benchmark's tracer counts them
     joins = {"update": 0, "repair": 0}
@@ -799,7 +808,7 @@ class ReferenceWorld(World):
                     raise simnet.CascadeError(f"past {simnet._CASCADE_CAP} deliveries")
                 for dst in dsts:
                     if dst in self.alive:
-                        handler = getattr(BpdNode, simnet._HANDLERS[type(msg)])
+                        handler = getattr(BpdNode, msg.handler)
                         self._apply_result(dst, handler(self.nodes[dst], msg, group))
         self._ctrl_sent += popped
         return delivered
@@ -1081,8 +1090,8 @@ def test_delivered_messages_are_whole_and_ride_the_live_group(case, monkeypatch)
     # the forwards build messages and path entries with tuple.__new__, which
     # checks no arity, and the entry carries the Group object in place of
     # its id, which is exact only while groups are changed in place
-    msg_type = {name: t for t, name in simnet._HANDLERS.items()}
-    seen = dict.fromkeys(simnet._HANDLERS.values(), 0)
+    msg_type = {t.handler: t for t in WIRE_MESSAGES}
+    seen = dict.fromkeys(msg_type, 0)
 
     def check(name, node, msg, group):
         seen[name] += 1

@@ -16,6 +16,7 @@ from bpdsim.toplink import (
     LinkDef,
     PeerDecl,
     TopLinkError,
+    TopLinkSyntaxError,
     TopologySpec,
     build_graph,
     export_manifest,
@@ -124,6 +125,16 @@ def test_scanner_matches_the_match_all_scanner(pieces, lead):
 
 
 # --- parsing details ---------------------------------------------------
+
+
+@pytest.mark.parametrize("fanout", ["\u00b2", "\u0663"])
+def test_fanout_takes_ascii_digits_only(fanout):
+    # '²' passes str.isdigit but not int(); Arabic-Indic '٣' passes both
+    with pytest.raises(TopLinkSyntaxError) as exc_info:
+        parse_toplink(f"topology random({fanout});\nnodes {{ a, b }};")
+    exc = exc_info.value
+    assert exc.message == f"fanout must be an integer, got {fanout!r}"
+    assert (exc.line, exc.column) == (1, 17)
 
 
 def test_weights_parse_exactly():
