@@ -12,9 +12,9 @@ finishes but the property it checks does not hold: `run` checks that the
 overlay is strongly connected after each repair cycle (a path bound is not
 checked during a run), and `bpd-trace` that the overlay after its one cycle
 is connected and bounded; and 2 when a `run` or `bpd-trace` is stopped
-because one round's control cascade ran past the simulator's delivery cap,
-which writes no CSVs. Every failure that stops a command is caught in one
-place, `main`, and printed as one `error:` line.
+because one control drain (a repair cycle's discovery and update drains count
+as one) ran past the delivery cap, which writes no CSVs. Every failure that
+stops a command is caught in one place, `main`, and printed as one `error:` line.
 """
 from __future__ import annotations
 
@@ -56,6 +56,20 @@ class ScenarioError(ValueError):
 _FAULT_KEY_RE = re.compile(r"^faults\.([0-9]+)$")
 
 
+def _ascii(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """`convert` on ASCII text without `_` only: Python's `int`, `float` and
+    `Fraction` also take any Unicode decimal digit and `_` separators."""
+    def checked(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"Invalid literal for {convert.__name__}: {text!r}")
+        return convert(text)
+    checked.__name__ = convert.__name__  # argparse prints it
+    return checked
+
+
+_int, _float, _fraction = map(_ascii, (int, float, Fraction))
+
+
 class _Key(NamedTuple):
     convert: Callable[[str], object]
     target: object  # SimConfig, a strategy class, or "cli" for this module
@@ -70,23 +84,23 @@ class _Key(NamedTuple):
 _KEYS = {
     "topology": _Key(str, "cli", "topology"),
     "strategy": _Key(str, "cli", "strategy", "bpd"),
-    "gossip.fanout": _Key(int, Gossip, "fanout"),
-    "thresh": _Key(Fraction, Bpd, "thresh", default_threshold),
-    "rounds": _Key(int, SimConfig, "n_rounds", 300),
-    "seed": _Key(int, SimConfig, "seed"),
-    "eps": _Key(float, SimConfig, "eps"),
-    "payload.bytes": _Key(int, SimConfig, "payload_bytes"),
-    "control.bytes": _Key(int, SimConfig, "control_bytes"),
-    "round.ms": _Key(float, SimConfig, "round_period_ms"),
-    "detection.rounds": _Key(int, SimConfig, "detection_rounds"),
-    "de.window.rounds": _Key(int, SimConfig, "de_window_rounds"),
-    "repair.period.rounds": _Key(int, Bpd, "repair_period_rounds"),
-    "reply.timeout.rounds": _Key(int, Bpd, "reply_timeout_rounds"),
+    "gossip.fanout": _Key(_int, Gossip, "fanout"),
+    "thresh": _Key(_fraction, Bpd, "thresh", default_threshold),
+    "rounds": _Key(_int, SimConfig, "n_rounds", 300),
+    "seed": _Key(_int, SimConfig, "seed"),
+    "eps": _Key(_float, SimConfig, "eps"),
+    "payload.bytes": _Key(_int, SimConfig, "payload_bytes"),
+    "control.bytes": _Key(_int, SimConfig, "control_bytes"),
+    "round.ms": _Key(_float, SimConfig, "round_period_ms"),
+    "detection.rounds": _Key(_int, SimConfig, "detection_rounds"),
+    "de.window.rounds": _Key(_int, SimConfig, "de_window_rounds"),
+    "repair.period.rounds": _Key(_int, Bpd, "repair_period_rounds"),
+    "reply.timeout.rounds": _Key(_int, Bpd, "reply_timeout_rounds"),
     "output.dir": _Key(str, "cli", "output.dir", "out"),
     "trace.file": _Key(str, "cli", "trace.file"),
 }
 
-_EXPECTED = {int: "an integer", float: "a number", Fraction: "a rational"}
+_EXPECTED = {_int: "an integer", _float: "a number", _fraction: "a rational"}
 
 
 def parse_scenario(path: Path) -> dict[str, str]:
@@ -122,7 +136,7 @@ def _parse_faults(data: dict, peers: tuple[NodeId, ...], last: int) -> list[Faul
         if len(parts) != 3:
             raise ScenarioError(f"{key}: expected '<round> crash|recover <node>'")
         try:
-            rnd = int(parts[0])
+            rnd = _int(parts[0])
         except ValueError:
             raise ScenarioError(f"{key}: bad round {parts[0]!r}") from None
         if rnd < 1:
@@ -292,7 +306,7 @@ def cmd_run(args) -> int:
 def cmd_bpd_trace(args) -> int:
     spec = parse_toplink_file(Path(args.file))
     graph = build_graph(spec, seed=args.seed)
-    thresh = Fraction(args.thresh) if args.thresh else default_threshold(graph.n_nodes)
+    thresh = _fraction(args.thresh) if args.thresh else default_threshold(graph.n_nodes)
     cfg = SimConfig(n_rounds=0, seed=args.seed)
     world = World(graph, Bpd(thresh), cfg)
     world.run_repair_cycle()
@@ -337,7 +351,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("validate", help="check a topology file and print its canonical form")
     p.add_argument("file")
     p.add_argument("--manifest", action="store_true", help="print the group manifest instead")
-    p.add_argument("--seed", type=int, default=0, help="seed for generated topologies")
+    p.add_argument("--seed", type=_int, default=0, help="seed for generated topologies")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("run", help="simulate a scenario and write CSV measurements")
@@ -348,7 +362,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("bpd-trace", help="run one repair cycle and print tables and joins")
     p.add_argument("file")
     p.add_argument("--thresh", help="path cost bound (default: ceil((N-1)/2))")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(fn=cmd_bpd_trace)
 
     args = ap.parse_args(argv)

@@ -11,17 +11,16 @@ path-shortening both work by adding memberships, never removing them), so a
 group can end up with several senders. The projection back to a digraph is
 `effective_graph`: one edge per (alive sender, alive receiver) pair.
 
-A group broadcast goes to every member but the emitter, in sorted order. A
-message rides a plan, a tuple of ``(dsts, group)`` pairs (`Plan`). The
-assignment caches each node's plans beside its group index: `recv_plan`, one
-plan over all of its receive groups, and `send_plans`, one one-pair plan per
-send group; `Group.sorted_receivers` is who application data sent on a group
-reaches. `form_groups`, `join_group` and `leave_all` are the only code that
-changes memberships, and the last two drop what the change made stale: the
-send plans of each changed group's senders, the receive plans of its
-receivers and the group's sorted receivers, and a leaving node's plans. A
-plan or tuple handed out is replaced, never altered, so a message that holds
-one keeps the destinations it was emitted to.
+A `Group` holds only its id, weight and member sets; the assignment keeps
+every view of them. A broadcast goes to every member but the emitter, in
+sorted order; a message rides a plan, a tuple of ``(dsts, group)`` pairs
+(`Plan`). Beside its group index the assignment caches each node's
+`recv_plan` (over all its receive groups), `send_plans` (one one-pair plan
+per send group) and `send_dsts` (who its application data reaches).
+`form_groups`, `join_group` and `leave_all` alone change memberships; the
+last two call `_membership_changed`, the one rule that drops stale views,
+while the moving node is a member. A plan or tuple handed out is replaced,
+never altered, so a message keeps the destinations it was emitted to.
 
 Path costs are ints: a group's weight is its link weight times the
 assignment's `unit`, the LCM of the link weights' denominators, and a
@@ -58,20 +57,10 @@ class Group:
     weight: int  # in the assignment's unit
     senders: set[NodeId] = field(default_factory=set)
     receivers: set[NodeId] = field(default_factory=set)
-    # the receivers, sorted; valid until membership changes
-    _receivers: tuple[NodeId, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def members(self) -> set[NodeId]:
         return self.senders | self.receivers
-
-    def sorted_receivers(self) -> tuple[NodeId, ...]:
-        """The receivers, sorted: who data sent on the group reaches."""
-        if self._receivers is None:
-            self._receivers = tuple(sorted(self.receivers))
-        return self._receivers
 
     @property
     def size(self) -> int:
@@ -90,13 +79,10 @@ def _broadcast(group: Group, emitter: NodeId) -> tuple[NodeId, ...]:
 
 @dataclass
 class GroupAssignment:
-    """All groups by id, a per-node index of the groups each node sends and
-    receives on, in gid order, and each node's cached broadcast plans.
-
-    `form_groups`, `join_group` and `leave_all` are the only code that
-    changes memberships; each keeps the index in step with the member sets,
-    and the last two drop the plans and tuples that the change made stale.
-    """
+    """All groups by id and five per-node views of them: the index
+    `send_groups`/`recv_groups` (gid order), which each membership change
+    keeps in step, and the cached `send_plans`, `recv_plan` and `send_dsts`,
+    which `_membership_changed` drops."""
 
     groups: dict[GroupId, Group] = field(default_factory=dict)
     unit: int = 1  # a weight or path cost of c stands for c / unit
@@ -104,6 +90,7 @@ class GroupAssignment:
     _recvs: dict[NodeId, tuple[Group, ...]] = field(default_factory=dict, init=False, repr=False)
     _send_plans: dict[NodeId, tuple[Plan, ...]] = field(default_factory=dict, init=False, repr=False)
     _recv_plans: dict[NodeId, Plan] = field(default_factory=dict, init=False, repr=False)
+    _send_dsts: dict[NodeId, tuple[NodeId, ...]] = field(default_factory=dict, init=False, repr=False)
 
     def send_groups(self, node: NodeId) -> tuple[Group, ...]:
         return self._sends.get(node, ())
@@ -129,16 +116,25 @@ class GroupAssignment:
             )
         return plan
 
+    def send_dsts(self, node: NodeId) -> tuple[NodeId, ...]:
+        """The receivers of `node`'s send groups but itself, group by group in
+        gid order, each sorted; a peer on two of them is named twice."""
+        dsts = self._send_dsts.get(node)
+        if dsts is None:
+            dsts = self._send_dsts[node] = tuple(
+                r for g in self.send_groups(node) for r in sorted(g.receivers) if r != node
+            )
+        return dsts
+
     def _membership_changed(self, changed: tuple[Group, ...]) -> None:
-        """Drop what a change to the member sets of the groups `changed` made
-        stale: each one's sorted receivers and every plan that rides it, the
-        send plans of its senders and the receive plans of its receivers.
-        Called by each change to the member sets, after it."""
-        send_plans, recv_plans = self._send_plans, self._recv_plans
+        """Drop the cached views made from the groups `changed`: their senders'
+        send plans and send destinations, their receivers' receive plans.
+        Called while the moving node is a member, so its own views go too."""
+        send_plans, send_dsts, recv_plans = self._send_plans, self._send_dsts, self._recv_plans
         for g in changed:
-            g._receivers = None
             for n in g.senders:
                 send_plans.pop(n, None)
+                send_dsts.pop(n, None)
             for n in g.receivers:
                 recv_plans.pop(n, None)
 
@@ -229,7 +225,7 @@ def join_group(assignment: GroupAssignment, node: NodeId, gid: GroupId, role: st
         return None
     members.add(node)
     index[node] = tuple(sorted(index.get(node, ()) + (grp,), key=attrgetter("gid")))
-    # the node is now a member of grp, so its own stale plans are among these
+    # the node is now a member of grp, so its own stale views are among these
     assignment._membership_changed((grp,))
     return grp
 
@@ -241,14 +237,11 @@ def leave_all(assignment: GroupAssignment, node: NodeId) -> list[tuple[GroupId, 
     """
     sends = assignment._sends.pop(node, ())
     recvs = assignment._recvs.pop(node, ())
+    assignment._membership_changed(sends + recvs)
     for g in sends:
         g.senders.discard(node)
     for g in recvs:
         g.receivers.discard(node)
-    assignment._membership_changed(sends + recvs)
-    # the node is a member of none of them now, so its own plans go here
-    assignment._send_plans.pop(node, None)
-    assignment._recv_plans.pop(node, None)
     removed = [(g.gid, SENDER) for g in sends] + [(g.gid, RECEIVER) for g in recvs]
     removed.sort(key=lambda entry: (entry[0], entry[1] != SENDER))
     return removed

@@ -32,10 +32,10 @@ departures, polls) go through `World._apply_result`, which takes the same
 two steps. Every queued entry is popped by a drain within the round that
 queued it, so a round's control messages are counted where its drains pop
 them: one per pair, plus one heartbeat per alive peer. Every member
-delivery, to a crashed peer too, counts toward the cascade's cap of
-`_CASCADE_CAP` deliveries; each pair adds all of its destinations to the
-count at once, and one that takes the count past the cap raises before any
-of its deliveries runs.
+delivery, to a crashed peer too, counts toward a cap of `_CASCADE_CAP` per
+drain, a repair cycle's discovery and update drains sharing one count; each
+pair adds all of its destinations to the count at once, and one that takes
+the count past the cap raises before any of its deliveries runs.
 
 Protocol state exists only where the protocol runs: a world whose strategy is
 `Bpd` holds one `BpdNode` per peer in `World.nodes`, and any other world holds
@@ -55,10 +55,10 @@ them at double width. A sender stamps its own slot with the round, and the
 round's application traffic is queued as one in-flight entry per sender, in
 sender order: its value, its stamp vector as it stands (an int, so it cannot
 change under the entry) and the destinations `strategy_emit` named. No peer
-is ever delivered or counted a message of its own: all-to-all names every
-detected-alive peer, the sender included (`World.detected_sorted`), and the
-world skips the sender there; every other strategy's list leaves the sender
-out. Each destination's consensus input is one value per distinct sender it
+is ever delivered or counted a message of its own: only all-to-all's shared
+`World.detected_sorted` names the sender, and the world skips it there;
+gossip's list and the group strategies' `GroupAssignment.send_dsts` do not.
+Each destination's consensus input is one value per distinct sender it
 heard, in sender order. It merges what it received with one element-wise max
 and records that round in its receipt vector at every origin whose stamp rose:
 one `metrics.record_receipt` call per destination per round. The max does not
@@ -139,7 +139,7 @@ class FaultError(ValueError):
 
 
 class CascadeError(RuntimeError):
-    """One drain of control traffic ran past `_CASCADE_CAP` deliveries."""
+    """A drain, or a cycle's discovery and update drains, passed `_CASCADE_CAP` deliveries."""
 
 
 @dataclass(frozen=True)
@@ -573,8 +573,9 @@ class World:
                 self._apply_result(m, self.nodes[m].on_member_left(grp, departed))
 
     def _start_cycle(self) -> None:
-        """Run one discover -> update -> verify cycle; traffic queued before it (this
-        round's repair requests) drains with discovery, under one `_CASCADE_CAP` count."""
+        """Run one discover -> update -> verify cycle; its two drains share one
+        `_CASCADE_CAP` count, which also covers this round's departure traffic,
+        queued before it. The poll drain after the cycle counts on its own."""
         delivered = self._discover()
         for n in self.alive_sorted:
             node = self.nodes[n]
@@ -595,18 +596,10 @@ class World:
         return self._drain_control()
 
     def _drain_control(self, delivered: int = 0) -> int:
-        """Deliver queued control traffic, walking each entry's plan as it is
-        popped; `delivered` carries the cascade's count.
-
-        Each popped entry's handler, the `BpdNode` method its message names
-        in ``handler``, is looked up on the class once, so one replaced there
-        runs from the next entry on, and called with each pair's group. Each
-        pair counts as one control message of the round, adds its
-        destinations, dead ones included, to the cascade count and is checked
-        against `_CASCADE_CAP` once, before its first delivery. The drain
-        skips the shared `_NOTHING`, extends the queue with every other
-        result's emissions itself and hands its joins, if any, to
-        `_apply_joins`."""
+        """Deliver queued control traffic as the module docstring says, walking
+        each entry's plan as it is popped; the delivery count starts at
+        `delivered` and is returned. The handler is looked up on the class
+        once per entry, so one replaced there runs from the next entry on."""
         ctrl, alive, nodes = self._ctrl, self.alive, self.nodes
         popleft, extend, nothing = ctrl.popleft, ctrl.extend, _NOTHING
         apply_joins = self._apply_joins

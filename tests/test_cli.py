@@ -221,6 +221,58 @@ def test_scenario_value_out_of_range(line, field, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# Python's int, float and Fraction also take any Unicode decimal digit and
+# "_" separators; a scenario or flag number is ASCII digits only
+@pytest.mark.parametrize(
+    "line, err",
+    [
+        ("rounds = \u0663", "rounds: expected an integer, got '\u0663'"),
+        ("rounds = 1_0", "rounds: expected an integer, got '1_0'"),
+        ("seed = \u0664\u0662", "seed: expected an integer, got '\u0664\u0662'"),
+        ("eps = \u0660.\u0665", "eps: expected a number, got '\u0660.\u0665'"),
+        ("round.ms = 1_0.5", "round.ms: expected a number, got '1_0.5'"),
+        ("thresh = \u0663", "thresh: expected a rational, got '\u0663'"),
+        ("thresh = 1/\u0662", "thresh: expected a rational, got '1/\u0662'"),
+        ("faults.1 = \u0662 crash c", "faults.1: bad round '\u0662'"),
+        ("faults.1 = 1_0 crash c", "faults.1: bad round '1_0'"),
+    ],
+)
+def test_scenario_numbers_take_ascii_digits_only(line, err, tmp_path, capsys):
+    scn = write_scenario(tmp_path, f"topology = net.tl\n{line}\n")
+    code, out, got = run_cli(["run", str(scn)], capsys)
+    assert (code, out, got) == (1, "", f"error: {err}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["\u0663", "1_0", "\uff13"])
+@pytest.mark.parametrize("command", ["validate", "bpd-trace"])
+def test_seed_flag_takes_ascii_digits_only(command, value, tmp_path, capsys):
+    # rejected by argparse, as a seed of "x" is
+    tl = tmp_path / "net.tl"
+    tl.write_text(BASE10_TL)
+    errs = []
+    for seed in ("x", value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(tl), "--seed", seed])
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[1] == errs[0].replace("'x'", repr(value))
+    assert errs[1].endswith(f"error: argument --seed: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["\u0663", "1_0", "1/\u0662"])
+def test_thresh_flag_takes_ascii_digits_only(value, tmp_path, capsys):
+    tl = tmp_path / "net.tl"
+    tl.write_text(BASE10_TL)
+    code, out, err = run_cli(["bpd-trace", str(tl), "--thresh", value], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: Invalid literal for Fraction: {value!r}\n"
+    # the same line as any other text that is not a rational
+    assert run_cli(["bpd-trace", str(tl), "--thresh", "x"], capsys)[2] == (
+        "error: Invalid literal for Fraction: 'x'\n"
+    )
+
+
 def test_scenario_of_only_a_topology_takes_every_default(tmp_path):
     scn = write_scenario(tmp_path, "topology = net.tl\n")
     world = cli.build_world(cli.parse_scenario(scn), tmp_path)

@@ -65,6 +65,13 @@ def test_readme_library_example_runs():
     assert len(proc.stdout.split()) == 2
 
 
+def test_every_bench_record_is_named_in_the_readme():
+    readme = (ROOT / "README.md").read_text()
+    records = sorted(p.name for p in ROOT.glob("BENCH_*.json"))
+    assert records
+    assert [name for name in records if f"`{name}`" not in readme] == []
+
+
 def test_bench_pairs_stops_before_any_run_when_bench_differs(tmp_path):
     marker = tmp_path / "ran"
     spec = (ROOT / "BENCHMARK.json").read_text()

@@ -660,7 +660,7 @@ def test_receiver_in_two_send_groups_of_one_sender():
         assert kinds == ((0, 3) if rnd > 1 else (0, 0))
         assert w.stats[-1].messages == 5
     src, _x, _snapshot, dsts = w._app_inflight[0]
-    assert (src, dsts) == ("a", ["b", "b", "c"])
+    assert (src, dsts) == ("a", ("b", "b", "c"))
 
 
 # --- control delivery order -------------------------------------------------

@@ -107,8 +107,8 @@ def test_emit_shapes():
     assert everyone == ("a", "b", "c", "d", "e", "f")
     assert strategy_emit(AllToAll(), "c", w) is everyone
     # declared out-edges of f
-    assert strategy_emit(Unmodified(), "f", w) == ["c", "d", "e"]
-    assert strategy_emit(Unmodified(), "b", w) == ["a"]
+    assert strategy_emit(Unmodified(), "f", w) == ("c", "d", "e")
+    assert strategy_emit(Unmodified(), "b", w) == ("a",)
     picks = strategy_emit(Gossip(3), "a", w)
     assert len(picks) == 3 and "a" not in picks
 
