@@ -52,15 +52,16 @@ Discovery and update handlers run their drop tests before any other work,
 in the order that turns the common drop away soonest. Discovery tests the
 receiving node's role first (most deliveries reach a sibling receiver, which
 is no sender of the group), then the epoch, the origin and whether the path
-improves. Update tests the epoch, then whether the node already forwarded the
-(requester, target) pair (most deliveries are repeats), then its role, target
-and requester. The node remembers its forwarded pairs as one int per
-requester, a mask with the roster-position bit of each target it forwarded
-for that requester this epoch, so the repeat test is one dict lookup and one
-bit test, and a node holds at most one int per peer however many pairs it
-forwards. Each handler reads the message's fields once, by unpacking it. No
-drop test writes state and every drop returns the same shared empty result,
-so the order decides no outcome, only which test turns a message away.
+improves. A node acts on each (requester, target) pair once per epoch: one
+mask per requester holds the roster-position bit of each target whose pair
+the node settled, by requesting it, forwarding it, or receiving it stamped as
+its target. Update tests the epoch, then whether the pair is settled (most
+deliveries are repeats, the requester's own copies among them), then the
+node's role, then whether it is the target. So the repeat test is one dict
+lookup and one bit test, and a node holds at most one int per peer. Each
+handler reads the message's fields once, by unpacking it. No drop test
+writes state and every drop returns the same shared empty result, so the
+order decides no outcome, only which test turns a message away.
 
 The forwards of both handlers (the update one through `_relay`) run once
 per useful delivery, hundreds of thousands of times in one cycle on a large
@@ -99,14 +100,10 @@ SEND_KIND = "send_grp"
 RECV_KIND = "recv_grp"
 
 
-class TooFewNodesError(ValueError):
-    pass
-
-
 def default_threshold(n_nodes: int) -> int:
     """ceil((n - 1) / 2): half the worst chain, rounded up."""
     if n_nodes < 2:
-        raise TooFewNodesError(f"need at least 2 nodes, got {n_nodes}")
+        raise ValueError(f"need at least 2 nodes, got {n_nodes}")
     return math.ceil((n_nodes - 1) / 2)
 
 
@@ -219,7 +216,7 @@ class BpdNode:
     three of them itself, because every discovery and update delivery reads
     them: the world's assignment and its group dict, which are updated in
     place and never rebound, and the world's roster positions, which never
-    change and give each target its bit in the forwarded masks. Its
+    change and give each target its bit in the settled masks. Its
     threshold, `thresh`, is the frozen `Bpd` threshold as the assignment
     bounds it (`GroupAssignment.bound`): the world computes it once, checks
     it against the heaviest group, and hands the same int to every node.
@@ -241,10 +238,9 @@ class BpdNode:
         self.pos = world.pos
         self.epoch = -1
         self.path: dict[NodeId, PathEntry] = {}
-        self._joined_for: set[NodeId] = set()  # requesters already served this epoch
-        # requester -> mask of the roster positions of the targets forwarded
-        # for it this epoch
-        self._forwarded: dict[NodeId, int] = {}
+        # requester -> mask of the roster positions of the targets whose pair
+        # this node settled this epoch (see the module docstring)
+        self._settled: dict[NodeId, int] = {}
         self.pending_join: dict[str, _Pending] = {}  # by request kind
         self.pending_query: dict[GroupId, _Pending] = {}  # by queried group
         self.retry_kinds: set[str] = set()
@@ -255,8 +251,7 @@ class BpdNode:
         """New epoch: drop the old table and announce on every receive group."""
         self.epoch = self.world.epoch
         self.path = {}
-        self._joined_for = set()
-        self._forwarded = {}
+        self._settled = {}
         msg = DiscoverMsg(self.nid, 0, self.epoch)
         return HandlerResult([(self.assignment.recv_plan(self.nid), msg)])
 
@@ -298,23 +293,25 @@ class BpdNode:
         return out
 
     def start_update(self, targets: list[NodeId]) -> HandlerResult:
-        """One request per target, each sent as its first relay."""
+        """One request per target, each sent as its first relay; the node
+        settles its own pairs, so their copies that come back are repeats."""
         emissions = []
+        mine = self._settled.get(self.nid, 0)
         for target in targets:
+            mine |= 1 << self.pos[target]
             emissions.extend(self._relay(self.nid, target, 0, "", self.epoch))
+        self._settled[self.nid] = mine
         return HandlerResult(emissions)
 
     def on_update(self, msg: UpdateMsg, group: Group | None) -> HandlerResult:
         requester, target, depth, grp, epoch = msg
         if epoch != self.epoch:
             return _NOTHING
-        # each node forwards a (requester, target) pair once per epoch. A pair
-        # is stored only after it passed the receiver, target and requester
-        # tests below, so a repeat would fail whichever of them ran first, and
-        # no drop test writes state; testing it first skips the group lookup
-        # for every repeat
+        # the one repeat rule: a settled pair is dropped. No drop test
+        # writes state, so testing it first, before the group lookup,
+        # decides no outcome
         bit = 1 << self.pos[target]
-        done = self._forwarded.get(requester, 0)
+        done = self._settled.get(requester, 0)
         if done & bit:
             return _NOTHING
         nid = self.nid
@@ -323,16 +320,13 @@ class BpdNode:
             # at the far end of an edge; accepting here would shortcut depth
             return _NOTHING
         if nid == target:
-            if grp and requester not in self._joined_for:
-                self._joined_for.add(requester)
+            if grp:
+                self._settled[requester] = done | bit
                 if self._stamped_edge_missing(grp):
                     intent = JoinIntent(grp, RECEIVER, f"update:{requester}")
                     return HandlerResult((), (intent,))
             return _NOTHING
-        # the requester already sent its own pair
-        if nid == requester:
-            return _NOTHING
-        self._forwarded[requester] = done | bit
+        self._settled[requester] = done | bit
         return _new(HandlerResult, (self._relay(requester, target, depth, grp, epoch), ()))
 
     def _relay(

@@ -190,11 +190,12 @@ def form_groups(graph: DirectedGraph) -> GroupAssignment:
 def effective_graph(assignment: GroupAssignment, alive: set[NodeId]) -> DirectedGraph:
     """Digraph implied by current memberships, restricted to alive peers.
 
-    Its nodes are the alive peers that hold at least one membership. Parallel
+    Its nodes are exactly the alive peers, so a peer that holds no membership
+    stays in it, unreachable, and fails every connectivity check. Parallel
     group edges for one ordered pair collapse to the lightest.
     """
     costs: dict[Edge, int] = {}
-    for _, g in sorted(assignment.groups.items()):
+    for g in assignment.groups.values():
         for u in g.senders:
             if u not in alive:
                 continue
@@ -205,8 +206,7 @@ def effective_graph(assignment: GroupAssignment, alive: set[NodeId]) -> Directed
                 if key not in costs or g.weight < costs[key]:
                     costs[key] = g.weight
     exact = {c: assignment.exact(c) for c in set(costs.values())}
-    nodes = tuple(n for n in alive if n in assignment._sends or n in assignment._recvs)
-    return DirectedGraph(nodes, {key: exact[c] for key, c in costs.items()})
+    return DirectedGraph(tuple(alive), {key: exact[c] for key, c in costs.items()})
 
 
 def join_group(assignment: GroupAssignment, node: NodeId, gid: GroupId, role: str) -> Group | None:

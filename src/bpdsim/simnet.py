@@ -284,7 +284,7 @@ class World:
         self.cfg = cfg
         self.roster: list[NodeId] = list(graph.nodes)
         # roster position of each node: its slot in every stamp and receipt
-        # vector and its bit in every BpdNode's forwarded-target masks
+        # vector and its bit in every BpdNode's settled-target masks
         self.pos: dict[NodeId, int] = {n: i for i, n in enumerate(self.roster)}
         self.window = cfg.de_window_rounds or 2 * len(self.roster)
         self.faults = list(faults or [])

@@ -304,10 +304,12 @@ def test_a_threshold_off_the_unit_grid_decides_as_its_floor(seed, offset):
 
 
 def test_update_back_at_its_requester_is_dropped():
+    # a requested (a, d): d is 3 hops away at thresh 2, so a settled the pair
+    # when it sent it, and a copy that comes back is a repeat
     g = make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     w = cycle_world(g, thresh=2)
     node = w.nodes["a"]
-    msg = UpdateMsg("a", "c", 4, "g.b", w.epoch)
+    msg = UpdateMsg("a", "d", 4, "g.b", w.epoch)
     res = node.on_update(msg, w.assignment.groups["g.d"])  # a receives on g.d
     assert res is bpd._NOTHING
 
@@ -316,8 +318,8 @@ def test_repeat_update_forward_returns_the_shared_empty_result():
     g = make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     w = cycle_world(g, thresh=2)
     node = w.nodes["b"]
-    requester = min(node._forwarded)  # b forwarded a pair for it in the cycle
-    mask = node._forwarded[requester]
+    requester = min(node._settled)  # b forwarded a pair for a in the cycle
+    mask = node._settled[requester]
     target = w.roster[(mask & -mask).bit_length() - 1]  # its lowest set bit
     msg = UpdateMsg(requester, target, 1, "", w.epoch)
     res = node.on_update(msg, w.assignment.groups["g.a"])  # b receives on g.a
@@ -326,12 +328,12 @@ def test_repeat_update_forward_returns_the_shared_empty_result():
         res.emissions.append((w.assignment.send_plans("b")[0], msg))
 
 
-def forwarded_pairs(world):
-    """(node, requester, target) for every bit of every node's forwarded masks."""
+def settled_pairs(world):
+    """(node, requester, target) for every bit of every node's settled masks."""
     return {
         (nid, requester, world.roster[i])
         for nid, node in world.nodes.items()
-        for requester, mask in node._forwarded.items()
+        for requester, mask in node._settled.items()
         for i in range(mask.bit_length())
         if mask >> i & 1
     }
@@ -340,28 +342,40 @@ def forwarded_pairs(world):
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_update_forwards_each_pair_once_and_the_masks_name_exactly_those(seed):
+    # a node settles a pair by requesting it, by forwarding it, or, as its
+    # target, by receiving it stamped on a group it receives on; each pair is
+    # settled one of those ways, and forwarded at most once
     n = 3 + seed % 14
     g = random_sc_digraph(n, seed, weights=(Fraction(1, 2), 1, Fraction(3, 2)))
     th = max(default_threshold(n) - Fraction(seed % 2, 2), g.max_weight())
-    forwards = []
-    on_update = BpdNode.on_update
+    requests, forwards, receipts = [], [], set()
+    start_update, on_update = BpdNode.start_update, BpdNode.on_update
+
+    def recorded_start(node, targets):
+        requests.extend((node.nid, node.nid, t) for t in targets)
+        return start_update(node, targets)
 
     def recorded(node, msg, group):
+        if node.nid == msg.target and msg.grp and node.nid in group.receivers:
+            receipts.add((node.nid, msg.requester, msg.target))
         res = on_update(node, msg, group)
         if res.emissions:
             forwards.append((node.nid, msg.requester, msg.target))
         return res
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BpdNode, "start_update", recorded_start)
         mp.setattr(BpdNode, "on_update", recorded)
         w = cycle_world(g, thresh=th)
     assert len(forwards) == len(set(forwards))
-    assert forwarded_pairs(w) == set(forwards)
+    kinds = (set(requests), set(forwards), receipts)
+    assert sum(map(len, kinds)) == len(set().union(*kinds))
+    assert settled_pairs(w) == set().union(*kinds)
 
 
 def test_repair_cycle_peak_memory_on_a_32_ring():
     # the repeat test remembers at most one int per requester at each node,
-    # a mask of its forwarded targets, not one tuple per forwarded pair: a
+    # a mask of its settled targets, not one tuple per settled pair: a
     # 32-ring cycle peaks near 0.6 MB, against 2.3 MB with one tuple per pair
     names = [f"n{i:02d}" for i in range(32)]
     g = make_graph([(names[i], names[(i + 1) % 32]) for i in range(32)])

@@ -510,9 +510,9 @@ trace.file = trace.log
 TL_CHURN = "topology random(3);\nnodes { %s };\n" % ", ".join(f"p{i:02d}" for i in range(12))
 
 
-def _run_under_hash_seed(scn, out_dir, hash_seed):
+def _cli_under_hash_seed(argv, hash_seed):
     proc = subprocess.run(
-        [sys.executable, "-m", "bpdsim.cli", "run", str(scn), "--out", str(out_dir)],
+        [sys.executable, "-m", "bpdsim.cli", *argv],
         capture_output=True,
         text=True,
         env={
@@ -522,17 +522,29 @@ def _run_under_hash_seed(scn, out_dir, hash_seed):
         },
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _run_under_hash_seed(scn, out_dir, hash_seed):
+    _cli_under_hash_seed(["run", str(scn), "--out", str(out_dir)], hash_seed)
     return {
         name: (out_dir / name).read_bytes()
         for name in ("rounds.csv", "nodes.csv", "summary.csv", "trace.log")
     }
 
 
-@pytest.mark.parametrize("case", ["bpd_crash", "random3-churn"])
+@pytest.mark.parametrize("case", ["bpd_crash", "random3-churn", "custom_weights-bpd-trace"])
 def test_outputs_do_not_depend_on_the_hash_seed(case, tmp_path):
     # str hashes differ between the two processes, so an output order taken
     # from iterating a set of names would differ too; the CSV writer's memo
-    # is keyed by floats and must not order anything
+    # is keyed by floats and must not order anything, nor may the unsorted
+    # walk over member sets that builds bpd-trace's effective graph
+    if case == "custom_weights-bpd-trace":
+        argv = ["bpd-trace", str(DATA / "valid" / "custom_weights.tl"), "--thresh", "11/4"]
+        outs = [_cli_under_hash_seed(argv, h) for h in (0, 1)]
+        assert outs[0] == outs[1]
+        assert "join g.b a receiver" in outs[0] and "edges: 3 -> 5" in outs[0]
+        return
     if case == "bpd_crash":
         shutil.copy(SCENARIOS / "base10.tl", tmp_path / "base10.tl")
         text = (SCENARIOS / "bpd_crash.scn").read_text() + "trace.file = trace.log\n"
@@ -803,13 +815,13 @@ def test_manifest_prints_fractional_group_weights_exactly(capsys):
 
 
 def test_bpd_trace_disconnected(tmp_path, capsys):
-    tl = tmp_path / "split.tl"
-    tl.write_text(
-        "topology custom;\nnodes { a, b, c, d };\nlinks { a -> b; b -> a; c -> d; d -> c; }\n"
-    )
-    code, out, _ = run_cli(["bpd-trace", str(tl), "--thresh", "2"], capsys)
-    assert code == 2
-    assert "connected: no" in out
+    # two separate 2-cycles, and a peer with no links, which reaches no one
+    for links, nodes in (("c -> d; d -> c;", "a, b, c, d"), ("", "a, b, c")):
+        tl = tmp_path / "split.tl"
+        tl.write_text(f"topology custom;\nnodes {{ {nodes} }};\nlinks {{ a -> b; b -> a; {links} }}\n")
+        code, out, _ = run_cli(["bpd-trace", str(tl), "--thresh", "2"], capsys)
+        assert code == 2
+        assert "connected: no" in out
 
 
 def test_bad_subcommand_usage():

@@ -24,6 +24,7 @@ from bpdsim.bpd import (
     UpdateMsg,
     default_threshold,
 )
+from bpdsim.graph import DirectedGraph
 from bpdsim.groups import RECEIVER, SENDER, effective_graph, join_group
 from bpdsim.metrics import NO_RECEIPT
 from bpdsim.simnet import (
@@ -299,11 +300,15 @@ def test_recovering_detected_peers_keeps_the_edge_count():
 
 
 def test_not_connected_flag_on_split_topology():
-    # two separate 2-cycles: discovery can never span them
-    g = make_graph([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")])
-    w = World(g, Bpd(2), SimConfig(n_rounds=1, seed=0))
-    w.run()
-    assert [r.round for r in w.log if isinstance(r, CycleComplete) and not r.connected] == [1]
+    # two separate 2-cycles: discovery can never span them; nor can it reach
+    # a peer with no links, which holds no membership
+    two_cycles = make_graph([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")])
+    pair = make_graph([("a", "b"), ("b", "a")])
+    isolated = DirectedGraph(("a", "b", "c"), pair.edges)
+    for g in (two_cycles, isolated):
+        w = World(g, Bpd(2), SimConfig(n_rounds=1, seed=0))
+        w.run()
+        assert [r.round for r in w.log if isinstance(r, CycleComplete) and not r.connected] == [1]
 
 
 def test_de_steady_state_full_health():
